@@ -11,17 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .analysis import A_FEATURES, Analysis
 from .audio_io import AudioBuffer
 from .errors import (
-    InsufficientBandwidth,
     MalformedTextGrid,
     MissingPhoneTier,
     NonMonotoneIntervals,
     NoTargetVowels,
     NoVoicedFrames,
-    SilentSignal,
     VowelOutOfBounds,
 )
 
@@ -276,38 +273,20 @@ class VowelFeatureAggregate:
     feature_counts: dict[str, int] = field(default_factory=dict)
 
 
-VOWEL_FEATURES = (
-    "intensity_mean",
-    "pitch_mean",
-    "pitch_sd",
-    "hnr_mean",
-    "spectral_slope",
-    "cpp_mean",
-    "f1_mean",
-    "f2_mean",
-    "spectral_gravity",
-    "spectral_deviation",
-)
-
-
 def vowel_level_features(
-    buf: AudioBuffer,
-    vowels: list[VowelInterval],
-    pitch=None,
-    formant_params=None,
-    cpp_params=None,
-    slope_params=None,
+    buf: AudioBuffer, vowels: list[VowelInterval], analysis: Analysis | None = None
 ) -> VowelFeatureAggregate:
-    """Extract the vowel-applicable features per instance and average them.
+    """Average the span reductions of the recording's shared tracks over the vowel instances.
 
-    Analysis tracks (pitch, harmonicity, formants, cepstral peak, intensity,
-    voiced spectra) are computed once over the whole recording and sliced per
-    instance; spectral moments are taken on each instance's own samples.
-    Instances where a given feature cannot be measured are skipped for that
-    feature and the instance counts say how many contributed.
+    ``analysis`` holds the tracks of ``buf``; a recording analyzed for
+    several levels passes the one it already has, so no track is computed
+    twice.  Each instance contributes ``analysis.span_features`` over its
+    span: track values sliced to the span, and spectral moments of its own
+    samples.  A track that fails raises here, since no instance can be
+    measured without it; an instance where a feature cannot be measured is
+    skipped for that feature, and ``feature_counts`` says how many
+    instances contributed.
     """
-    from . import articulation, phonation
-
     if not vowels:
         raise NoTargetVowels("no vowel instances to analyze")
     duration = buf.duration
@@ -316,76 +295,29 @@ def vowel_level_features(
             raise VowelOutOfBounds(
                 f"vowel [{v.start:.3f}, {v.end:.3f}] outside the {duration:.3f} s recording"
             )
+    if analysis is None:
+        analysis = Analysis(buf)
+    elif analysis.buf is not buf:
+        raise ValueError("the analysis belongs to another buffer")
 
-    pitch = pitch or phonation.pitch_track_two_pass(buf)
-    formant_params = formant_params or articulation.FormantParams()
-    cpp_params = cpp_params or phonation.CppParams()
-    slope_params = slope_params or phonation.SlopeParams()
-
-    itrack = phonation.intensity_track(buf)
-    global_level = float(np.max(itrack.level_db))
-    hnr_times, hnr_values = phonation.hnr_track(buf, pitch)
-    cpp_times, cpp_values, cpp_mask = phonation.cpp_track(buf, cpp_params)
-    slope_times, slope_freqs, slope_power = phonation.voiced_frame_spectra(buf, pitch, slope_params)
+    analysis.pitch()
+    analysis.intensity()
+    analysis.hnr()
+    analysis.cpp()
+    analysis.spectra()
     try:
-        ftrack = articulation.formant_track(buf, pitch, formant_params)
+        analysis.formants()
     except NoVoicedFrames:
-        ftrack = None
+        pass  # no voiced formant frame: F1 and F2 go unmeasured on every instance
 
-    sums: dict[str, float] = {k: 0.0 for k in VOWEL_FEATURES}
-    counts: dict[str, int] = {k: 0 for k in VOWEL_FEATURES}
-
-    def add(feature: str, value: float | None) -> None:
-        if value is not None and math.isfinite(value):
-            sums[feature] += value
-            counts[feature] += 1
-
+    sums = dict.fromkeys(A_FEATURES, 0.0)
+    counts = dict.fromkeys(A_FEATURES, 0)
     for v in vowels:
-        t0, t1 = max(v.start, 0.0), min(v.end, duration)
+        values, _ = analysis.span_features(max(v.start, 0.0), min(v.end, duration))
+        for feature, value in values.items():
+            if value is not None and math.isfinite(value):
+                sums[feature] += value
+                counts[feature] += 1
 
-        sub = pitch.slice(t0, t1)
-        if sub.voiced_f0.size:
-            mean_hz, sd_st = phonation.pitch_stats(sub)
-            add("pitch_mean", mean_hz)
-            add("pitch_sd", sd_st)
-
-        isel = itrack.slice(t0, t1)
-        keep = isel.level_db >= global_level - 30.0
-        if np.any(keep):
-            add("intensity_mean", phonation._energy_mean_db(isel.level_db[keep]))
-
-        hsel = hnr_values[(hnr_times >= t0) & (hnr_times <= t1)]
-        if hsel.size:
-            add("hnr_mean", float(np.mean(hsel)))
-
-        csel = cpp_mask & (cpp_times >= t0) & (cpp_times <= t1)
-        if np.any(csel):
-            add("cpp_mean", float(np.mean(cpp_values[csel])))
-
-        if slope_power.shape[0]:
-            ssel = (slope_times >= t0) & (slope_times <= t1)
-            if np.any(ssel):
-                try:
-                    add(
-                        "spectral_slope",
-                        phonation.slope_from_spectrum(
-                            slope_freqs, slope_power[ssel].mean(axis=0), slope_params.band
-                        ),
-                    )
-                except (InsufficientBandwidth, SilentSignal):
-                    pass
-
-        if ftrack is not None:
-            f1, f2 = ftrack.slice(t0, t1).means()
-            add("f1_mean", f1)
-            add("f2_mean", f2)
-
-        try:
-            moments = articulation.spectral_moments(buf.slice(t0, t1))
-            add("spectral_gravity", moments.gravity)
-            add("spectral_deviation", moments.deviation)
-        except SilentSignal:
-            pass
-
-    means = {k: (sums[k] / counts[k] if counts[k] else None) for k in VOWEL_FEATURES}
+    means = {k: (sums[k] / counts[k] if counts[k] else None) for k in A_FEATURES}
     return VowelFeatureAggregate(means, len(vowels), counts)

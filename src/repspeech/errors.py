@@ -5,6 +5,11 @@ class RepSpeechError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def error_code(exc: RepSpeechError) -> str:
+    """The code a record stores for a feature that ``exc`` left unmeasured."""
+    return type(exc).__name__
+
+
 # -- audio container and IO --------------------------------------------------
 
 class MalformedRiff(RepSpeechError):
@@ -55,6 +60,10 @@ class ZeroDuration(RepSpeechError):
 
 class ZeroPhonationTime(RepSpeechError):
     """No speech regions detected; articulation rate is undefined."""
+
+
+class NoMeasurableInstances(RepSpeechError):
+    """No frame or vowel instance in the span yields a value for the feature."""
 
 
 # -- synthesis ----------------------------------------------------------------

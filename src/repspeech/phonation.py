@@ -352,18 +352,34 @@ def _energy_mean_db(levels: np.ndarray) -> float:
     return 10.0 * math.log10(float(np.mean(10.0 ** (levels / 10.0))))
 
 
-def intensity_mean(buf: AudioBuffer, track: IntensityTrack | None = None, silence_db: float = -30.0) -> float:
-    """Energy-mean intensity over speech-containing frames.
+def _in_span(times: np.ndarray, tmin: float | None, tmax: float | None) -> np.ndarray:
+    """Mask of the frame times inside [tmin, tmax]; an open end is unbounded."""
+    lo = -math.inf if tmin is None else tmin
+    hi = math.inf if tmax is None else tmax
+    return (times >= lo) & (times <= hi)
 
-    Frames more than ``silence_db`` below the loudest frame are excluded,
-    so the figure shifts by exactly the applied gain and ignores lead-in
-    silence.  Raises SilentSignal when nothing exceeds the floor.
+
+def intensity_mean(
+    buf: AudioBuffer,
+    track: IntensityTrack | None = None,
+    silence_db: float = -30.0,
+    tmin: float | None = None,
+    tmax: float | None = None,
+) -> float:
+    """Energy-mean intensity over the speech-containing frames in [tmin, tmax].
+
+    Frames more than ``silence_db`` below the loudest frame of the whole
+    track are excluded, so the figure shifts by exactly the applied gain
+    and ignores lead-in silence.  Raises SilentSignal when no frame of the
+    span exceeds the floor.
     """
     track = track or intensity_track(buf)
     if len(track.level_db) == 0 or not np.any(buf.signal):
         raise SilentSignal("no signal energy")
     peak = float(np.max(track.level_db))
-    keep = track.level_db >= peak + silence_db
+    keep = (track.level_db >= peak + silence_db) & _in_span(track.times, tmin, tmax)
+    if not np.any(keep):
+        raise SilentSignal("no frame of the span above the silence floor")
     return _energy_mean_db(track.level_db[keep])
 
 
@@ -458,12 +474,16 @@ def hnr_track(
     return np.concatenate(times_out), np.concatenate(values_out)
 
 
-def hnr_mean(buf: AudioBuffer, track: PitchTrack, tmin: float | None = None, tmax: float | None = None) -> float:
-    times, values = hnr_track(buf, track)
-    if tmin is not None or tmax is not None:
-        lo = -math.inf if tmin is None else tmin
-        hi = math.inf if tmax is None else tmax
-        values = values[(times >= lo) & (times <= hi)]
+def hnr_mean(
+    buf: AudioBuffer,
+    track: PitchTrack,
+    tmin: float | None = None,
+    tmax: float | None = None,
+    hnr: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """Mean HNR over the voiced frames in [tmin, tmax]; ``hnr`` is the recording's ``hnr_track``."""
+    times, values = hnr or hnr_track(buf, track)
+    values = values[_in_span(times, tmin, tmax)]
     if len(values) == 0:
         raise NoVoicedFrames("no analyzable voiced frames for harmonicity")
     return float(np.mean(values))
@@ -545,13 +565,15 @@ def spectral_slope(
     params: SlopeParams = SlopeParams(),
     tmin: float | None = None,
     tmax: float | None = None,
+    spectra: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Slope of the long-term average spectrum of voiced frames, dB/octave."""
-    times, freqs, power = voiced_frame_spectra(buf, track, params)
-    if tmin is not None or tmax is not None:
-        lo = -math.inf if tmin is None else tmin
-        hi = math.inf if tmax is None else tmax
-        sel = (times >= lo) & (times <= hi)
+    """Slope of the long-term average spectrum of the voiced frames in [tmin, tmax], dB/octave.
+
+    ``spectra`` is the recording's ``voiced_frame_spectra``.
+    """
+    times, freqs, power = spectra or voiced_frame_spectra(buf, track, params)
+    sel = _in_span(times, tmin, tmax)
+    if not np.all(sel):  # a span over every frame averages the stored spectra without a copy
         power = power[sel]
     if power.shape[0] == 0:
         raise NoVoicedFrames("no voiced frames for the long-term spectrum")
@@ -687,14 +709,14 @@ def cpp_mean(
     params: CppParams = CppParams(),
     tmin: float | None = None,
     tmax: float | None = None,
+    cpp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Mean cepstral peak prominence over non-silent frames, in dB."""
-    times, values, included = cpp_track(buf, params)
-    keep = included.copy()
-    if tmin is not None or tmax is not None:
-        lo = -math.inf if tmin is None else tmin
-        hi = math.inf if tmax is None else tmax
-        keep &= (times >= lo) & (times <= hi)
+    """Mean cepstral peak prominence over the non-silent frames in [tmin, tmax], in dB.
+
+    ``cpp`` is the recording's ``cpp_track``.
+    """
+    times, values, included = cpp or cpp_track(buf, params)
+    keep = included & _in_span(times, tmin, tmax)
     if not np.any(keep):
         raise SilentSignal("no frames above the silence threshold")
     return float(np.mean(values[keep]))

@@ -1,10 +1,13 @@
 """Per-recording orchestration: canonicalize, analyze once, assemble records.
 
-The pitch track is computed once per recording and shared by harmonicity,
-slope, formant, and timing analyses, so every feature sees the same voicing
-decisions.  A failure in one feature marks that field absent with an error
-code instead of aborting the record; long batch runs must survive
-degenerate files.
+Every analysis track (pitch, intensity, harmonicity, cepstral peak,
+voiced-frame spectra, formants) is computed at most once per recording, in
+one ``Analysis``, and both levels are reductions of those tracks: level S
+over the whole recording, level a averaged over the aligned vowels.  So
+every feature sees the same voicing decisions, and asking for both levels
+costs little more than asking for one.  A failure in one feature marks
+that field absent with an error code instead of aborting the record; long
+batch runs must survive degenerate files.
 """
 
 from __future__ import annotations
@@ -21,39 +24,15 @@ from .alignment import (
     parse_textgrid,
     vowel_level_features,
 )
-from .articulation import FormantParams, formant_track, spectral_moments
+from .analysis import A_FEATURES, Analysis, fill
+from .articulation import FormantParams
 from .audio_io import CanonicalPolicy, read_wav, to_canonical
-from .errors import AlignmentMissing, RepSpeechError
-from .phonation import (
-    CppParams,
-    PitchParams,
-    SlopeParams,
-    cpp_mean,
-    hnr_mean,
-    intensity_mean,
-    pitch_stats,
-    pitch_track_two_pass,
-    spectral_slope,
-)
-from .timing import TimingParams, timing_features
+from .errors import AlignmentMissing, NoMeasurableInstances, RepSpeechError, SignalTooShort, error_code
+from .phonation import CppParams, PitchParams, SlopeParams
+from .timing import NO_CONTOUR, TimingParams, timing_features
 
-S_FEATURES = (
-    "duration",
-    "speaking_rate",
-    "articulation_rate",
-    "pause_rate",
-    "intensity_mean",
-    "pitch_mean",
-    "pitch_sd",
-    "hnr_mean",
-    "spectral_slope",
-    "cpp_mean",
-    "f1_mean",
-    "f2_mean",
-    "spectral_gravity",
-    "spectral_deviation",
-)
-A_FEATURES = tuple(f for f in S_FEATURES if f not in ("duration", "speaking_rate", "articulation_rate", "pause_rate"))
+RATE_FEATURES = ("speaking_rate", "articulation_rate", "pause_rate")
+S_FEATURES = ("duration", *RATE_FEATURES, *A_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -88,7 +67,7 @@ class FeatureRecord:
     provenance: dict = field(default_factory=dict)
 
 
-def _provenance(params: PipelineParams, adapted_pitch: PitchParams | None) -> dict:
+def _provenance(params: PipelineParams, analysis: Analysis) -> dict:
     snap = {
         "version": __version__,
         "pitch_explore": asdict(params.pitch_explore),
@@ -100,8 +79,11 @@ def _provenance(params: PipelineParams, adapted_pitch: PitchParams | None) -> di
         "min_vowel_duration": params.min_vowel_duration,
         "phone_tier": params.phone_tier,
     }
-    if adapted_pitch is not None:
-        snap["pitch_adapted"] = {"floor": adapted_pitch.floor, "ceiling": adapted_pitch.ceiling}
+    try:
+        adapted = analysis.pitch().params_used
+    except RepSpeechError:
+        return snap
+    snap["pitch_adapted"] = {"floor": adapted.floor, "ceiling": adapted.ceiling}
     return snap
 
 
@@ -109,7 +91,8 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
     """Extract one FeatureRecord per requested level for a recording.
 
     Level S covers the whole canonical recording; level a aggregates over
-    the aligned open-vowel instances and requires a TextGrid.
+    the aligned open-vowel instances and requires a TextGrid.  Both levels
+    reduce the same tracks, each computed once.
     """
     levels = tuple(req.levels)
     for level in levels:
@@ -120,103 +103,54 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
 
     params = req.params
     buf = to_canonical(read_wav(req.audio_path), CanonicalPolicy())
+    analysis = Analysis(buf, params.pitch_explore, params.formant, params.cpp, params.slope)
     name = Path(req.audio_path).stem
-
-    pitch = None
-    pitch_error: str | None = None
-    try:
-        pitch = pitch_track_two_pass(buf, params.pitch_explore)
-    except RepSpeechError as exc:
-        pitch_error = type(exc).__name__
 
     records = []
     if "S" in levels:
-        records.append(_extract_suprasegmental(name, buf, pitch, pitch_error, params))
+        records.append(_extract_suprasegmental(name, analysis, params))
     if "a" in levels:
-        records.append(_extract_vowel_level(name, buf, pitch, pitch_error, params, req.textgrid_path))
+        records.append(_extract_vowel_level(name, analysis, params, req.textgrid_path))
     return records
 
 
-def _extract_suprasegmental(name, buf, pitch, pitch_error, params: PipelineParams) -> FeatureRecord:
-    features: dict[str, float | None] = {k: None for k in S_FEATURES}
+def _rates(analysis: Analysis, params: TimingParams) -> tuple[float, float, float]:
+    try:
+        pitch = analysis.pitch()
+    except RepSpeechError:
+        pitch = None  # every nucleus then counts as unvoiced
+    try:
+        contour = analysis.intensity(params.frame_len, params.hop)
+    except SignalTooShort:
+        contour = NO_CONTOUR
+    tf = timing_features(analysis.buf, pitch, params, contour)
+    return tf.speaking_rate, tf.articulation_rate, tf.pause_rate
+
+
+def _extract_suprasegmental(name: str, analysis: Analysis, params: PipelineParams) -> FeatureRecord:
+    duration = analysis.buf.duration
+    features: dict[str, float | None] = dict.fromkeys(S_FEATURES)
+    features["duration"] = duration
     errors: dict[str, str] = {}
-
-    def attempt(keys: tuple[str, ...], fn) -> None:
-        try:
-            result = fn()
-        except RepSpeechError as exc:
-            for k in keys:
-                errors[k] = type(exc).__name__
-            return
-        for k, v in result.items():
-            features[k] = v
-
-    features["duration"] = buf.duration
-
-    def timing_fn():
-        tf = timing_features(buf, pitch, params.timing)
-        return {
-            "speaking_rate": tf.speaking_rate,
-            "articulation_rate": tf.articulation_rate,
-            "pause_rate": tf.pause_rate,
-        }
-
-    attempt(("speaking_rate", "articulation_rate", "pause_rate"), timing_fn)
-    attempt(("intensity_mean",), lambda: {"intensity_mean": intensity_mean(buf)})
-    if pitch is not None:
-        def pitch_fn():
-            mean_hz, sd_st = pitch_stats(pitch)
-            return {"pitch_mean": mean_hz, "pitch_sd": sd_st}
-
-        attempt(("pitch_mean", "pitch_sd"), pitch_fn)
-        attempt(("hnr_mean",), lambda: {"hnr_mean": hnr_mean(buf, pitch)})
-        attempt(("spectral_slope",), lambda: {"spectral_slope": spectral_slope(buf, pitch, params.slope)})
-
-        def formant_fn():
-            f1, f2 = formant_track(buf, pitch, params.formant).means()
-            return {"f1_mean": f1, "f2_mean": f2}
-
-        attempt(("f1_mean", "f2_mean"), formant_fn)
-    else:
-        for k in ("pitch_mean", "pitch_sd", "hnr_mean", "spectral_slope", "f1_mean", "f2_mean"):
-            errors[k] = pitch_error
-    attempt(("cpp_mean",), lambda: {"cpp_mean": cpp_mean(buf, params.cpp)})
-
-    def moments_fn():
-        m = spectral_moments(buf)
-        return {"spectral_gravity": m.gravity, "spectral_deviation": m.deviation}
-
-    attempt(("spectral_gravity", "spectral_deviation"), moments_fn)
-
-    adapted = pitch.params_used if pitch is not None else None
-    return FeatureRecord(name, "S", features, errors, None, _provenance(params, adapted))
+    fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params.timing))
+    span_values, span_errors = analysis.span_features(0.0, duration)
+    features.update(span_values)
+    errors.update(span_errors)
+    return FeatureRecord(name, "S", features, errors, None, _provenance(params, analysis))
 
 
-def _extract_vowel_level(name, buf, pitch, pitch_error, params: PipelineParams, textgrid_path) -> FeatureRecord:
-    features: dict[str, float | None] = {k: None for k in A_FEATURES}
-    errors: dict[str, str] = {}
-    n_instances = None
-    adapted = pitch.params_used if pitch is not None else None
+def _extract_vowel_level(name: str, analysis: Analysis, params: PipelineParams, textgrid_path) -> FeatureRecord:
     try:
         grid = parse_textgrid(Path(textgrid_path).read_text(encoding="utf-8"))
         vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
-        if pitch is None:
-            raise RepSpeechError(pitch_error or "NoVoicedFrames")
-        agg = vowel_level_features(
-            buf, vowels, pitch, params.formant, params.cpp, params.slope
-        )
-        n_instances = agg.n_instances
-        for k in A_FEATURES:
-            value = agg.means.get(k)
-            if value is None:
-                errors[k] = "NoMeasurableInstances"
-            else:
-                features[k] = value
+        analysis.pitch()  # a failed pitch track outranks a vowel-selection error
+        agg = vowel_level_features(analysis.buf, vowels, analysis)
     except RepSpeechError as exc:
-        code = type(exc).__name__ if type(exc) is not RepSpeechError else str(exc)
-        for k in A_FEATURES:
-            errors[k] = code
-    return FeatureRecord(name, "a", features, errors, n_instances, _provenance(params, adapted))
+        features, errors, n_instances = dict.fromkeys(A_FEATURES), dict.fromkeys(A_FEATURES, error_code(exc)), None
+    else:
+        features, n_instances = dict(agg.means), agg.n_instances
+        errors = {k: NoMeasurableInstances.__name__ for k, v in features.items() if v is None}
+    return FeatureRecord(name, "a", features, errors, n_instances, _provenance(params, analysis))
 
 
 def record_to_row(rec: FeatureRecord) -> dict:

@@ -1,6 +1,8 @@
 """Speech timing: pause detection, syllable-nucleus counting, rate features.
 
-Both detectors work on the same intensity contour.  Silence is anything
+Both detectors read one intensity contour, computed once per call of
+``timing_features`` or passed in by a caller that already holds it.
+Silence is anything
 more than the threshold below the loudest frame; internal silent runs of
 at least the minimum pause length count as pauses, and syllable nuclei are
 intensity peaks flanked by dips that coincide with voiced frames.
@@ -50,9 +52,19 @@ class TimingFeatures:
     phonation_time: float
 
 
+# the contour of a buffer shorter than one frame
+NO_CONTOUR = IntensityTrack(np.zeros(0), np.zeros(0))
+
+
+def speech_contour(buf: AudioBuffer, params: TimingParams = TimingParams()) -> IntensityTrack:
+    """The intensity contour at the timing frame length and hop; NO_CONTOUR when none fits."""
+    try:
+        return intensity_track(buf, params.frame_len, params.hop)
+    except SignalTooShort:
+        return NO_CONTOUR
+
+
 def _sounding_mask(track: IntensityTrack, silence_threshold_db: float) -> np.ndarray:
-    if len(track.level_db) == 0:
-        return np.zeros(0, dtype=bool)
     peak = float(np.max(track.level_db))
     return track.level_db >= peak + silence_threshold_db
 
@@ -71,20 +83,21 @@ def _runs(mask: np.ndarray) -> list[tuple[bool, int, int]]:
     return runs
 
 
-def detect_speech_regions(buf: AudioBuffer, params: TimingParams = TimingParams()) -> list[Segment]:
+def detect_speech_regions(
+    buf: AudioBuffer, params: TimingParams = TimingParams(), contour: IntensityTrack | None = None
+) -> list[Segment]:
     """Segment a recording into speech regions and internal pauses.
 
     Silent runs shorter than the minimum pause are absorbed into speech;
     leading and trailing silence belongs to neither category.  All-silent
-    input yields an empty list.
+    input yields an empty list.  ``contour`` is ``speech_contour(buf,
+    params)``, computed here when not given.
     """
-    try:
-        track = intensity_track(buf, params.frame_len, params.hop)
-    except SignalTooShort:
+    if contour is None:
+        contour = speech_contour(buf, params)
+    if len(contour.level_db) == 0 or not np.any(buf.signal):
         return []
-    if not np.any(buf.signal):
-        return []
-    mask = _sounding_mask(track, params.silence_threshold_db)
+    mask = _sounding_mask(contour, params.silence_threshold_db)
     if not np.any(mask):
         return []
     runs = _runs(mask)
@@ -92,8 +105,8 @@ def detect_speech_regions(buf: AudioBuffer, params: TimingParams = TimingParams(
     half = 0.5 * params.hop
 
     def run_bounds(i0: int, i1: int) -> tuple[float, float]:
-        start = max(0.0, track.times[i0] - half)
-        end = min(buf.duration, track.times[i1 - 1] + half)
+        start = max(0.0, contour.times[i0] - half)
+        end = min(buf.duration, contour.times[i1 - 1] + half)
         return start, end
 
     sounding_spans = [run_bounds(i0, i1) for v, i0, i1 in runs if v]
@@ -120,7 +133,10 @@ def detect_speech_regions(buf: AudioBuffer, params: TimingParams = TimingParams(
 
 
 def count_syllable_nuclei(
-    buf: AudioBuffer, track: PitchTrack | None, params: TimingParams = TimingParams()
+    buf: AudioBuffer,
+    track: PitchTrack | None,
+    params: TimingParams = TimingParams(),
+    contour: IntensityTrack | None = None,
 ) -> int:
     """Count intensity peaks that behave like syllable nuclei.
 
@@ -128,12 +144,11 @@ def count_syllable_nuclei(
     its neighbors by dips of at least the minimum depth on both sides;
     consecutive maxima without such a valley between them merge into one
     nucleus.  When voicing is required, the peak must fall on a voiced
-    pitch frame.
+    pitch frame.  ``contour`` is ``speech_contour(buf, params)``, computed
+    here when not given.
     """
-    try:
-        contour = intensity_track(buf, params.frame_len, params.hop)
-    except SignalTooShort:
-        return 0
+    if contour is None:
+        contour = speech_contour(buf, params)
     if not np.any(buf.signal) or len(contour.level_db) == 0:
         return 0
     level = contour.level_db
@@ -166,21 +181,28 @@ def count_syllable_nuclei(
 
 
 def timing_features(
-    buf: AudioBuffer, track: PitchTrack | None, params: TimingParams = TimingParams()
+    buf: AudioBuffer,
+    track: PitchTrack | None,
+    params: TimingParams = TimingParams(),
+    contour: IntensityTrack | None = None,
 ) -> TimingFeatures:
     """Duration, speaking rate, articulation rate, and pause rate.
 
     Duration is the full recording length; speaking rate divides nuclei by
     it, articulation rate divides by phonation time only, and
     speaking_rate = articulation_rate x (phonation_time / duration).
+    Both detectors read ``contour``, which is ``speech_contour(buf,
+    params)`` and is computed here when not given.
     """
     if buf.n_samples == 0:
         raise ZeroDuration("empty recording")
     duration = buf.duration
-    regions = detect_speech_regions(buf, params)
+    if contour is None:
+        contour = speech_contour(buf, params)
+    regions = detect_speech_regions(buf, params, contour)
     phonation = sum(s.duration for s in regions if s.kind == "speech")
     n_pauses = sum(1 for s in regions if s.kind == "pause")
-    n_syllables = count_syllable_nuclei(buf, track, params)
+    n_syllables = count_syllable_nuclei(buf, track, params, contour)
     if phonation <= 0.0:
         raise ZeroPhonationTime("no speech regions; articulation rate undefined")
     return TimingFeatures(

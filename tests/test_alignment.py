@@ -15,6 +15,7 @@ from repspeech.alignment import (
     serialize_textgrid,
     vowel_level_features,
 )
+from repspeech.analysis import Analysis
 from repspeech.errors import (
     MalformedTextGrid,
     MissingPhoneTier,
@@ -22,7 +23,6 @@ from repspeech.errors import (
     NoTargetVowels,
     VowelOutOfBounds,
 )
-from repspeech.phonation import pitch_track_two_pass
 from repspeech.synth import SynthSpec, synth_pattern
 
 MINIMAL_GRID = '''File type = "ooTextFile"
@@ -210,13 +210,13 @@ def two_pitch_recording():
 
 def test_aggregate_is_mean_of_instances():
     buf, vowels = two_pitch_recording()
-    track = pitch_track_two_pass(buf)
-    agg = vowel_level_features(buf, vowels, track)
+    analysis = Analysis(buf)
+    agg = vowel_level_features(buf, vowels, analysis)
     assert agg.n_instances == 2
     assert agg.means["pitch_mean"] == pytest.approx(155.0, abs=1.0)
 
     # brute-force recompute: single-instance runs averaged by hand
-    singles = [vowel_level_features(buf, [v], track) for v in vowels]
+    singles = [vowel_level_features(buf, [v], analysis) for v in vowels]
     for key, value in agg.means.items():
         parts = [s.means[key] for s in singles if s.means[key] is not None]
         if value is not None and len(parts) == 2:
@@ -231,7 +231,6 @@ def test_empty_vowel_list():
 
 def test_vowel_past_audio_end():
     buf, _ = two_pitch_recording()
-    track = pitch_track_two_pass(buf)
     bad = [VowelInterval(1.0, buf.duration + 0.05, "AA1", "phones")]
     with pytest.raises(VowelOutOfBounds):
-        vowel_level_features(buf, bad, track)
+        vowel_level_features(buf, bad)

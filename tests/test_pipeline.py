@@ -1,20 +1,25 @@
 """End-to-end per-recording extraction."""
 
 import dataclasses
+import importlib
+import sys
 
 import pytest
 
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
-from repspeech.audio_io import write_wav
+from repspeech.audio_io import CanonicalPolicy, read_wav, to_canonical, write_wav
 from repspeech.errors import AlignmentMissing
+from repspeech.phonation import pitch_track_two_pass
 from repspeech.pipeline import (
     A_FEATURES,
     ExtractionRequest,
+    PipelineParams,
     S_FEATURES,
     extract_recording,
     record_to_row,
 )
-from repspeech.synth import synth_formant_voice
+from repspeech.synth import synth_formant_voice, synth_pulse_train
+from repspeech.timing import TimingParams, timing_features
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +94,70 @@ def test_full_span_vowel_levels_agree(tmp_path):
     tg = tmp_path / "v.TextGrid"
     tg.write_text(serialize_textgrid(grid), encoding="utf-8")
     s_rec, a_rec = extract_recording(ExtractionRequest(str(wav), str(tg), ("S", "a")))
-    assert a_rec.features["pitch_mean"] == pytest.approx(s_rec.features["pitch_mean"], abs=1.0)
+    assert not s_rec.errors and not a_rec.errors
+    # one vowel over the whole recording reduces the same tracks over the same span
+    assert {k: a_rec.features[k] for k in A_FEATURES} == {k: s_rec.features[k] for k in A_FEATURES}
+
+
+def test_pulse_train_formants_carry_error_code(tmp_path):
+    # no resonances, so no formant frame is valid
+    wav = tmp_path / "pulse.wav"
+    write_wav(synth_pulse_train(150.0, 2.0), wav)
+    (rec,) = extract_recording(ExtractionRequest(str(wav)))
+    assert rec.features["f1_mean"] is None and rec.features["f2_mean"] is None
+    assert rec.errors == {"f1_mean": "NoMeasurableInstances", "f2_mean": "NoMeasurableInstances"}
+
+
+TRACKS = (
+    "phonation.pitch_track",
+    "phonation.intensity_track",
+    "phonation.hnr_track",
+    "phonation.voiced_frame_spectra",
+    "phonation.cpp_track",
+    "articulation.formant_track",
+)
+
+
+def count_calls(monkeypatch, names=TRACKS) -> dict[str, int]:
+    """Count calls of each named function through every repspeech module that binds it."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in list(sys.modules.items()) if n == "repspeech" or n.startswith("repspeech.")]
+    for name in names:
+        mod_name, fn_name = name.split(".")
+        original = getattr(importlib.import_module(f"repspeech.{mod_name}"), fn_name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_each_track_computed_once(voice_recording, monkeypatch):
+    wav, tg = voice_recording
+    counts = count_calls(monkeypatch)
+    s_rec, a_rec = extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    assert not s_rec.errors and not a_rec.errors
+    assert counts == {**dict.fromkeys(TRACKS, 1), "phonation.pitch_track": 2}  # two pitch passes
+
+
+def test_own_timing_contour_for_other_frames(voice_recording, monkeypatch):
+    wav, tg = voice_recording
+    timing = TimingParams(frame_len=0.03)
+    counts = count_calls(monkeypatch)
+    (rec,) = extract_recording(ExtractionRequest(wav, tg, ("S",), PipelineParams(timing=timing)))
+    assert counts["phonation.intensity_track"] == 2
+    buf = to_canonical(read_wav(wav), CanonicalPolicy())
+    tf = timing_features(buf, pitch_track_two_pass(buf), timing)
+    assert (rec.features["speaking_rate"], rec.features["articulation_rate"], rec.features["pause_rate"]) == (
+        tf.speaking_rate,
+        tf.articulation_rate,
+        tf.pause_rate,
+    )
 
 
 def test_no_target_vowels_marks_features_absent(voice_recording, tmp_path):
