@@ -16,9 +16,9 @@ from .audio_io import AudioBuffer
 from .errors import (
     MalformedTextGrid,
     MissingPhoneTier,
+    NoMeasurableInstances,
     NonMonotoneIntervals,
     NoTargetVowels,
-    NoVoicedFrames,
     VowelOutOfBounds,
 )
 
@@ -264,13 +264,15 @@ def find_target_vowels(
 class VowelFeatureAggregate:
     """Per-feature means across vowel instances.
 
-    A feature that could not be measured on any instance maps to None;
-    ``feature_counts`` records how many instances contributed to each mean.
+    A feature that could not be measured on any instance maps to None, and
+    ``errors`` gives its code; ``feature_counts`` records how many
+    instances contributed to each mean.
     """
 
     means: dict[str, float | None]
     n_instances: int
     feature_counts: dict[str, int] = field(default_factory=dict)
+    errors: dict[str, str] = field(default_factory=dict)
 
 
 def vowel_level_features(
@@ -282,10 +284,11 @@ def vowel_level_features(
     several levels passes the one it already has, so no track is computed
     twice.  Each instance contributes ``analysis.span_features`` over its
     span: track values sliced to the span, and spectral moments of its own
-    samples.  A track that fails raises here, since no instance can be
-    measured without it; an instance where a feature cannot be measured is
-    skipped for that feature, and ``feature_counts`` says how many
-    instances contributed.
+    samples.  An instance where a feature cannot be measured is skipped for
+    that feature, and ``feature_counts`` says how many instances
+    contributed.  A feature no instance measures carries the code every
+    instance gave it (a failed track gives the same code on every span,
+    the one level S reports), or NoMeasurableInstances when they differ.
     """
     if not vowels:
         raise NoTargetVowels("no vowel instances to analyze")
@@ -300,24 +303,19 @@ def vowel_level_features(
     elif analysis.buf is not buf:
         raise ValueError("the analysis belongs to another buffer")
 
-    analysis.pitch()
-    analysis.intensity()
-    analysis.hnr()
-    analysis.cpp()
-    analysis.spectra()
-    try:
-        analysis.formants()
-    except NoVoicedFrames:
-        pass  # no voiced formant frame: F1 and F2 go unmeasured on every instance
-
+    unmeasured = NoMeasurableInstances.__name__
     sums = dict.fromkeys(A_FEATURES, 0.0)
     counts = dict.fromkeys(A_FEATURES, 0)
+    codes: dict[str, set[str]] = {k: set() for k in A_FEATURES}
     for v in vowels:
-        values, _ = analysis.span_features(max(v.start, 0.0), min(v.end, duration))
+        values, span_errors = analysis.span_features(max(v.start, 0.0), min(v.end, duration))
         for feature, value in values.items():
             if value is not None and math.isfinite(value):
                 sums[feature] += value
                 counts[feature] += 1
+            else:
+                codes[feature].add(span_errors.get(feature, unmeasured))
 
     means = {k: (sums[k] / counts[k] if counts[k] else None) for k in A_FEATURES}
-    return VowelFeatureAggregate(means, len(vowels), counts)
+    errors = {k: (next(iter(codes[k])) if len(codes[k]) == 1 else unmeasured) for k in A_FEATURES if not counts[k]}
+    return VowelFeatureAggregate(means, len(vowels), counts, errors)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, resample
-from .dsp import lpc_burg, window_samples
+from .dsp import CHUNK_FRAMES, frame_centers, gather_frames, gaussian_window, lpc_burg
 from .errors import NoVoicedFrames, SignalTooShort, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
@@ -79,29 +79,25 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
     step_n = max(1, int(round(params.step * analysis_rate)))
     if len(y) < win_n:
         raise SignalTooShort("buffer shorter than one formant frame")
-    window = window_samples("gaussian", win_n)
-    half = win_n // 2
-    centers = np.arange(half, len(y) - (win_n - half) + 1, step_n)
-    voiced = track.voiced_at_many(centers / analysis_rate)
+    window = gaussian_window(win_n)
+    centers = frame_centers(len(y), win_n, step_n)
+    voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
     times, f1s, f2s, valids = [], [], [], []
-    for c in centers[voiced]:
-        t = c / analysis_rate
-        seg = y[c - half : c - half + win_n]
-        seg = (seg - seg.mean()) * window
-        if not np.any(seg):
-            continue
-        coeffs = lpc_burg(seg, params.lpc_order)
-        freqs = _candidate_frequencies(coeffs, analysis_rate, params)
-        times.append(t)
-        if len(freqs) >= 2:
-            f1s.append(freqs[0])
-            f2s.append(freqs[1])
-            valids.append(True)
-        else:
-            f1s.append(0.0)
-            f2s.append(0.0)
-            valids.append(False)
+    for start in range(0, len(voiced), CHUNK_FRAMES):
+        sub = voiced[start : start + CHUNK_FRAMES]
+        frames = gather_frames(y, sub, win_n)
+        frames -= frames.mean(axis=1, keepdims=True)
+        frames *= window
+        for c, seg in zip(sub, frames):
+            if not np.any(seg):
+                continue
+            freqs = _candidate_frequencies(lpc_burg(seg, params.lpc_order), analysis_rate, params)
+            times.append(c / analysis_rate)
+            valid = len(freqs) >= 2
+            f1s.append(freqs[0] if valid else 0.0)
+            f2s.append(freqs[1] if valid else 0.0)
+            valids.append(valid)
     if not times:
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
     return FormantTrack(np.asarray(times), np.asarray(f1s), np.asarray(f2s), np.asarray(valids, dtype=bool), params)

@@ -1,20 +1,23 @@
-"""Shared numerical kernels: framing, windows, spectra, autocorrelation,
-Burg linear prediction, and real cepstra.
+"""The batched numerical kernels that the feature extractors run.
 
-Everything here is a pure function over numpy arrays; the feature modules
-compose these into the actual extractors.
+Each operation has one kernel here, and each kernel works on many frames
+at once, one frame per row: framing (frame centres, frame gathering), the
+gaussian analysis window, power spectra, window-compensated normalized
+autocorrelation, dB cepstra, Burg linear prediction, parabolic and
+tapered-sinc peak refinement, and robust trend lines.  Everything is a
+pure function over numpy arrays; the feature modules compose them into
+the extractors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from .audio_io import AudioBuffer
-from .errors import OrderTooHigh, SignalTooShort, ZeroEnergyFrame
+from .errors import OrderTooHigh, ZeroEnergyFrame
 
-WINDOW_KINDS = ("rectangular", "hann", "gaussian")
+CHUNK_FRAMES = 2048  # frames processed per batch to bound memory
 
 
 def next_pow2(n: int) -> int:
@@ -24,138 +27,78 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def window_samples(kind: str, n: int) -> np.ndarray:
-    """Analysis window of length n.
+def gaussian_window(n: int) -> np.ndarray:
+    """Gaussian analysis window of length n.
 
-    The gaussian window follows the e^-12 edge-value convention in which the
-    effective analysis width is half the physical window length; that
-    property is what makes autocorrelation window compensation accurate.
+    It follows the e^-12 edge-value convention in which the effective
+    analysis width is half the physical window length; that property is
+    what makes autocorrelation window compensation accurate.
     """
-    if kind == "rectangular":
-        return np.ones(n)
-    if kind == "hann":
-        return np.hanning(n)
-    if kind == "gaussian":
-        edge = np.exp(-12.0)
-        x = (np.arange(n) - 0.5 * (n - 1)) / (0.5 * n)
-        return (np.exp(-12.0 * x * x) - edge) / (1.0 - edge)
-    raise ValueError(f"unknown window kind {kind!r}")
+    edge = np.exp(-12.0)
+    x = (np.arange(n) - 0.5 * (n - 1)) / (0.5 * n)
+    return (np.exp(-12.0 * x * x) - edge) / (1.0 - edge)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One windowed analysis frame cut from a mono buffer."""
-
-    samples: np.ndarray
-    start_time: float
-    window_kind: str
-    rate: int
-
-    @property
-    def center_time(self) -> float:
-        return self.start_time + 0.5 * len(self.samples) / self.rate
+def frame_centers(n: int, win_n: int, step_n: int) -> np.ndarray:
+    """Sample index of the centre of every whole ``win_n``-sample frame of an n-sample signal."""
+    half = win_n // 2
+    last = n - (win_n - half)
+    if last < half:
+        return np.zeros(0, dtype=int)
+    return np.arange(half, last + 1, step_n)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided power spectrum with its frequency axis."""
-
-    bin_freqs: np.ndarray
-    magnitudes: np.ndarray
-    resolution: float
+def gather_frames(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
+    """The ``win_n``-sample frames of x around ``centers``, one per row."""
+    half = win_n // 2
+    idx = centers[:, None] - half + np.arange(win_n)[None, :]
+    return x[idx]
 
 
-def frame_signal(buf: AudioBuffer, frame_len: float, hop: float, window_kind: str = "hann") -> list[Frame]:
-    """Cut a mono buffer into windowed frames.
+def power_spectra(frames: np.ndarray, nfft: int) -> np.ndarray:
+    """Squared rfft magnitudes of each row, zero-padded to ``nfft``."""
+    return np.abs(np.fft.rfft(frames, nfft, axis=1)) ** 2
 
-    Frame count is floor((duration - frame_len) / hop) + 1 with all
-    arithmetic done in samples; raises SignalTooShort when the buffer is
-    shorter than one frame.
+
+def window_autocorr(window: np.ndarray, nfft: int, max_lag: int) -> np.ndarray:
+    """The window's own autocorrelation up to ``max_lag``, normalized to 1 at lag 0."""
+    spec = np.fft.rfft(window, nfft)
+    rw = np.fft.irfft(np.abs(spec) ** 2, nfft)[: max_lag + 1]
+    return rw / rw[0]
+
+
+def normalized_autocorrelation(frames: np.ndarray, nfft: int, rw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Window-compensated normalized autocorrelation of windowed frames, up to lag ``len(rw) - 1``.
+
+    Each row's autocorrelation is divided by its lag-0 value and by the
+    window's own (``rw``, from ``window_autocorr``), so it estimates the
+    autocorrelation of the underlying signal, clipped to [-1, 1].  ``nfft``
+    must be at least the frame length plus the largest lag plus one.
+    Returns (autocorrelations, dead): a dead row has no energy, and its
+    autocorrelation is zero.
     """
-    if frame_len <= 0 or hop <= 0:
-        raise ValueError("frame_len and hop must be positive")
-    x = buf.signal
-    n = len(x)
-    rate = buf.sample_rate
-    frame_n = int(round(frame_len * rate))
-    hop_n = int(round(hop * rate))
-    if frame_n < 1 or hop_n < 1:
-        raise ValueError("frame_len and hop too small for the sample rate")
-    if n < frame_n:
-        raise SignalTooShort(f"{n} samples < one {frame_n}-sample frame")
-    window = window_samples(window_kind, frame_n)
-    count = (n - frame_n) // hop_n + 1
-    frames = []
-    for i in range(count):
-        start = i * hop_n
-        frames.append(Frame(x[start : start + frame_n] * window, start / rate, window_kind, rate))
-    return frames
+    ac = np.fft.irfft(power_spectra(frames, nfft), nfft, axis=1)[:, : len(rw)]
+    r0 = ac[:, 0].copy()
+    dead = r0 <= 0
+    r0[dead] = 1.0
+    return np.clip(ac / r0[:, None] / rw[None, :], -1.0, 1.0), dead
 
 
-def power_spectrum(frame: Frame, fft_size: int) -> Spectrum:
-    """One-sided power spectrum satisfying Parseval's identity.
-
-    Bin powers sum to the windowed-frame energy; DC and Nyquist bins are
-    counted once, interior bins twice.
-    """
-    n = len(frame.samples)
-    if fft_size < n or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two >= frame length")
-    spec = np.fft.rfft(frame.samples, fft_size)
-    power = np.abs(spec) ** 2 / fft_size
-    fold = np.full(len(power), 2.0)
-    fold[0] = 1.0
-    if fft_size % 2 == 0:
-        fold[-1] = 1.0
-    power *= fold
-    freqs = np.fft.rfftfreq(fft_size, 1.0 / frame.rate)
-    return Spectrum(freqs, power, frame.rate / fft_size)
+def log_db_cepstrogram(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    """Batched real cepstra (rows = frames) of dB log-power spectra."""
+    power = power_spectra(frames, fft_size)
+    floors = power.max(axis=1, keepdims=True) * 1e-12
+    floors = np.maximum(floors, np.finfo(float).tiny)
+    level_db = 10.0 * np.log10(np.maximum(power, floors))
+    return np.fft.irfft(level_db, fft_size, axis=1)[:, : fft_size // 2 + 1]
 
 
-def autocorr_normalized_core(windowed: np.ndarray, window: np.ndarray, max_lag: int) -> np.ndarray:
-    """Window-compensated normalized autocorrelation of a windowed frame.
-
-    Computes r(lag) of the windowed signal via FFT, normalizes r(0) = 1,
-    then divides by the window's own normalized autocorrelation so the
-    result estimates the autocorrelation of the underlying signal.  Values
-    are clipped to [-1, 1].
-    """
-    n = len(windowed)
-    if max_lag >= n:
-        raise ValueError("max_lag must be below the frame length")
-    energy = float(np.dot(windowed, windowed))
-    if energy <= 0.0:
-        raise ZeroEnergyFrame("all-zero frame")
-    nfft = next_pow2(n + max_lag + 1)
-    spec = np.fft.rfft(windowed, nfft)
-    rx = np.fft.irfft(np.abs(spec) ** 2, nfft)[: max_lag + 1]
-    rx /= rx[0]
-    wspec = np.fft.rfft(window, nfft)
-    rw = np.fft.irfft(np.abs(wspec) ** 2, nfft)[: max_lag + 1]
-    rw /= rw[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(rw > 1e-12, rx / rw, 0.0)
-    return np.clip(r, -1.0, 1.0)
-
-
-def autocorrelation_normalized(frame: Frame, max_lag: int | None = None) -> np.ndarray:
-    """Normalized autocorrelation of a windowed Frame; r[0] is exactly 1."""
-    n = len(frame.samples)
-    if max_lag is None:
-        max_lag = n // 2
-    window = window_samples(frame.window_kind, n)
-    return autocorr_normalized_core(frame.samples, window, max_lag)
-
-
-def lpc_burg(samples, order: int) -> np.ndarray:
+def lpc_burg(samples: np.ndarray, order: int) -> np.ndarray:
     """Burg-method linear prediction coefficients [1, a1, ..., a_order].
 
-    Accepts a Frame or a raw array.  The reflection coefficients are
-    bounded by 1 in magnitude, so the resulting all-pole filter is stable
-    for any input.
+    The reflection coefficients are bounded by 1 in magnitude, so the
+    resulting all-pole filter is stable for any input.
     """
-    if isinstance(samples, Frame):
-        samples = samples.samples
     x = np.asarray(samples, dtype=np.float64)
     n = len(x)
     if order < 2:
@@ -179,116 +122,72 @@ def lpc_burg(samples, order: int) -> np.ndarray:
     return a
 
 
-def real_cepstrum(frame: Frame, fft_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real cepstrum of the frame's log-power (dB) spectrum.
+def parabolic_refine(y: np.ndarray, idx: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Refine each row's maximum at ``y[i, idx[i]]`` by parabolic interpolation.
 
-    Returns (quefrencies in seconds, cepstrum values in dB) over the
-    one-sided quefrency axis up to fft_size / (2 * rate).
+    Returns (offsets from ``idx``, clipped to +-``limit``; interpolated
+    values).  A row whose index is on an edge, or whose curvature there is
+    not concave, keeps offset 0 and the sample value.
     """
-    n = len(frame.samples)
-    if fft_size < n or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two >= frame length")
-    if not np.any(frame.samples):
-        raise ZeroEnergyFrame("all-zero frame")
-    power = np.abs(np.fft.rfft(frame.samples, fft_size)) ** 2
-    floor = power.max() * 1e-12
-    level_db = 10.0 * np.log10(np.maximum(power, floor))
-    ceps = np.fft.irfft(level_db, fft_size)[: fft_size // 2 + 1]
-    quefrencies = np.arange(fft_size // 2 + 1) / frame.rate
-    return quefrencies, ceps
+    rows = np.arange(len(idx))
+    last = y.shape[1] - 1
+    a = y[rows, np.maximum(idx - 1, 0)]
+    b = y[rows, idx]
+    c = y[rows, np.minimum(idx + 1, last)]
+    denom = 2.0 * b - a - c
+    refine = (idx > 0) & (idx < last) & (denom > 0)
+    delta = np.zeros(len(idx))
+    delta[refine] = np.clip(0.5 * (c[refine] - a[refine]) / denom[refine], -limit, limit)
+    value = b.copy()
+    value[refine] += 0.25 * (c[refine] - a[refine]) * delta[refine]
+    return delta, value
 
 
-def log_db_cepstrogram(frames: np.ndarray, fft_size: int) -> np.ndarray:
-    """Batched real cepstra (rows = frames) of dB log-power spectra."""
-    power = np.abs(np.fft.rfft(frames, fft_size, axis=1)) ** 2
-    floors = power.max(axis=1, keepdims=True) * 1e-12
-    floors = np.maximum(floors, np.finfo(float).tiny)
-    level_db = 10.0 * np.log10(np.maximum(power, floors))
-    return np.fft.irfft(level_db, fft_size, axis=1)[:, : fft_size // 2 + 1]
+_SINC_DEPTH = 30  # neighbours on each side of the interpolated peak
 
 
-def parabolic_peak(y: np.ndarray, k: int) -> tuple[float, float]:
-    """Refine the local maximum at integer index k by parabolic interpolation.
-
-    Returns (offset in samples relative to k, interpolated peak value).
-    Falls back to the sample itself at array edges or degenerate curvature.
-    """
-    if k <= 0 or k >= len(y) - 1:
-        return 0.0, float(y[k])
-    denom = 2.0 * y[k] - y[k - 1] - y[k + 1]
-    if denom <= 0:
-        return 0.0, float(y[k])
-    delta = 0.5 * (y[k + 1] - y[k - 1]) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    value = y[k] + 0.25 * (y[k + 1] - y[k - 1]) * delta
-    return delta, float(value)
-
-
-_SINC_KERNELS: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _sinc_kernel(half_width: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (half_width, depth)
-    if key not in _SINC_KERNELS:
-        tau_rel = np.linspace(-half_width, half_width, int(40 * half_width) + 1)
-        idx_rel = np.arange(-depth, depth + 1, dtype=np.float64)
-        d = tau_rel[:, None] - idx_rel[None, :]
-        w = np.sinc(d) * (0.5 + 0.5 * np.cos(np.pi * np.clip(d / depth, -1.0, 1.0)))
-        _SINC_KERNELS[key] = (tau_rel, w)
-    return _SINC_KERNELS[key]
+    tau_rel = np.linspace(-half_width, half_width, int(40 * half_width) + 1)
+    idx_rel = np.arange(-depth, depth + 1, dtype=np.float64)
+    d = tau_rel[:, None] - idx_rel[None, :]
+    w = np.sinc(d) * (0.5 + 0.5 * np.cos(np.pi * np.clip(d / depth, -1.0, 1.0)))
+    return tau_rel, w
 
 
-def sinc_peak(y: np.ndarray, k: int, half_width: float = 1.0, depth: int = 30) -> tuple[float, float]:
-    """Refine a local maximum of a band-limited sequence near index k.
+def sinc_refine(y: np.ndarray, rows: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine local maxima ``y[rows, ks]`` of band-limited, even sequences (one per row of y).
 
-    The sequence is interpolated with a cosine-tapered sinc kernel over
-    ``depth`` neighbors on each side, scanned on a fine grid around k, and
-    the best fine-grid point is polished parabolically.  Returns
-    (refined index, refined value).  Needed because e.g. autocorrelation
-    peaks of strongly harmonic signals are only 2-3 samples wide and a
-    plain parabola badly underestimates them at fractional lags.
+    Each neighbourhood of 30 samples a side is interpolated with a
+    cosine-tapered sinc kernel on a 1/20-sample grid within one sample of
+    ``ks``, and the best grid point is polished parabolically.  Rows are
+    even-extended at index 0, as an autocorrelation is.  Returns (refined
+    positions, refined values).  Autocorrelation peaks of strongly
+    harmonic signals are only 2-3 samples wide, so a plain parabola
+    underestimates them at fractional lags.
     """
-    if k - depth < 0 or k + depth + 1 > len(y):
-        delta, value = parabolic_peak(y, k)
-        return k + delta, value
-    tau_rel, w = _sinc_kernel(half_width, depth)
-    vals = w @ y[k - depth : k + depth + 1]
-    m = int(np.argmax(vals))
-    if 0 < m < len(vals) - 1:
-        denom = 2.0 * vals[m] - vals[m - 1] - vals[m + 1]
-        if denom > 0:
-            delta = 0.5 * (vals[m + 1] - vals[m - 1]) / denom
-            delta = float(np.clip(delta, -1.0, 1.0))
-            step = tau_rel[1] - tau_rel[0]
-            value = vals[m] + 0.25 * (vals[m + 1] - vals[m - 1]) * delta
-            return float(k + tau_rel[m] + delta * step), float(value)
-    return float(k + tau_rel[m]), float(vals[m])
+    tau_rel, kernel = _sinc_kernel(1.0, _SINC_DEPTH)
+    mirrored = np.concatenate([y[:, _SINC_DEPTH:0:-1], y], axis=1)
+    gather = ks[:, None] + np.arange(2 * _SINC_DEPTH + 1)[None, :]  # shifted by +depth already
+    segs = mirrored[rows[:, None], gather]
+    interp = segs @ kernel.T  # (len(ks), grid points)
+    mi = np.argmax(interp, axis=1)
+    delta, values = parabolic_refine(interp, mi, 1.0)
+    step = tau_rel[1] - tau_rel[0]
+    return ks + tau_rel[mi] + delta * step, values
 
 
-def robust_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Median-of-pairwise-slopes straight-line fit, insensitive to outliers.
+def trend_lines(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise robust straight-line fits of y on x, insensitive to outliers.
 
-    Uses all point pairs when the input is small and a deterministic
-    half-offset pairing otherwise; the intercept is the median residual.
-    Returns (slope, intercept).
+    The slope is the median of the slopes between the point pairs half the
+    row apart, and the intercept the median residual.  Returns (slopes,
+    intercepts).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(x)
-    if n < 2:
-        raise ValueError("need at least two points for a line fit")
-    if n <= 64:
-        ii, jj = np.triu_indices(n, k=1)
-        dx = x[jj] - x[ii]
-        keep = dx != 0
-        slopes = (y[jj[keep]] - y[ii[keep]]) / dx[keep]
-    else:
-        h = n // 2
-        dx = x[h:] - x[: n - h]
-        keep = dx != 0
-        slopes = (y[h:][keep] - y[: n - h][keep]) / dx[keep]
-    if len(slopes) == 0:
-        raise ValueError("degenerate abscissa")
-    slope = float(np.median(slopes))
-    intercept = float(np.median(y - slope * x))
+    n = x.shape[0]
+    h = n // 2
+    dx = x[h:] - x[: n - h]
+    slopes = (y[:, h:] - y[:, : n - h]) / dx[None, :]
+    slope = np.median(slopes, axis=1)
+    intercept = np.median(y - slope[:, None] * x[None, :], axis=1)
     return slope, intercept

@@ -8,8 +8,10 @@ public entry point runs it twice, adapting the search range to the
 speaker's quartiles, which avoids the false high readings that a fixed
 wide ceiling produces.
 
-Per-frame work is batched and processed in bounded chunks so multi-minute
-recordings stay within a few hundred MB.
+Framing, windows, spectra, autocorrelation, cepstra, peak refinement and
+trend lines are the batched kernels of ``dsp``; each track runs them over
+bounded chunks of frames so multi-minute recordings stay within a few
+hundred MB.
 """
 
 from __future__ import annotations
@@ -22,16 +24,22 @@ from scipy.ndimage import uniform_filter1d
 
 from .audio_io import AudioBuffer
 from .dsp import (
-    _sinc_kernel,
+    CHUNK_FRAMES,
+    frame_centers,
+    gather_frames,
+    gaussian_window,
     log_db_cepstrogram,
     next_pow2,
-    window_samples,
+    normalized_autocorrelation,
+    parabolic_refine,
+    power_spectra,
+    sinc_refine,
+    trend_lines,
+    window_autocorr,
 )
 from .errors import InsufficientBandwidth, NoVoicedFrames, SignalTooShort, SilentSignal
 
 DB_REF_PRESSURE = 2e-5  # full-scale amplitude 1.0 is treated as 1.0 reference units
-
-_CHUNK_FRAMES = 2048  # frames processed per batch to bound memory
 
 
 # ---------------------------------------------------------------------------
@@ -95,29 +103,6 @@ class PitchTrack:
         close = np.abs(self.times[nearest] - ts) <= 0.5 * self.time_step + 1e-9
         return close & (self.f0[nearest] > 0)
 
-    def voiced_at(self, t: float) -> bool:
-        return bool(self.voiced_at_many(np.array([t]))[0])
-
-
-def _frame_centers(n: int, win_n: int, step_n: int) -> np.ndarray:
-    half = win_n // 2
-    last = n - (win_n - half)
-    if last < half:
-        return np.zeros(0, dtype=int)
-    return np.arange(half, last + 1, step_n)
-
-
-def _gather_frames(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
-    half = win_n // 2
-    idx = centers[:, None] - half + np.arange(win_n)[None, :]
-    return x[idx]
-
-
-def _window_autocorr(window: np.ndarray, nfft: int, max_lag: int) -> np.ndarray:
-    spec = np.fft.rfft(window, nfft)
-    rw = np.fft.irfft(np.abs(spec) ** 2, nfft)[: max_lag + 1]
-    return rw / rw[0]
-
 
 def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     """Single-pass autocorrelation pitch analysis over a canonical buffer."""
@@ -128,7 +113,7 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     if win_n < 8 or win_n > len(x):
         raise SignalTooShort(f"signal shorter than one {eff_len * 2:.3f} s pitch window")
     step_n = max(1, int(round(params.time_step * rate)))
-    centers = _frame_centers(len(x), win_n, step_n)
+    centers = frame_centers(len(x), win_n, step_n)
     if len(centers) == 0:
         raise SignalTooShort("no complete pitch frames fit the signal")
 
@@ -138,26 +123,21 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
         raise ValueError("pitch range too narrow for this sample rate")
     lag_ext = min(win_n - 2, lag_max + 32)  # headroom for sinc interpolation
 
-    window = window_samples("gaussian", win_n)
+    window = gaussian_window(win_n)
     nfft = next_pow2(win_n + lag_ext + 1)
-    rw = _window_autocorr(window, nfft, lag_ext)
+    rw = window_autocorr(window, nfft, lag_ext)
     global_peak = float(np.max(np.abs(x))) if len(x) else 0.0
 
     n_frames = len(centers)
     n_cand = params.max_candidates
     freqs_mat = np.zeros((n_frames, n_cand))
     strengths_mat = np.full((n_frames, n_cand), -np.inf)
-    for start in range(0, n_frames, _CHUNK_FRAMES):
-        sub = centers[start : start + _CHUNK_FRAMES]
-        frames = _gather_frames(x, sub, win_n)
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        sub = centers[start : start + CHUNK_FRAMES]
+        frames = gather_frames(x, sub, win_n)
         local_peaks = np.max(np.abs(frames), axis=1)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
-        spec = np.fft.rfft(frames, nfft, axis=1)
-        ac = np.fft.irfft(np.abs(spec) ** 2, nfft, axis=1)[:, : lag_ext + 1]
-        r0 = ac[:, 0].copy()
-        dead = r0 <= 0
-        r0[dead] = 1.0
-        r = np.clip(ac / r0[:, None] / rw[None, :], -1.0, 1.0)
+        r, dead = normalized_autocorrelation(frames, nfft, rw)
         _chunk_candidates(
             r, dead, local_peaks, global_peak, rate, params, lag_min, lag_max,
             freqs_mat[start : start + len(sub)], strengths_mat[start : start + len(sub)],
@@ -166,9 +146,6 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     path = _best_path(freqs_mat, strengths_mat, params)
     f0 = freqs_mat[np.arange(n_frames), path]
     return PitchTrack(centers / rate, f0, params)
-
-
-_SINC_DEPTH = 30
 
 
 def _chunk_candidates(r, dead, local_peaks, global_peak, rate, params, lag_min, lag_max, freqs_out, strengths_out):
@@ -203,46 +180,16 @@ def _chunk_candidates(r, dead, local_peaks, global_peak, rate, params, lag_min, 
     lags = ks.astype(np.float64)
     vals = np.empty(len(ks))
 
-    # precise interpolation for the plausible winners: gather +-depth
-    # neighborhoods (even-extending the autocorrelation at lag 0) and apply
-    # the cached tapered-sinc kernel
+    # band-limited interpolation for the plausible winners, a parabola for the rest
     fine = rank < 5
     if np.any(fine):
-        tau_rel, kernel = _sinc_kernel(1.0, _SINC_DEPTH)
-        mirrored = np.concatenate([r[:, _SINC_DEPTH:0:-1], r], axis=1)
-        f_rows, f_ks = rows[fine], ks[fine]
-        gather = f_ks[:, None] + np.arange(2 * _SINC_DEPTH + 1)[None, :]  # shifted by +depth already
-        segs = mirrored[f_rows[:, None], gather]
-        interp = segs @ kernel.T  # (n_fine, n_taus)
-        mi = np.argmax(interp, axis=1)
-        cols_f = np.arange(len(mi))
-        b_ = interp[cols_f, mi]
-        a_ = interp[cols_f, np.maximum(mi - 1, 0)]
-        c_ = interp[cols_f, np.minimum(mi + 1, interp.shape[1] - 1)]
-        denom = 2.0 * b_ - a_ - c_
-        refine = (mi > 0) & (mi < interp.shape[1] - 1) & (denom > 0)
-        delta = np.zeros(len(mi))
-        delta[refine] = np.clip(0.5 * (c_[refine] - a_[refine]) / denom[refine], -1.0, 1.0)
-        step = tau_rel[1] - tau_rel[0]
-        fine_vals = b_.copy()
-        fine_vals[refine] += 0.25 * (c_[refine] - a_[refine]) * delta[refine]
-        lags[fine] = f_ks + tau_rel[mi] + delta * step
-        vals[fine] = fine_vals
-
+        lags[fine], vals[fine] = sinc_refine(r, rows[fine], ks[fine])
     coarse = ~fine
     if np.any(coarse):
         c_rows, c_ks = rows[coarse], ks[coarse]
-        a_ = r[c_rows, c_ks - 1]
-        b_ = r[c_rows, c_ks]
-        c_ = r[c_rows, c_ks + 1]
-        denom = 2.0 * b_ - a_ - c_
-        ok = denom > 0
-        delta = np.zeros(len(c_ks))
-        delta[ok] = np.clip(0.5 * (c_[ok] - a_[ok]) / denom[ok], -0.5, 0.5)
-        vals_c = b_.copy()
-        vals_c[ok] += 0.25 * (c_[ok] - a_[ok]) * delta[ok]
+        neighbours = r[c_rows[:, None], c_ks[:, None] + np.arange(-1, 2)[None, :]]
+        delta, vals[coarse] = parabolic_refine(neighbours, np.ones_like(c_ks), 0.5)
         lags[coarse] = c_ks + delta
-        vals[coarse] = vals_c
 
     lag_s = np.clip(lags / rate, 1.0 / params.ceiling, 1.0 / params.floor)
     vals = np.minimum(vals, 1.0)
@@ -336,13 +283,13 @@ def intensity_track(buf: AudioBuffer, frame_len: float = 0.040, hop: float = 0.0
     step_n = max(1, int(round(hop * rate)))
     if len(x) < win_n:
         raise SignalTooShort("buffer shorter than one intensity frame")
-    centers = _frame_centers(len(x), win_n, step_n)
+    centers = frame_centers(len(x), win_n, step_n)
     w = np.hanning(win_n)
     wsum = float(np.sum(w))
     level = np.empty(len(centers))
-    for start in range(0, len(centers), _CHUNK_FRAMES):
-        sub = centers[start : start + _CHUNK_FRAMES]
-        frames = _gather_frames(x, sub, win_n)
+    for start in range(0, len(centers), CHUNK_FRAMES):
+        sub = centers[start : start + CHUNK_FRAMES]
+        frames = gather_frames(x, sub, win_n)
         msq = (frames**2 @ w) / wsum
         level[start : start + len(sub)] = 10.0 * np.log10(np.maximum(msq, 1e-30) / DB_REF_PRESSURE**2)
     return IntensityTrack(centers / rate, level)
@@ -402,7 +349,7 @@ def hnr_track(
     rate = buf.sample_rate
     floor = track.params_used.floor
     win_n = int(round(2.0 * periods_per_window / floor * rate))
-    window = window_samples("gaussian", win_n)
+    window = gaussian_window(win_n)
     half = win_n // 2
     max_lag = min(win_n - 2, int(math.ceil(rate / floor)) + 4)
     nfft = next_pow2(win_n + max_lag + 1)
@@ -435,16 +382,16 @@ def hnr_track(
     )
     idx = np.flatnonzero(usable)
     times_out, values_out = [], []
-    for start in range(0, len(idx), _CHUNK_FRAMES):
-        sel = idx[start : start + _CHUNK_FRAMES]
-        frames = _gather_frames(x, centers[sel], win_n)
+    for start in range(0, len(idx), CHUNK_FRAMES):
+        sel = idx[start : start + CHUNK_FRAMES]
+        frames = gather_frames(x, centers[sel], win_n)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         live = np.any(frames, axis=1)
         if not np.any(live):
             continue
         sel = sel[live]
         frames = frames[live]
-        power = np.abs(np.fft.rfft(frames, nfft, axis=1)) ** 2 * fold
+        power = power_spectra(frames, nfft) * fold
         ang = 2.0 * np.pi * np.outer(periods[sel], k) / nfft
         ca, sa = np.cos(ang), np.sin(ang)
         rx = cos_d @ (power * ca).T - sin_d @ (power * sa).T  # (41, m)
@@ -453,22 +400,10 @@ def hnr_track(
         good = rx0 > 0
         r = np.zeros_like(rx)
         r[:, good] = (rx[:, good] / rx0[good]) / (rw[:, good] / rw0)
-        mi = np.argmax(r, axis=0)
-        cols = np.arange(r.shape[1])
-        b_ = r[mi, cols]
-        interior = (mi > 0) & (mi < len(deltas) - 1)
-        a_ = r[np.maximum(mi - 1, 0), cols]
-        c_ = r[np.minimum(mi + 1, len(deltas) - 1), cols]
-        denom = 2.0 * b_ - a_ - c_
-        refine = interior & (denom > 0)
-        val = b_.copy()
-        delta = np.zeros_like(b_)
-        delta[refine] = np.clip(0.5 * (c_[refine] - a_[refine]) / denom[refine], -1.0, 1.0)
-        val[refine] = b_[refine] + 0.25 * (c_[refine] - a_[refine]) * delta[refine]
-        val = np.clip(val, 1e-6, 1.0 - 1e-6)
-        keep = good
-        times_out.append(track.times[sel][keep])
-        values_out.append(10.0 * np.log10(val[keep] / (1.0 - val[keep])))
+        _delta, val = parabolic_refine(r.T, np.argmax(r, axis=0), 1.0)
+        val = np.clip(val[good], 1e-6, 1.0 - 1e-6)
+        times_out.append(track.times[sel][good])
+        values_out.append(10.0 * np.log10(val / (1.0 - val)))
     if not times_out:
         return np.zeros(0), np.zeros(0)
     return np.concatenate(times_out), np.concatenate(values_out)
@@ -510,7 +445,7 @@ def voiced_frame_spectra(
     step_n = max(1, int(round(params.hop * rate)))
     if len(x) < win_n:
         raise SignalTooShort("buffer shorter than one analysis frame")
-    centers = _frame_centers(len(x), win_n, step_n)
+    centers = frame_centers(len(x), win_n, step_n)
     times = centers / rate
     keep = track.voiced_at_many(times)
     if not np.any(keep):
@@ -519,10 +454,10 @@ def voiced_frame_spectra(
     w = np.hanning(win_n)
     kept = centers[keep]
     power = np.empty((len(kept), nfft // 2 + 1))
-    for start in range(0, len(kept), _CHUNK_FRAMES):
-        sub = kept[start : start + _CHUNK_FRAMES]
-        frames = _gather_frames(x, sub, win_n) * w
-        power[start : start + len(sub)] = np.abs(np.fft.rfft(frames, nfft, axis=1)) ** 2
+    for start in range(0, len(kept), CHUNK_FRAMES):
+        sub = kept[start : start + CHUNK_FRAMES]
+        frames = gather_frames(x, sub, win_n) * w
+        power[start : start + len(sub)] = power_spectra(frames, nfft)
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate)
     return times[keep], freqs, power
 
@@ -607,17 +542,6 @@ def pre_emphasize(x: np.ndarray, from_hz: float, rate: int) -> np.ndarray:
     return y
 
 
-def _trend_lines(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise robust straight-line fits (median of half-offset pair slopes)."""
-    n = x.shape[0]
-    h = n // 2
-    dx = x[h:] - x[: n - h]
-    slopes = (y[:, h:] - y[:, : n - h]) / dx[None, :]
-    slope = np.median(slopes, axis=1)
-    intercept = np.median(y - slope[:, None] * x[None, :], axis=1)
-    return slope, intercept
-
-
 def cpp_track(
     buf: AudioBuffer, params: CppParams = CppParams()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -634,7 +558,7 @@ def cpp_track(
     step_n = max(1, int(round(params.step * rate)))
     if len(x) < win_n:
         raise SignalTooShort("buffer shorter than one cepstral frame")
-    centers = _frame_centers(len(x), win_n, step_n)
+    centers = frame_centers(len(x), win_n, step_n)
     n_frames = len(centers)
     global_peak = float(np.max(np.abs(x))) if np.any(x) else 0.0
     emphasized = pre_emphasize(x, params.pre_emphasis_from, rate)
@@ -654,15 +578,15 @@ def cpp_track(
     pad = t_size  # margin so chunked time smoothing equals the full pass
 
     def power_cepstra(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        frames = _gather_frames(emphasized, centers[rows], win_n) * w
+        frames = gather_frames(emphasized, centers[rows], win_n) * w
         live = np.any(frames, axis=1)
         pc = np.zeros((len(rows), nfft // 2 + 1))
         if np.any(live):
             pc[live] = log_db_cepstrogram(frames[live], nfft) ** 2
         return pc, live
 
-    for a in range(0, n_frames, _CHUNK_FRAMES):
-        b = min(n_frames, a + _CHUNK_FRAMES)
+    for a in range(0, n_frames, CHUNK_FRAMES):
+        b = min(n_frames, a + CHUNK_FRAMES)
         lo = max(0, a - pad)
         hi = min(n_frames, b + pad)
         rows = np.arange(lo, hi)
@@ -672,7 +596,7 @@ def cpp_track(
         block = smoothed[a - lo : b - lo]
         block_live = live[a - lo : b - lo]
 
-        raw = _gather_frames(x, centers[a:b], win_n)
+        raw = gather_frames(x, centers[a:b], win_n)
         loud = (
             np.max(np.abs(raw), axis=1) >= params.silence_threshold * global_peak
             if global_peak > 0
@@ -687,19 +611,10 @@ def cpp_track(
 
         band = level[:, k_lo : k_hi + 1]
         mi = np.argmax(band, axis=1) + k_lo
-        cols = np.arange(level.shape[0])
-        a_ = level[cols, mi - 1]
-        b_ = level[cols, mi]
-        c_ = level[cols, mi + 1]
-        denom = 2.0 * b_ - a_ - c_
-        refine = denom > 0
-        delta = np.zeros_like(b_)
-        delta[refine] = np.clip(0.5 * (c_[refine] - a_[refine]) / denom[refine], -0.5, 0.5)
-        peak_val = b_.copy()
-        peak_val[refine] += 0.25 * (c_[refine] - a_[refine]) * delta[refine]
+        delta, peak_val = parabolic_refine(level, mi, 0.5)
         q_star = (mi + delta) / rate
 
-        slope, intercept = _trend_lines(level[:, k_trend:], x_trend)
+        slope, intercept = trend_lines(level[:, k_trend:], x_trend)
         values[np.flatnonzero(use) + a] = peak_val - (intercept + slope * q_star)
     return centers / rate, values, included
 

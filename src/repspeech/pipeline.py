@@ -27,7 +27,7 @@ from .alignment import (
 from .analysis import A_FEATURES, Analysis, fill
 from .articulation import FormantParams
 from .audio_io import CanonicalPolicy, read_wav, to_canonical
-from .errors import AlignmentMissing, NoMeasurableInstances, RepSpeechError, SignalTooShort, error_code
+from .errors import AlignmentMissing, RepSpeechError, SignalTooShort, error_code
 from .phonation import CppParams, PitchParams, SlopeParams
 from .timing import NO_CONTOUR, TimingParams, timing_features
 
@@ -91,15 +91,14 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
     """Extract one FeatureRecord per requested level for a recording.
 
     Level S covers the whole canonical recording; level a aggregates over
-    the aligned open-vowel instances and requires a TextGrid.  Both levels
-    reduce the same tracks, each computed once.
+    the aligned open-vowel instances of the TextGrid, and without one its
+    features carry AlignmentMissing.  Both levels reduce the same tracks,
+    each computed once.
     """
     levels = tuple(req.levels)
     for level in levels:
         if level not in ("S", "a"):
             raise ValueError(f"unknown extraction level {level!r}")
-    if "a" in levels and not req.textgrid_path:
-        raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
 
     params = req.params
     buf = to_canonical(read_wav(req.audio_path), CanonicalPolicy())
@@ -141,15 +140,15 @@ def _extract_suprasegmental(name: str, analysis: Analysis, params: PipelineParam
 
 def _extract_vowel_level(name: str, analysis: Analysis, params: PipelineParams, textgrid_path) -> FeatureRecord:
     try:
+        if not textgrid_path:
+            raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
         grid = parse_textgrid(Path(textgrid_path).read_text(encoding="utf-8"))
         vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
-        analysis.pitch()  # a failed pitch track outranks a vowel-selection error
         agg = vowel_level_features(analysis.buf, vowels, analysis)
-    except RepSpeechError as exc:
+    except RepSpeechError as exc:  # no alignment or no usable vowel: every feature is absent
         features, errors, n_instances = dict.fromkeys(A_FEATURES), dict.fromkeys(A_FEATURES, error_code(exc)), None
     else:
-        features, n_instances = dict(agg.means), agg.n_instances
-        errors = {k: NoMeasurableInstances.__name__ for k, v in features.items() if v is None}
+        features, errors, n_instances = dict(agg.means), dict(agg.errors), agg.n_instances
     return FeatureRecord(name, "a", features, errors, n_instances, _provenance(params, analysis))
 
 

@@ -144,8 +144,9 @@ def count_syllable_nuclei(
     its neighbors by dips of at least the minimum depth on both sides;
     consecutive maxima without such a valley between them merge into one
     nucleus.  When voicing is required, the peak must fall on a voiced
-    pitch frame.  ``contour`` is ``speech_contour(buf, params)``, computed
-    here when not given.
+    pitch frame; a peak outside the pitch track's span is read at its
+    first or last frame.  ``contour`` is ``speech_contour(buf, params)``,
+    computed here when not given.
     """
     if contour is None:
         contour = speech_contour(buf, params)
@@ -173,11 +174,15 @@ def count_syllable_nuclei(
             accepted.append(int(k))
         elif level[k] > level[prev]:
             accepted[-1] = int(k)
-    if params.require_voicing:
-        if track is None:
-            return 0
-        accepted = [k for k in accepted if track.voiced_at(contour.times[k])]
-    return int(len(accepted))
+    if not params.require_voicing:
+        return len(accepted)
+    if track is None or len(track.times) == 0:
+        return 0
+    # intensity frames are shorter than pitch frames, so the contour starts
+    # earlier and ends later than the track; a peak outside the track is
+    # read at its nearest end frame
+    query = np.clip(contour.times[accepted], track.times[0], track.times[-1])
+    return int(np.count_nonzero(track.voiced_at_many(query)))
 
 
 def timing_features(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def test_extract_with_textgrid_dir(recording, tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert [r["level"] for r in rows] == ["S", "a"]
     assert rows[1]["n_vowel_instances"] == "2"
+
+
+def test_missing_textgrid_does_not_stop_the_batch(recording, tmp_path):
+    d, wav, _ = recording
+    other = tmp_path / "pattern.wav"
+    write_wav(synth_formant_voice(150, ((700, 80), (1200, 90)), 1.0), other)
+    out = tmp_path / "f.csv"
+    code = main(["extract", "--level", "S,a", wav, str(other), "--textgrid-dir", str(d), "-o", str(out)])
+    assert code == 0
+    rows = {(r["recording"], r["level"]): r for r in csv.DictReader(out.open())}
+    assert len(rows) == 4
+    assert rows[(Path(wav).stem, "a")]["n_vowel_instances"] == "2"
+    assert rows[("pattern", "S")]["errors"] == ""
+    errors = json.loads(rows[("pattern", "a")]["errors"])
+    assert len(errors) == 10 and set(errors.values()) == {"AlignmentMissing"}
 
 
 def test_extract_json_format(recording, capsys):

@@ -1,67 +1,74 @@
-"""Numerical kernels: framing, spectra, autocorrelation, Burg, cepstra."""
+"""Batched numerical kernels: framing, spectra, autocorrelation, Burg, cepstra, peaks, lines."""
 
 import numpy as np
 import pytest
 
-from repspeech.audio_io import AudioBuffer
 from repspeech.dsp import (
-    Frame,
-    autocorrelation_normalized,
-    frame_signal,
+    frame_centers,
+    gather_frames,
+    gaussian_window,
+    log_db_cepstrogram,
     lpc_burg,
     next_pow2,
-    power_spectrum,
-    real_cepstrum,
-    robust_line,
-    sinc_peak,
-    window_samples,
+    normalized_autocorrelation,
+    parabolic_refine,
+    power_spectra,
+    sinc_refine,
+    trend_lines,
+    window_autocorr,
 )
-from repspeech.errors import OrderTooHigh, SignalTooShort, ZeroEnergyFrame
+from repspeech.errors import OrderTooHigh
 from repspeech.synth import synth_pulse_train
 
 RATE = 16000
 
 
-def pulse_frame(f0=200.0, length=0.060, window="hann"):
-    buf = synth_pulse_train(f0, length + 0.01, rate=RATE)
-    return frame_signal(buf, length, 0.010, window)[0]
+def pulse_frames(f0=200.0, length=0.060):
+    n = int(length * RATE)
+    x = synth_pulse_train(f0, length + 0.01, rate=RATE).signal[:n]
+    return (x * np.hanning(n))[None, :]
 
 
-def noise_frame(seed, length=0.060, window="hann"):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(int(length * RATE))
-    buf = AudioBuffer.mono(0.5 * x / np.max(np.abs(x)), RATE)
-    return frame_signal(buf, length, length, window)[0]
+def noise_frames(seeds, length=0.060):
+    n = int(length * RATE)
+    rows = []
+    for seed in seeds:
+        x = np.random.default_rng(seed).standard_normal(n)
+        rows.append(0.5 * x / np.max(np.abs(x)) * np.hanning(n))
+    return np.array(rows)
+
+
+def hann_autocorrelation(frames, max_lag):
+    n = frames.shape[1]
+    nfft = next_pow2(n + max_lag + 1)
+    return normalized_autocorrelation(frames, nfft, window_autocorr(np.hanning(n), nfft, max_lag))
 
 
 # -- framing -------------------------------------------------------------------
 
 
 def test_frame_count_arithmetic():
-    buf = AudioBuffer.mono(np.zeros(16000), RATE)
-    frames = frame_signal(buf, 0.040, 0.010)
-    assert len(frames) == 97
-    assert frames[0].start_time == 0.0
-    assert frames[0].center_time == pytest.approx(0.020)
-    assert frames[1].start_time == pytest.approx(0.010)
+    centers = frame_centers(16000, 640, 160)
+    assert len(centers) == 97
+    assert centers[0] / RATE == pytest.approx(0.020)
+    assert centers[1] - centers[0] == 160
+    assert centers[-1] + 320 <= 16000
 
 
 def test_single_frame_when_length_equals_duration():
-    buf = AudioBuffer.mono(np.ones(800) * 0.1, RATE)
-    frames = frame_signal(buf, 0.050, 0.010)
-    assert len(frames) == 1
+    assert list(frame_centers(800, 800, 160)) == [400]
 
 
 def test_too_short_signal():
-    buf = AudioBuffer.mono(np.zeros(480), RATE)
-    with pytest.raises(SignalTooShort):
-        frame_signal(buf, 0.040, 0.010)
+    assert len(frame_centers(480, 640, 160)) == 0
 
 
 def test_frames_are_windowed():
-    buf = AudioBuffer.mono(np.ones(800) * 0.5, RATE)
-    frame = frame_signal(buf, 0.050, 0.010, "hann")[0]
-    np.testing.assert_allclose(frame.samples, 0.5 * np.hanning(800))
+    x = np.arange(2000) / 2000.0
+    centers = frame_centers(len(x), 800, 160)
+    frames = gather_frames(x, centers, 800) * np.hanning(800)
+    for c, frame in zip(centers, frames):
+        np.testing.assert_array_equal(frame, x[c - 400 : c + 400] * np.hanning(800))
 
 
 # -- power spectrum --------------------------------------------------------------
@@ -69,32 +76,23 @@ def test_frames_are_windowed():
 
 def test_peak_bin_at_tone_frequency():
     t = np.arange(1024) / RATE
-    buf = AudioBuffer.mono(0.5 * np.sin(2 * np.pi * 1000 * t), RATE)
-    frame = frame_signal(buf, 1024 / RATE, 0.010, "hann")[0]
-    spec = power_spectrum(frame, 1024)
-    assert abs(spec.bin_freqs[np.argmax(spec.magnitudes)] - 1000) <= spec.resolution
+    frame = 0.5 * np.sin(2 * np.pi * 1000 * t) * np.hanning(1024)
+    power = power_spectra(frame[None, :], 1024)[0]
+    freqs = np.fft.rfftfreq(1024, 1.0 / RATE)
+    assert abs(freqs[np.argmax(power)] - 1000) <= RATE / 1024
 
 
 def test_zero_frame_gives_zero_spectrum():
-    frame = Frame(np.zeros(512), 0.0, "rectangular", RATE)
-    spec = power_spectrum(frame, 512)
-    assert not np.any(spec.magnitudes)
+    assert not np.any(power_spectra(np.zeros((1, 512)), 512))
 
 
 def test_parseval_on_white_noise():
-    for seed in range(5):
-        frame = noise_frame(seed)
-        spec = power_spectrum(frame, next_pow2(len(frame.samples)))
-        energy = np.sum(frame.samples**2)
-        assert np.sum(spec.magnitudes) == pytest.approx(energy, rel=1e-6)
-
-
-def test_fft_size_validation():
-    frame = noise_frame(0)
-    with pytest.raises(ValueError):
-        power_spectrum(frame, 500)  # not a power of two
-    with pytest.raises(ValueError):
-        power_spectrum(frame, 512)  # smaller than the frame
+    frames = noise_frames(range(5))
+    nfft = next_pow2(frames.shape[1])
+    power = power_spectra(frames, nfft)
+    # one-sided: interior bins stand for two, DC and Nyquist for one
+    folded = power[:, 0] + 2.0 * power[:, 1:-1].sum(axis=1) + power[:, -1]
+    np.testing.assert_allclose(folded / nfft, np.sum(frames**2, axis=1), rtol=1e-6)
 
 
 def test_fft_linearity():
@@ -111,39 +109,41 @@ def test_fft_linearity():
 
 
 def test_periodic_frame_peak_at_period():
-    frame = pulse_frame(200.0)
-    r = autocorrelation_normalized(frame)
+    frames = pulse_frames(200.0)
+    r, dead = hann_autocorrelation(frames, frames.shape[1] // 2)
     lag = RATE // 200
-    assert r[0] == pytest.approx(1.0)
-    assert r[lag] >= 0.99
+    assert not dead[0]
+    assert r[0, 0] == pytest.approx(1.0)
+    assert r[0, lag] >= 0.99
 
 
 def test_white_noise_autocorrelation_low():
-    lag_1ms = RATE // 1000
-    for seed in range(50):
-        r = autocorrelation_normalized(noise_frame(seed))
-        assert np.max(r[lag_1ms:]) < 0.3
+    frames = noise_frames(range(50))
+    r, dead = hann_autocorrelation(frames, frames.shape[1] // 2)
+    assert not np.any(dead)
+    assert np.max(r[:, RATE // 1000 :]) < 0.3
 
 
-def test_zero_energy_frame_raises():
-    frame = Frame(np.zeros(480), 0.0, "hann", RATE)
-    with pytest.raises(ZeroEnergyFrame):
-        autocorrelation_normalized(frame)
+def test_zero_energy_frame_is_dead_row():
+    frames = np.vstack([np.zeros(480), noise_frames([0], 0.030)[0]])
+    r, dead = hann_autocorrelation(frames, 240)
+    assert list(dead) == [True, False]
+    assert not np.any(r[0])
+    alone, _ = hann_autocorrelation(frames[1:], 240)
+    np.testing.assert_array_equal(r[1], alone[0])
 
 
 def test_matches_brute_force_autocorrelation():
     """Window-compensated FFT path equals the direct O(n^2) definition."""
     rng = np.random.default_rng(11)
     n = 256
-    window = window_samples("hann", n)
-    x = rng.standard_normal(n)
-    frame = Frame(x * window, 0.0, "hann", RATE)
-    r = autocorrelation_normalized(frame, max_lag=64)
-    xw = x * window
+    window = np.hanning(n)
+    xw = rng.standard_normal(n) * window
+    r, _ = hann_autocorrelation(xw[None, :], 64)
     rx = np.array([np.dot(xw[: n - k], xw[k:]) for k in range(65)])
     rw = np.array([np.dot(window[: n - k], window[k:]) for k in range(65)])
     expected = np.clip((rx / rx[0]) / (rw / rw[0]), -1.0, 1.0)
-    np.testing.assert_allclose(r, expected, atol=1e-10)
+    np.testing.assert_allclose(r[0], expected, atol=1e-10)
 
 
 # -- Burg linear prediction --------------------------------------------------------
@@ -164,10 +164,8 @@ def test_recovers_known_ar2_filter():
 
 
 def test_burg_filter_always_stable():
-    for seed in range(20):
-        frame = noise_frame(seed)
-        coeffs = lpc_burg(frame.samples, 10)
-        roots = np.roots(coeffs)
+    for frame in noise_frames(range(20)):
+        roots = np.roots(lpc_burg(frame, 10))
         assert np.all(np.abs(roots) < 1.0)
 
 
@@ -180,56 +178,71 @@ def test_order_too_high():
 
 
 def test_pulse_train_cepstral_peak_at_period():
-    frame = pulse_frame(200.0, window="hann")
-    quefrencies, ceps = real_cepstrum(frame, 2048)
+    ceps = log_db_cepstrogram(pulse_frames(200.0), 2048)[0]
+    quefrencies = np.arange(len(ceps)) / RATE
     lo = int(0.002 * RATE)
     peak_q = quefrencies[lo + np.argmax(ceps[lo:])]
     assert abs(peak_q - 0.005) <= 1.0 / RATE
 
 
 def test_noise_cepstrum_has_no_prominent_peak():
+    ceps = log_db_cepstrogram(noise_frames(range(40)), 2048)
+    quefrencies = np.arange(ceps.shape[1]) / RATE
     lo = int(0.001 * RATE)
-    for seed in range(40):
-        quefrencies, ceps = real_cepstrum(noise_frame(seed), 2048)
-        slope, intercept = robust_line(quefrencies[lo:], ceps[lo:])
-        residual = ceps[lo:] - (intercept + slope * quefrencies[lo:])
-        assert np.max(residual) < 5.0
+    slope, intercept = trend_lines(ceps[:, lo:], quefrencies[lo:])
+    residual = ceps[:, lo:] - (intercept[:, None] + slope[:, None] * quefrencies[None, lo:])
+    assert np.max(residual) < 5.0
 
 
 def test_cepstrum_zero_frame():
-    frame = Frame(np.zeros(480), 0.0, "hann", RATE)
-    with pytest.raises(ZeroEnergyFrame):
-        real_cepstrum(frame, 512)
+    frames = np.vstack([np.zeros(960), pulse_frames(200.0)[0]])
+    ceps = log_db_cepstrogram(frames, 2048)
+    # a flat floor spectrum: finite, with nothing past quefrency 0
+    assert np.all(np.isfinite(ceps[0]))
+    np.testing.assert_allclose(ceps[0, 1:], 0.0, atol=1e-9 * abs(ceps[0, 0]))
+    np.testing.assert_array_equal(ceps[1], log_db_cepstrogram(frames[1:], 2048)[0])
 
 
-# -- helpers ----------------------------------------------------------------------
+# -- peak refinement and lines ------------------------------------------------------
+
+
+def test_parabolic_refine_exact_on_parabolas_and_inert_elsewhere():
+    n = np.arange(9.0)
+    y = np.vstack([
+        5.0 - (n - 4.3) ** 2,  # vertex at 4.3, value 5
+        5.0 - (n - 0.2) ** 2,  # maximum on the left edge
+        np.ones(9),  # flat: no curvature
+    ])
+    delta, value = parabolic_refine(y, np.array([4, 0, 4]), 0.5)
+    assert delta[0] == pytest.approx(0.3) and value[0] == pytest.approx(5.0)
+    assert list(delta[1:]) == [0.0, 0.0]
+    assert list(value[1:]) == [y[1, 0], 1.0]
+    far, _ = parabolic_refine(y[:1], np.array([3]), 0.5)  # vertex 1.3 samples away
+    assert far[0] == 0.5
 
 
 def test_robust_line_exact_and_outlier_resistant():
     x = np.linspace(0, 1, 200)
     y = 3.0 * x + 1.0
-    slope, intercept = robust_line(x, y)
-    assert slope == pytest.approx(3.0, abs=1e-9)
-    assert intercept == pytest.approx(1.0, abs=1e-9)
     y_out = y.copy()
     y_out[::20] += 100.0  # 5% wild outliers
-    slope, intercept = robust_line(x, y_out)
-    assert slope == pytest.approx(3.0, abs=0.2)
+    slope, intercept = trend_lines(np.vstack([y, y_out]), x)
+    assert slope[0] == pytest.approx(3.0, abs=1e-9)
+    assert intercept[0] == pytest.approx(1.0, abs=1e-9)
+    assert slope[1] == pytest.approx(3.0, abs=0.2)
 
 
 def test_sinc_peak_recovers_fractional_maximum():
-    # band-limited bump: samples of cos around a fractional peak location
-    true_peak = 100.37
+    # band-limited bumps: samples of cos around a fractional peak location;
+    # the second is an even sequence peaking within the kernel depth of index 0
     n = np.arange(200)
-    y = np.cos(2 * np.pi * 0.11 * (n - true_peak))
-    loc, val = sinc_peak(y, 100)
-    assert loc == pytest.approx(true_peak, abs=0.01)
-    assert val == pytest.approx(1.0, abs=1e-4)
+    y = np.vstack([np.cos(2 * np.pi * 0.11 * (n - 100.37)), np.cos(2 * np.pi * n / 9.37)])
+    loc, val = sinc_refine(y, np.array([0, 1]), np.array([100, 9]))
+    np.testing.assert_allclose(loc, [100.37, 9.37], atol=0.01)
+    np.testing.assert_allclose(val, 1.0, atol=1e-4)
 
 
 def test_gaussian_window_edges_near_zero():
-    w = window_samples("gaussian", 256)
+    w = gaussian_window(256)
     assert w[0] == pytest.approx(0.0, abs=1e-5)
     assert w.max() <= 1.0
-    with pytest.raises(ValueError):
-        window_samples("blackman", 64)

@@ -1,6 +1,8 @@
 """Extraction reproduces the benchmark's stored golden records exactly.
 
-The benchmark's ``read_sa`` smoke corpus (seed 0) covers both levels; its
+The benchmark's smoke corpora (seed 0) cover both levels (``read_sa``),
+long passages (``long_s``) and 44.1/48 kHz stereo and 16 kHz mono
+sustained vowels (``vowels_batch``, the only one with resampling); their
 records in ``bench/golden.json`` were written by the code before any later
 refactor, so a refactor that changes a feature value shows here.
 """
@@ -27,9 +29,10 @@ def bench_modules():
     return corpus, oracle
 
 
-def test_read_sa_matches_golden(bench_modules, tmp_path):
+@pytest.mark.parametrize("name", ["read_sa", "vowels_batch", "long_s"])
+def test_matches_golden(bench_modules, tmp_path, name):
     corpus, oracle = bench_modules
-    workload = corpus.build("read_sa", 0, tmp_path, "smoke")
+    workload = corpus.build(name, 0, tmp_path, "smoke")
     records = [
         {
             "recording": rec.recording,
@@ -41,5 +44,5 @@ def test_read_sa_matches_golden(bench_modules, tmp_path):
         for r in workload.recordings
         for rec in extract_recording(ExtractionRequest(r.wav, r.textgrid, workload.levels))
     ]
-    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["read_sa"]
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))[name]
     assert oracle.max_rel_diff(records, golden) <= 1e-12

@@ -4,11 +4,11 @@ import dataclasses
 import importlib
 import sys
 
+import numpy as np
 import pytest
 
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
-from repspeech.audio_io import CanonicalPolicy, read_wav, to_canonical, write_wav
-from repspeech.errors import AlignmentMissing
+from repspeech.audio_io import AudioBuffer, CanonicalPolicy, read_wav, to_canonical, write_wav
 from repspeech.phonation import pitch_track_two_pass
 from repspeech.pipeline import (
     A_FEATURES,
@@ -74,8 +74,11 @@ def test_s_only_without_textgrid(voice_recording):
 
 def test_vowel_level_needs_textgrid(voice_recording):
     wav, _ = voice_recording
-    with pytest.raises(AlignmentMissing):
-        extract_recording(ExtractionRequest(wav, None, ("S", "a")))
+    s_rec, a_rec = extract_recording(ExtractionRequest(wav, None, ("S", "a")))
+    assert not s_rec.errors
+    assert all(v is None for v in a_rec.features.values())
+    assert a_rec.errors == dict.fromkeys(A_FEATURES, "AlignmentMissing")
+    assert a_rec.n_vowel_instances is None
 
 
 def test_deterministic_records(voice_recording):
@@ -106,6 +109,22 @@ def test_pulse_train_formants_carry_error_code(tmp_path):
     (rec,) = extract_recording(ExtractionRequest(str(wav)))
     assert rec.features["f1_mean"] is None and rec.features["f2_mean"] is None
     assert rec.errors == {"f1_mean": "NoMeasurableInstances", "f2_mean": "NoMeasurableInstances"}
+
+
+def test_failed_track_marks_only_its_features_at_both_levels(tmp_path):
+    # white noise: no pitch, so only the features that need voicing go unmeasured
+    rng = np.random.default_rng(0)
+    wav = tmp_path / "noise.wav"
+    write_wav(AudioBuffer.mono(np.clip(0.2 * rng.standard_normal(16000), -1.0, 1.0), 16000), wav)
+    grid = TierSet(0.0, 1.0, (Tier("phones", 0.0, 1.0, (Interval(0.1, 0.5, "AA1"), Interval(0.6, 0.9, "AA1"))),))
+    tg = tmp_path / "noise.TextGrid"
+    tg.write_text(serialize_textgrid(grid), encoding="utf-8")
+    s_rec, a_rec = extract_recording(ExtractionRequest(str(wav), str(tg), ("S", "a")))
+    needs_voicing = {"pitch_mean", "pitch_sd", "hnr_mean", "spectral_slope", "f1_mean", "f2_mean"}
+    assert a_rec.errors == dict.fromkeys(needs_voicing, "NoVoicedFrames")
+    assert {k: v for k, v in s_rec.errors.items() if k in A_FEATURES} == a_rec.errors
+    assert all(a_rec.features[k] is not None for k in set(A_FEATURES) - needs_voicing)
+    assert a_rec.n_vowel_instances == 2
 
 
 TRACKS = (

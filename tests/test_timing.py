@@ -5,8 +5,8 @@ import pytest
 
 from repspeech.audio_io import AudioBuffer
 from repspeech.errors import ZeroDuration, ZeroPhonationTime
-from repspeech.phonation import intensity_track, pitch_track_two_pass
-from repspeech.synth import SynthSpec, synth_pattern, synth_silence
+from repspeech.phonation import PitchParams, PitchTrack, intensity_track, pitch_track_two_pass
+from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
 from repspeech.timing import (
     TimingParams,
     count_syllable_nuclei,
@@ -95,6 +95,24 @@ def test_steady_tone_single_nucleus():
     pat = synth_pattern([SynthSpec("pulse_train", 2.0, f0=200)])
     track = pitch_track_two_pass(pat.buffer)
     assert count_syllable_nuclei(pat.buffer, track) == 1
+
+
+def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
+    """A voice from the first sample to the last keeps its one nucleus in a 16-bit WAV.
+
+    Quantization moves the contour maximum to the first intensity frame,
+    which lies before the first pitch frame.
+    """
+    from repspeech.audio_io import read_wav, to_canonical, write_wav
+
+    buf = synth_pulse_train(150.0, 2.0)
+    path = tmp_path / "edge.wav"
+    write_wav(buf, path)
+    read_back = to_canonical(read_wav(path))
+    for b in (buf, read_back):
+        assert count_syllable_nuclei(b, pitch_track_two_pass(b)) == 1
+    empty = PitchTrack(np.zeros(0), np.zeros(0), PitchParams())
+    assert count_syllable_nuclei(read_back, empty) == 0
 
 
 def test_silence_zero_nuclei():
