@@ -1,4 +1,4 @@
-"""Parse forced-alignment TextGrid files and extract vowel-level features.
+"""Read forced-alignment TextGrid files and extract vowel-level features.
 
 Only the long text format with interval tiers is accepted, which is what
 alignment tools emit by default; short, binary, and point-tier variants
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .analysis import A_FEATURES, Analysis
-from .audio_io import AudioBuffer
 from .errors import (
+    IoFailure,
     MalformedTextGrid,
     MissingPhoneTier,
     NoMeasurableInstances,
@@ -185,6 +186,21 @@ def parse_textgrid(text: str) -> TierSet:
     return grid
 
 
+def read_textgrid(path) -> TierSet:
+    """Read and parse a UTF-8 long-format TextGrid file.
+
+    Raises IoFailure when the file cannot be read and MalformedTextGrid
+    when it is not UTF-8 text, besides the errors of ``parse_textgrid``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedTextGrid(f"not UTF-8 text: {exc}") from exc
+    return parse_textgrid(text)
+
+
 def _validate(grid: TierSet) -> None:
     for tier in grid.tiers:
         prev_end = None
@@ -275,33 +291,27 @@ class VowelFeatureAggregate:
     errors: dict[str, str] = field(default_factory=dict)
 
 
-def vowel_level_features(
-    buf: AudioBuffer, vowels: list[VowelInterval], analysis: Analysis | None = None
-) -> VowelFeatureAggregate:
+def vowel_level_features(analysis: Analysis, vowels: list[VowelInterval]) -> VowelFeatureAggregate:
     """Average the span reductions of the recording's shared tracks over the vowel instances.
 
-    ``analysis`` holds the tracks of ``buf``; a recording analyzed for
-    several levels passes the one it already has, so no track is computed
-    twice.  Each instance contributes ``analysis.span_features`` over its
-    span: track values sliced to the span, and spectral moments of its own
-    samples.  An instance where a feature cannot be measured is skipped for
-    that feature, and ``feature_counts`` says how many instances
-    contributed.  A feature no instance measures carries the code every
-    instance gave it (a failed track gives the same code on every span,
-    the one level S reports), or NoMeasurableInstances when they differ.
+    ``analysis`` holds the recording's tracks, shared with level S, so no
+    track is computed twice.  Each instance contributes
+    ``analysis.span_features`` over its span: track values sliced to the
+    span, and spectral moments of its own samples.  An instance where a
+    feature cannot be measured is skipped for that feature, and
+    ``feature_counts`` says how many instances contributed.  A feature no
+    instance measures carries the code every instance gave it (a failed
+    track gives the same code on every span, the one level S reports), or
+    NoMeasurableInstances when they differ.
     """
     if not vowels:
         raise NoTargetVowels("no vowel instances to analyze")
-    duration = buf.duration
+    duration = analysis.buf.duration
     for v in vowels:
         if v.start < -_BOUNDARY_SLACK or v.end > duration + _BOUNDARY_SLACK:
             raise VowelOutOfBounds(
                 f"vowel [{v.start:.3f}, {v.end:.3f}] outside the {duration:.3f} s recording"
             )
-    if analysis is None:
-        analysis = Analysis(buf)
-    elif analysis.buf is not buf:
-        raise ValueError("the analysis belongs to another buffer")
 
     unmeasured = NoMeasurableInstances.__name__
     sums = dict.fromkeys(A_FEATURES, 0.0)

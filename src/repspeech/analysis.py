@@ -6,7 +6,8 @@ formants) the first time a feature needs it.  A track that fails keeps its
 error, so every feature that needs it reports the same error code.  Both
 extraction levels are reductions of these tracks: the whole-recording level
 reduces them over [0, duration], and the vowel level averages the same
-reductions over the vowel spans.
+reductions over the vowel spans.  This is the only module that computes
+tracks; every feature reduction takes a track and a span.
 """
 
 from __future__ import annotations
@@ -117,20 +118,17 @@ class Analysis:
         Each value is a reduction of a shared track over the span; spectral
         moments are taken on the span's own samples.
         """
-        buf = self.buf
         features: dict[str, float | None] = dict.fromkeys(A_FEATURES)
         errors: dict[str, str] = {}
 
         reductions = (
-            (("intensity_mean",), lambda: [phonation.intensity_mean(buf, self.intensity(), tmin=t0, tmax=t1)]),
+            (("intensity_mean",), lambda: [phonation.intensity_mean(self.intensity(), t0, t1)]),
             (("pitch_mean", "pitch_sd"), lambda: phonation.pitch_stats(self.pitch().slice(t0, t1))),
-            (("hnr_mean",), lambda: [phonation.hnr_mean(buf, self.pitch(), t0, t1, hnr=self.hnr())]),
-            (("spectral_slope",), lambda: [
-                phonation.spectral_slope(buf, self.pitch(), self.slope_params, t0, t1, spectra=self.spectra())
-            ]),
-            (("cpp_mean",), lambda: [phonation.cpp_mean(buf, self.cpp_params, t0, t1, cpp=self.cpp())]),
+            (("hnr_mean",), lambda: [phonation.hnr_mean(self.hnr(), t0, t1)]),
+            (("spectral_slope",), lambda: [phonation.spectral_slope(self.spectra(), self.slope_params.band, t0, t1)]),
+            (("cpp_mean",), lambda: [phonation.cpp_mean(self.cpp(), t0, t1)]),
             (("f1_mean", "f2_mean"), lambda: self._formant_means(t0, t1)),
-            (("spectral_gravity", "spectral_deviation"), lambda: _moments(buf.slice(t0, t1))),
+            (("spectral_gravity", "spectral_deviation"), lambda: _moments(self.buf.slice(t0, t1))),
         )
         for keys, compute in reductions:
             fill(features, errors, keys, compute)

@@ -90,11 +90,9 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class CanonicalPolicy:
-    """Target format for pipeline input: mono, 16 kHz, 16-bit."""
+    """Target format for pipeline input: mono at ``target_rate`` (16 kHz)."""
 
     target_rate: int = 16000
-    target_channels: int = 1
-    target_bit_depth: int = 16
 
 
 def read_wav(path) -> AudioBuffer:
@@ -238,8 +236,6 @@ def to_canonical(buf: AudioBuffer, policy: CanonicalPolicy | None = None) -> Aud
     the conversion to already-canonical input is an identity.
     """
     policy = policy or CanonicalPolicy()
-    if policy.target_channels != 1:
-        raise ValueError("canonical format is single-channel")
     if buf.channels == 1 or np.all(buf.samples == buf.samples[0]):
         mono = buf.samples[0]
     else:

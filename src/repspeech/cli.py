@@ -4,7 +4,10 @@ Subcommands mirror the workflow stages: ``canonicalize`` audio,
 ``extract`` features, list ``vowels`` from an alignment, ``summarize``
 feature tables, ``validate`` protocol metadata, and ``synth`` test
 signals.  Exit code 0 means success, 1 means validation findings, and 2
-an operational error.  Data goes to stdout, diagnostics to stderr.
+an operational error, including input that cannot be read or decoded.
+``extract`` does not stop at a file it cannot read: that file's rows carry
+the read error as every feature's code.  Data goes to stdout, diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .alignment import find_target_vowels, parse_textgrid
+from .alignment import find_target_vowels, read_textgrid
 from .audio_io import CanonicalPolicy, read_wav, to_canonical, write_wav
 from .errors import RepSpeechError
 from .pipeline import (
@@ -214,7 +217,7 @@ def _csv_text(rows: list[dict]) -> str:
 
 def _cmd_vowels(args) -> int:
     labels = frozenset(args.labels.split(",")) if args.labels else None
-    grid = parse_textgrid(Path(args.textgrid).read_text(encoding="utf-8"))
+    grid = read_textgrid(args.textgrid)
     kwargs = {"min_duration": args.min_duration, "tier_name": args.tier}
     if labels:
         kwargs["target_labels"] = labels
@@ -354,10 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RepSpeechError as exc:
-        _emit_error(exc, args.json)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (RepSpeechError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(exc, args.json)
         return EXIT_ERROR
 

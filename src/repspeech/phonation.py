@@ -40,6 +40,10 @@ from .dsp import (
 from .errors import InsufficientBandwidth, NoVoicedFrames, SignalTooShort, SilentSignal
 
 DB_REF_PRESSURE = 2e-5  # full-scale amplitude 1.0 is treated as 1.0 reference units
+_MSQ_FLOOR = 1e-30  # mean square of a frame without energy
+# the level of a frame at the floor, with slack for rounding; one nonzero
+# 32-bit PCM sample lifts the frame centred on it some 90 dB above this
+_FLOOR_DB = 10.0 * math.log10(_MSQ_FLOOR / DB_REF_PRESSURE**2) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +274,6 @@ class IntensityTrack:
     times: np.ndarray
     level_db: np.ndarray
 
-    def slice(self, tmin: float, tmax: float) -> "IntensityTrack":
-        keep = (self.times >= tmin) & (self.times <= tmax)
-        return IntensityTrack(self.times[keep], self.level_db[keep])
-
 
 def intensity_track(buf: AudioBuffer, frame_len: float = 0.040, hop: float = 0.010) -> IntensityTrack:
     """Hann-weighted mean-square level per frame, in dB."""
@@ -291,7 +291,7 @@ def intensity_track(buf: AudioBuffer, frame_len: float = 0.040, hop: float = 0.0
         sub = centers[start : start + CHUNK_FRAMES]
         frames = gather_frames(x, sub, win_n)
         msq = (frames**2 @ w) / wsum
-        level[start : start + len(sub)] = 10.0 * np.log10(np.maximum(msq, 1e-30) / DB_REF_PRESSURE**2)
+        level[start : start + len(sub)] = 10.0 * np.log10(np.maximum(msq, _MSQ_FLOOR) / DB_REF_PRESSURE**2)
     return IntensityTrack(centers / rate, level)
 
 
@@ -299,32 +299,24 @@ def _energy_mean_db(levels: np.ndarray) -> float:
     return 10.0 * math.log10(float(np.mean(10.0 ** (levels / 10.0))))
 
 
-def _in_span(times: np.ndarray, tmin: float | None, tmax: float | None) -> np.ndarray:
-    """Mask of the frame times inside [tmin, tmax]; an open end is unbounded."""
-    lo = -math.inf if tmin is None else tmin
-    hi = math.inf if tmax is None else tmax
-    return (times >= lo) & (times <= hi)
+def _in_span(times: np.ndarray, tmin: float, tmax: float) -> np.ndarray:
+    """Mask of the frame times inside [tmin, tmax]."""
+    return (times >= tmin) & (times <= tmax)
 
 
-def intensity_mean(
-    buf: AudioBuffer,
-    track: IntensityTrack | None = None,
-    silence_db: float = -30.0,
-    tmin: float | None = None,
-    tmax: float | None = None,
-) -> float:
+def intensity_mean(track: IntensityTrack, tmin: float, tmax: float) -> float:
     """Energy-mean intensity over the speech-containing frames in [tmin, tmax].
 
-    Frames more than ``silence_db`` below the loudest frame of the whole
+    Frames more than 30 dB below the loudest frame of the whole
     track are excluded, so the figure shifts by exactly the applied gain
-    and ignores lead-in silence.  Raises SilentSignal when no frame of the
-    span exceeds the floor.
+    and ignores lead-in silence.  Raises SilentSignal when every frame
+    sits at the mean-square floor (no signal energy) or no frame of the
+    span exceeds the silence floor.
     """
-    track = track or intensity_track(buf)
-    if len(track.level_db) == 0 or not np.any(buf.signal):
+    peak = float(np.max(track.level_db)) if len(track.level_db) else -math.inf
+    if peak <= _FLOOR_DB:
         raise SilentSignal("no signal energy")
-    peak = float(np.max(track.level_db))
-    keep = (track.level_db >= peak + silence_db) & _in_span(track.times, tmin, tmax)
+    keep = (track.level_db >= peak - 30.0) & _in_span(track.times, tmin, tmax)
     if not np.any(keep):
         raise SilentSignal("no frame of the span above the silence floor")
     return _energy_mean_db(track.level_db[keep])
@@ -409,15 +401,9 @@ def hnr_track(
     return np.concatenate(times_out), np.concatenate(values_out)
 
 
-def hnr_mean(
-    buf: AudioBuffer,
-    track: PitchTrack,
-    tmin: float | None = None,
-    tmax: float | None = None,
-    hnr: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
     """Mean HNR over the voiced frames in [tmin, tmax]; ``hnr`` is the recording's ``hnr_track``."""
-    times, values = hnr or hnr_track(buf, track)
+    times, values = hnr
     values = values[_in_span(times, tmin, tmax)]
     if len(values) == 0:
         raise NoVoicedFrames("no analyzable voiced frames for harmonicity")
@@ -495,25 +481,21 @@ def slope_from_spectrum(freqs: np.ndarray, power: np.ndarray, band: tuple[float,
 
 
 def spectral_slope(
-    buf: AudioBuffer,
-    track: PitchTrack,
-    params: SlopeParams = SlopeParams(),
-    tmin: float | None = None,
-    tmax: float | None = None,
-    spectra: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    spectra: tuple[np.ndarray, np.ndarray, np.ndarray], band: tuple[float, float], tmin: float, tmax: float
 ) -> float:
     """Slope of the long-term average spectrum of the voiced frames in [tmin, tmax], dB/octave.
 
-    ``spectra`` is the recording's ``voiced_frame_spectra``.
+    ``spectra`` is the recording's ``voiced_frame_spectra``; the line is
+    fitted over ``band`` (Hz).
     """
-    times, freqs, power = spectra or voiced_frame_spectra(buf, track, params)
+    times, freqs, power = spectra
     sel = _in_span(times, tmin, tmax)
     if not np.all(sel):  # a span over every frame averages the stored spectra without a copy
         power = power[sel]
     if power.shape[0] == 0:
         raise NoVoicedFrames("no voiced frames for the long-term spectrum")
     ltas = power.mean(axis=0)
-    return slope_from_spectrum(freqs, ltas, params.band)
+    return slope_from_spectrum(freqs, ltas, band)
 
 
 # ---------------------------------------------------------------------------
@@ -619,18 +601,12 @@ def cpp_track(
     return centers / rate, values, included
 
 
-def cpp_mean(
-    buf: AudioBuffer,
-    params: CppParams = CppParams(),
-    tmin: float | None = None,
-    tmax: float | None = None,
-    cpp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> float:
+def cpp_mean(cpp: tuple[np.ndarray, np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
     """Mean cepstral peak prominence over the non-silent frames in [tmin, tmax], in dB.
 
     ``cpp`` is the recording's ``cpp_track``.
     """
-    times, values, included = cpp or cpp_track(buf, params)
+    times, values, included = cpp
     keep = included & _in_span(times, tmin, tmax)
     if not np.any(keep):
         raise SilentSignal("no frames above the silence threshold")

@@ -6,8 +6,9 @@ one ``Analysis``, and both levels are reductions of those tracks: level S
 over the whole recording, level a averaged over the aligned vowels.  So
 every feature sees the same voicing decisions, and asking for both levels
 costs little more than asking for one.  A failure in one feature marks
-that field absent with an error code instead of aborting the record; long
-batch runs must survive degenerate files.
+that field absent with an error code instead of aborting the record, and
+a file that cannot be read gives records whose every feature carries the
+read error; long batch runs must survive degenerate files.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .alignment import (
     DEFAULT_MIN_VOWEL_DURATION,
     DEFAULT_VOWEL_LABELS,
     find_target_vowels,
-    parse_textgrid,
+    read_textgrid,
     vowel_level_features,
 )
 from .analysis import A_FEATURES, Analysis, fill
@@ -33,6 +34,7 @@ from .timing import NO_CONTOUR, TimingParams, timing_features
 
 RATE_FEATURES = ("speaking_rate", "articulation_rate", "pause_rate")
 S_FEATURES = ("duration", *RATE_FEATURES, *A_FEATURES)
+LEVEL_FEATURES = {"S": S_FEATURES, "a": A_FEATURES}
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class FeatureRecord:
     provenance: dict = field(default_factory=dict)
 
 
-def _provenance(params: PipelineParams, analysis: Analysis) -> dict:
+def _provenance(params: PipelineParams, analysis: Analysis | None) -> dict:
     snap = {
         "version": __version__,
         "pitch_explore": asdict(params.pitch_explore),
@@ -79,6 +81,8 @@ def _provenance(params: PipelineParams, analysis: Analysis) -> dict:
         "min_vowel_duration": params.min_vowel_duration,
         "phone_tier": params.phone_tier,
     }
+    if analysis is None:  # the recording could not be read
+        return snap
     try:
         adapted = analysis.pitch().params_used
     except RepSpeechError:
@@ -93,17 +97,26 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
     Level S covers the whole canonical recording; level a aggregates over
     the aligned open-vowel instances of the TextGrid, and without one its
     features carry AlignmentMissing.  Both levels reduce the same tracks,
-    each computed once.
+    each computed once.  A recording that cannot be read or decoded gives
+    one record per level whose every feature carries the read error.
     """
     levels = tuple(req.levels)
     for level in levels:
-        if level not in ("S", "a"):
+        if level not in LEVEL_FEATURES:
             raise ValueError(f"unknown extraction level {level!r}")
 
     params = req.params
-    buf = to_canonical(read_wav(req.audio_path), CanonicalPolicy())
-    analysis = Analysis(buf, params.pitch_explore, params.formant, params.cpp, params.slope)
     name = Path(req.audio_path).stem
+    try:
+        buf = to_canonical(read_wav(req.audio_path), CanonicalPolicy())
+    except RepSpeechError as exc:  # every feature of every level carries the read error
+        code = error_code(exc)
+        return [
+            FeatureRecord(name, level, dict.fromkeys(LEVEL_FEATURES[level]),
+                          dict.fromkeys(LEVEL_FEATURES[level], code), None, _provenance(params, None))
+            for level in levels
+        ]
+    analysis = Analysis(buf, params.pitch_explore, params.formant, params.cpp, params.slope)
 
     records = []
     if "S" in levels:
@@ -122,7 +135,7 @@ def _rates(analysis: Analysis, params: TimingParams) -> tuple[float, float, floa
         contour = analysis.intensity(params.frame_len, params.hop)
     except SignalTooShort:
         contour = NO_CONTOUR
-    tf = timing_features(analysis.buf, pitch, params, contour)
+    tf = timing_features(analysis.buf, contour, pitch, params)
     return tf.speaking_rate, tf.articulation_rate, tf.pause_rate
 
 
@@ -142,9 +155,9 @@ def _extract_vowel_level(name: str, analysis: Analysis, params: PipelineParams, 
     try:
         if not textgrid_path:
             raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
-        grid = parse_textgrid(Path(textgrid_path).read_text(encoding="utf-8"))
+        grid = read_textgrid(textgrid_path)
         vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
-        agg = vowel_level_features(analysis.buf, vowels, analysis)
+        agg = vowel_level_features(analysis, vowels)
     except RepSpeechError as exc:  # no alignment or no usable vowel: every feature is absent
         features, errors, n_instances = dict.fromkeys(A_FEATURES), dict.fromkeys(A_FEATURES, error_code(exc)), None
     else:
@@ -155,7 +168,7 @@ def _extract_vowel_level(name: str, analysis: Analysis, params: PipelineParams, 
 def record_to_row(rec: FeatureRecord) -> dict:
     """Flatten a record into a CSV-ready row with feature names as columns."""
     row: dict[str, object] = {"recording": rec.recording, "level": rec.level}
-    keys = S_FEATURES if rec.level == "S" else A_FEATURES
+    keys = LEVEL_FEATURES[rec.level]
     for k in S_FEATURES:
         row[k] = rec.features.get(k) if k in keys else None
     row["n_vowel_instances"] = rec.n_vowel_instances

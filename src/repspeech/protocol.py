@@ -369,17 +369,6 @@ QC_LOG_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class QualityControlLog:
-    session_start_time: str
-    water_drunk: bool
-    interruptions: str = ""
-    extraneous_noise: str = ""
-    vowel_task_issues: str = ""
-    task_difficulties: str = ""
-    other: str = ""
-
-
 def validate_qc_log(entry: dict) -> Report:
     """Check that a quality-control log entry carries all seven fields."""
     report = Report("qc_log")

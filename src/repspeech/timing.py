@@ -1,10 +1,10 @@
 """Speech timing: pause detection, syllable-nucleus counting, rate features.
 
-Both detectors read one intensity contour, computed once per call of
-``timing_features`` or passed in by a caller that already holds it.
-Silence is anything
-more than the threshold below the loudest frame; internal silent runs of
-at least the minimum pause length count as pauses, and syllable nuclei are
+Both detectors read one intensity contour of the recording at the timing
+frame length and hop, which the caller computes once (``NO_CONTOUR`` when
+the recording is shorter than one frame).  Silence is anything more than
+the threshold below the loudest frame; internal silent runs of at least
+the minimum pause length count as pauses, and syllable nuclei are
 intensity peaks flanked by dips that coincide with voiced frames.
 """
 
@@ -16,8 +16,8 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .audio_io import AudioBuffer
-from .errors import SignalTooShort, ZeroDuration, ZeroPhonationTime
-from .phonation import IntensityTrack, PitchTrack, intensity_track
+from .errors import ZeroDuration, ZeroPhonationTime
+from .phonation import IntensityTrack, PitchTrack
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,6 @@ class TimingFeatures:
 NO_CONTOUR = IntensityTrack(np.zeros(0), np.zeros(0))
 
 
-def speech_contour(buf: AudioBuffer, params: TimingParams = TimingParams()) -> IntensityTrack:
-    """The intensity contour at the timing frame length and hop; NO_CONTOUR when none fits."""
-    try:
-        return intensity_track(buf, params.frame_len, params.hop)
-    except SignalTooShort:
-        return NO_CONTOUR
-
-
 def _sounding_mask(track: IntensityTrack, silence_threshold_db: float) -> np.ndarray:
     peak = float(np.max(track.level_db))
     return track.level_db >= peak + silence_threshold_db
@@ -84,17 +76,15 @@ def _runs(mask: np.ndarray) -> list[tuple[bool, int, int]]:
 
 
 def detect_speech_regions(
-    buf: AudioBuffer, params: TimingParams = TimingParams(), contour: IntensityTrack | None = None
+    buf: AudioBuffer, contour: IntensityTrack, params: TimingParams = TimingParams()
 ) -> list[Segment]:
     """Segment a recording into speech regions and internal pauses.
 
     Silent runs shorter than the minimum pause are absorbed into speech;
     leading and trailing silence belongs to neither category.  All-silent
-    input yields an empty list.  ``contour`` is ``speech_contour(buf,
-    params)``, computed here when not given.
+    input yields an empty list.  ``contour`` is the intensity track of
+    ``buf`` at the ``params`` frame length and hop.
     """
-    if contour is None:
-        contour = speech_contour(buf, params)
     if len(contour.level_db) == 0 or not np.any(buf.signal):
         return []
     mask = _sounding_mask(contour, params.silence_threshold_db)
@@ -133,10 +123,7 @@ def detect_speech_regions(
 
 
 def count_syllable_nuclei(
-    buf: AudioBuffer,
-    track: PitchTrack | None,
-    params: TimingParams = TimingParams(),
-    contour: IntensityTrack | None = None,
+    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: TimingParams = TimingParams()
 ) -> int:
     """Count intensity peaks that behave like syllable nuclei.
 
@@ -145,11 +132,9 @@ def count_syllable_nuclei(
     consecutive maxima without such a valley between them merge into one
     nucleus.  When voicing is required, the peak must fall on a voiced
     pitch frame; a peak outside the pitch track's span is read at its
-    first or last frame.  ``contour`` is ``speech_contour(buf, params)``,
-    computed here when not given.
+    first or last frame.  ``contour`` is the intensity track of ``buf`` at
+    the ``params`` frame length and hop.
     """
-    if contour is None:
-        contour = speech_contour(buf, params)
     if not np.any(buf.signal) or len(contour.level_db) == 0:
         return 0
     level = contour.level_db
@@ -186,28 +171,23 @@ def count_syllable_nuclei(
 
 
 def timing_features(
-    buf: AudioBuffer,
-    track: PitchTrack | None,
-    params: TimingParams = TimingParams(),
-    contour: IntensityTrack | None = None,
+    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: TimingParams = TimingParams()
 ) -> TimingFeatures:
     """Duration, speaking rate, articulation rate, and pause rate.
 
     Duration is the full recording length; speaking rate divides nuclei by
     it, articulation rate divides by phonation time only, and
     speaking_rate = articulation_rate x (phonation_time / duration).
-    Both detectors read ``contour``, which is ``speech_contour(buf,
-    params)`` and is computed here when not given.
+    Both detectors read ``contour``, the intensity track of ``buf`` at the
+    ``params`` frame length and hop.
     """
     if buf.n_samples == 0:
         raise ZeroDuration("empty recording")
     duration = buf.duration
-    if contour is None:
-        contour = speech_contour(buf, params)
-    regions = detect_speech_regions(buf, params, contour)
+    regions = detect_speech_regions(buf, contour, params)
     phonation = sum(s.duration for s in regions if s.kind == "speech")
     n_pauses = sum(1 for s in regions if s.kind == "pause")
-    n_syllables = count_syllable_nuclei(buf, track, params, contour)
+    n_syllables = count_syllable_nuclei(buf, contour, track, params)
     if phonation <= 0.0:
         raise ZeroPhonationTime("no speech regions; articulation rate undefined")
     return TimingFeatures(

@@ -25,8 +25,11 @@ from repspeech.phonation import (
     PitchParams,
     PitchTrack,
     cpp_mean,
+    cpp_track,
     hnr_mean,
+    hnr_track,
     intensity_mean,
+    intensity_track,
     pitch_stats,
     pitch_track_two_pass,
 )
@@ -120,7 +123,7 @@ def test_ac03_timing_oracle():
         segs, truth_nuclei, truth_pauses = _random_burst_spec(seed)
         pat = synth_pattern(segs)
         track = pitch_track_two_pass(pat.buffer)
-        tf = timing_features(pat.buffer, track)
+        tf = timing_features(pat.buffer, intensity_track(pat.buffer), track)
         identity = abs(
             tf.speaking_rate - tf.articulation_rate * (tf.phonation_time / tf.duration)
         ) <= 1e-9 * max(tf.speaking_rate, 1e-12)
@@ -185,7 +188,7 @@ def test_ac06_hnr_snr_relation():
     for snr in (0.0, 10.0, 20.0, 30.0):
         noisy = add_noise(buf, snr, seed=1)
         track = pitch_track_two_pass(noisy)
-        values.append(hnr_mean(noisy, track))
+        values.append(hnr_mean(hnr_track(noisy, track), 0.0, noisy.duration))
     diffs = [abs(h - s) for h, s in zip(values, (0, 10, 20, 30))]
     monotone = all(a < b for a, b in zip(values, values[1:]))
     ok = max(diffs) <= 2.0 and monotone
@@ -199,10 +202,12 @@ def test_ac06_hnr_snr_relation():
 
 def test_ac07_cpp_ordering():
     """Cepstral peak prominence separates periodic from noise by over 8 dB."""
-    pulse_cpp = cpp_mean(synth_pulse_train(200.0, 2.0))
+    pulse = synth_pulse_train(200.0, 2.0)
+    pulse_cpp = cpp_mean(cpp_track(pulse), 0.0, pulse.duration)
     margins = []
     for seed in range(20):
-        noise_cpp = cpp_mean(synth_noise(2.0, rms=0.1, seed=seed))
+        noise = synth_noise(2.0, rms=0.1, seed=seed)
+        noise_cpp = cpp_mean(cpp_track(noise), 0.0, noise.duration)
         margins.append(pulse_cpp - noise_cpp)
     ok = all(m > 8.0 for m in margins)
     _report(
@@ -235,8 +240,8 @@ def test_ac09_gain_invariance():
     """Gain shifts intensity by 20 log10 g and nothing else."""
     voice = synth_formant_voice(120.0, ((700.0, 80.0), (1200.0, 90.0)), 2.0)
     track = pitch_track_two_pass(voice)
-    base_int = intensity_mean(voice)
-    base_hnr = hnr_mean(voice, track)
+    base_int = intensity_mean(intensity_track(voice), 0.0, voice.duration)
+    base_hnr = hnr_mean(hnr_track(voice, track), 0.0, voice.duration)
     base_formants = formant_track(voice, track).means()
     pattern = synth_pattern(
         [
@@ -248,24 +253,26 @@ def test_ac09_gain_invariance():
         ]
     )
     p_track = pitch_track_two_pass(pattern.buffer)
-    base_nuclei = count_syllable_nuclei(pattern.buffer, p_track)
-    base_pauses = sum(1 for s in detect_speech_regions(pattern.buffer) if s.kind == "pause")
+    p_contour = intensity_track(pattern.buffer)
+    base_nuclei = count_syllable_nuclei(pattern.buffer, p_contour, p_track)
+    base_pauses = sum(1 for s in detect_speech_regions(pattern.buffer, p_contour) if s.kind == "pause")
 
     ok = True
     details = []
     for g in (0.1, 0.5, 2.0):
         scaled = AudioBuffer.mono(voice.signal * g, RATE)
         s_track = pitch_track_two_pass(scaled)
-        shift = intensity_mean(scaled) - base_int
+        shift = intensity_mean(intensity_track(scaled), 0.0, scaled.duration) - base_int
         ok &= abs(shift - 20 * np.log10(g)) <= 0.05
         ok &= len(s_track.f0) == len(track.f0) and np.max(np.abs(s_track.f0 - track.f0)) <= 0.1
         f1, f2 = formant_track(scaled, s_track).means()
         ok &= abs(f1 - base_formants[0]) <= 1.0 and abs(f2 - base_formants[1]) <= 1.0
-        ok &= abs(hnr_mean(scaled, s_track) - base_hnr) <= 0.01
+        ok &= abs(hnr_mean(hnr_track(scaled, s_track), 0.0, scaled.duration) - base_hnr) <= 0.01
         sp = AudioBuffer.mono(pattern.buffer.signal * g, RATE)
         sp_track = pitch_track_two_pass(sp)
-        ok &= count_syllable_nuclei(sp, sp_track) == base_nuclei
-        ok &= sum(1 for s in detect_speech_regions(sp) if s.kind == "pause") == base_pauses
+        sp_contour = intensity_track(sp)
+        ok &= count_syllable_nuclei(sp, sp_contour, sp_track) == base_nuclei
+        ok &= sum(1 for s in detect_speech_regions(sp, sp_contour) if s.kind == "pause") == base_pauses
         details.append(f"g={g}: dI {shift:+.3f} dB")
     _report("gain-invariance", ok, "; ".join(details))
     assert ok

@@ -211,12 +211,12 @@ def two_pitch_recording():
 def test_aggregate_is_mean_of_instances():
     buf, vowels = two_pitch_recording()
     analysis = Analysis(buf)
-    agg = vowel_level_features(buf, vowels, analysis)
+    agg = vowel_level_features(analysis, vowels)
     assert agg.n_instances == 2
     assert agg.means["pitch_mean"] == pytest.approx(155.0, abs=1.0)
 
     # brute-force recompute: single-instance runs averaged by hand
-    singles = [vowel_level_features(buf, [v], analysis) for v in vowels]
+    singles = [vowel_level_features(analysis, [v]) for v in vowels]
     for key, value in agg.means.items():
         parts = [s.means[key] for s in singles if s.means[key] is not None]
         if value is not None and len(parts) == 2:
@@ -226,11 +226,11 @@ def test_aggregate_is_mean_of_instances():
 def test_empty_vowel_list():
     buf, _ = two_pitch_recording()
     with pytest.raises(NoTargetVowels):
-        vowel_level_features(buf, [])
+        vowel_level_features(Analysis(buf), [])
 
 
 def test_vowel_past_audio_end():
     buf, _ = two_pitch_recording()
     bad = [VowelInterval(1.0, buf.duration + 0.05, "AA1", "phones")]
     with pytest.raises(VowelOutOfBounds):
-        vowel_level_features(buf, bad)
+        vowel_level_features(Analysis(buf), bad)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import make_wav_bytes
 
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.audio_io import read_wav, write_wav
@@ -192,3 +193,69 @@ def test_config_file_supplies_defaults(recording, tmp_path, capsys):
     assert main(["--config", str(cfg), "extract", wav]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert isinstance(rows, list)
+
+
+# a missing file, and one that is not UTF-8
+UNREADABLE_TEXTGRIDS = [
+    ("absent.TextGrid", None, "IoFailure"),
+    ("latin1.TextGrid", b"File type = \"\xe9\"\n", "MalformedTextGrid"),
+]
+
+
+@pytest.mark.parametrize("name, content, code", UNREADABLE_TEXTGRIDS)
+def test_unreadable_textgrid_gives_coded_a_row(recording, tmp_path, name, content, code):
+    _, wav, _ = recording
+    tg = tmp_path / name
+    if content is not None:
+        tg.write_bytes(content)
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--level", "S,a", wav, "--textgrid", str(tg), "-o", str(out)]) == 0
+    s_row, a_row = csv.DictReader(out.open())
+    assert s_row["errors"] == ""
+    errors = json.loads(a_row["errors"])
+    assert len(errors) == 10 and set(errors.values()) == {code}
+
+
+@pytest.mark.parametrize("name, content, code", UNREADABLE_TEXTGRIDS)
+def test_vowels_unreadable_textgrid_exits_2(tmp_path, capsys, name, content, code):
+    tg = tmp_path / name
+    if content is not None:
+        tg.write_bytes(content)
+    assert main(["vowels", str(tg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_unreadable_wav_does_not_stop_the_batch(recording, tmp_path, threads):
+    _, wav, tg = recording
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"not a RIFF file at all")
+    floats = tmp_path / "floats.wav"
+    floats.write_bytes(make_wav_bytes([[0, 1, 2, 3]], 16000, bits=32, format_code=3))
+    out = tmp_path / "f.csv"
+    inputs = [wav, str(bad), str(floats), str(tmp_path / "absent.wav")]
+    assert main(["extract", "--level", "S,a", *inputs, "--textgrid", tg, "--threads", threads, "-o", str(out)]) == 0
+    rows = {(r["recording"], r["level"]): r for r in csv.DictReader(out.open())}
+    assert len(rows) == 8
+    assert rows[(Path(wav).stem, "S")]["errors"] == "" and rows[(Path(wav).stem, "a")]["errors"] == ""
+    for stem, code in (("bad", "MalformedRiff"), ("floats", "UnsupportedEncoding"), ("absent", "IoFailure")):
+        for level, n_features in (("S", 14), ("a", 10)):
+            errors = json.loads(rows[(stem, level)]["errors"])
+            assert len(errors) == n_features and set(errors.values()) == {code}
+
+
+def test_validate_undecodable_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["validate", "schedule", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: JSONDecodeError:") and err.count("\n") == 1
+
+
+def test_summarize_non_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"recording,level,cohort\n\xff\xfe,S,X\n")
+    assert main(["summarize", str(path), "--group", "cohort"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnicodeDecodeError:") and err.count("\n") == 1

@@ -8,12 +8,17 @@ from repspeech.errors import InsufficientBandwidth, NoVoicedFrames, SilentSignal
 from repspeech.phonation import (
     PitchParams,
     PitchTrack,
+    SlopeParams,
     cpp_mean,
+    cpp_track,
     hnr_mean,
+    hnr_track,
     intensity_mean,
+    intensity_track,
     pitch_stats,
     pitch_track_two_pass,
     spectral_slope,
+    voiced_frame_spectra,
 )
 from repspeech.synth import add_noise, synth_noise, synth_silence
 
@@ -109,32 +114,40 @@ def full_scale_sine(duration=1.0, freq=1000.0, amp=1.0):
 
 
 def test_intensity_closed_form():
-    level = intensity_mean(full_scale_sine())
+    level = intensity_mean(intensity_track(full_scale_sine()), 0.0, 1.0)
     assert level == pytest.approx(10 * np.log10(0.5 / (2e-5) ** 2), abs=0.05)
 
 
 def test_intensity_gain_law():
-    full = intensity_mean(full_scale_sine())
-    half = intensity_mean(full_scale_sine(amp=0.5))
+    full = intensity_mean(intensity_track(full_scale_sine()), 0.0, 1.0)
+    half = intensity_mean(intensity_track(full_scale_sine(amp=0.5)), 0.0, 1.0)
     assert full - half == pytest.approx(6.02, abs=0.05)
 
 
 def test_intensity_silence():
     with pytest.raises(SilentSignal):
-        intensity_mean(synth_silence(1.0))
+        intensity_mean(intensity_track(synth_silence(1.0)), 0.0, 1.0)
+
+
+def test_intensity_energy_outside_every_frame_is_silent():
+    # the three nonzero samples follow the last frame, so every frame sits at the floor
+    buf = AudioBuffer.mono(np.r_[np.zeros(RATE), 1e-3 * np.ones(3)], RATE)
+    with pytest.raises(SilentSignal):
+        intensity_mean(intensity_track(buf), 0.0, buf.duration)
 
 
 # -- harmonics-to-noise ratio --------------------------------------------------------
 
 
 def test_clean_pulse_train_hnr(synth_cache):
-    assert hnr_mean(synth_cache.pulse(200), synth_cache.track(200)) >= 40.0
+    buf = synth_cache.pulse(200)
+    assert hnr_mean(hnr_track(buf, synth_cache.track(200)), 0.0, buf.duration) >= 40.0
 
 
 def test_hnr_near_snr(synth_cache):
     noisy = add_noise(synth_cache.pulse(200), 10.0, seed=1)
     track = pitch_track_two_pass(noisy)
-    assert hnr_mean(noisy, track) == pytest.approx(10.0, abs=2.0)
+    assert hnr_mean(hnr_track(noisy, track), 0.0, noisy.duration) == pytest.approx(10.0, abs=2.0)
 
 
 def test_hnr_monotone_in_noise(synth_cache):
@@ -142,7 +155,7 @@ def test_hnr_monotone_in_noise(synth_cache):
     values = []
     for snr in (5.0, 15.0, 25.0):
         noisy = add_noise(buf, snr, seed=2)
-        values.append(hnr_mean(noisy, pitch_track_two_pass(noisy)))
+        values.append(hnr_mean(hnr_track(noisy, pitch_track_two_pass(noisy)), 0.0, noisy.duration))
     assert values[0] < values[1] < values[2]
 
 
@@ -150,7 +163,8 @@ def test_hnr_monotone_in_noise(synth_cache):
 
 
 def test_flat_envelope_slope(synth_cache):
-    slope = spectral_slope(synth_cache.pulse(200), synth_cache.track(200))
+    buf = synth_cache.pulse(200)
+    slope = spectral_slope(voiced_frame_spectra(buf, synth_cache.track(200)), SlopeParams().band, 0.0, buf.duration)
     assert slope == pytest.approx(0.0, abs=1.0)
 
 
@@ -167,29 +181,33 @@ def tilted_pulse_train(f0=200.0, duration=2.0, db_per_octave=-6.0):
 def test_tilted_envelope_slope():
     buf = tilted_pulse_train(db_per_octave=-6.0)
     track = pitch_track_two_pass(buf)
-    assert spectral_slope(buf, track) == pytest.approx(-6.0, abs=1.0)
+    spectra = voiced_frame_spectra(buf, track)
+    assert spectral_slope(spectra, SlopeParams().band, 0.0, buf.duration) == pytest.approx(-6.0, abs=1.0)
 
 
 def test_pure_sine_slope_degenerate():
     buf = full_scale_sine(duration=2.0, freq=1000.0, amp=0.3)
     track = pitch_track_two_pass(buf)
     with pytest.raises(InsufficientBandwidth):
-        spectral_slope(buf, track)
+        spectral_slope(voiced_frame_spectra(buf, track), SlopeParams().band, 0.0, buf.duration)
 
 
 # -- cepstral peak prominence ------------------------------------------------------------
 
 
 def test_cpp_pulse_train_strong(synth_cache):
-    assert cpp_mean(synth_cache.pulse(200)) > 15.0
+    buf = synth_cache.pulse(200)
+    assert cpp_mean(cpp_track(buf), 0.0, buf.duration) > 15.0
 
 
 def test_cpp_orders_pulse_above_noise(synth_cache):
-    pulse_cpp = cpp_mean(synth_cache.pulse(200))
+    pulse = synth_cache.pulse(200)
+    pulse_cpp = cpp_mean(cpp_track(pulse), 0.0, pulse.duration)
     for seed in range(3):
-        assert cpp_mean(synth_noise(2.0, rms=0.1, seed=seed)) < pulse_cpp
+        noise = synth_noise(2.0, rms=0.1, seed=seed)
+        assert cpp_mean(cpp_track(noise), 0.0, noise.duration) < pulse_cpp
 
 
 def test_cpp_silence():
     with pytest.raises(SilentSignal):
-        cpp_mean(synth_silence(1.0))
+        cpp_mean(cpp_track(synth_silence(1.0)), 0.0, 1.0)

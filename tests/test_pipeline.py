@@ -9,7 +9,7 @@ import pytest
 
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.audio_io import AudioBuffer, CanonicalPolicy, read_wav, to_canonical, write_wav
-from repspeech.phonation import pitch_track_two_pass
+from repspeech.phonation import intensity_track, pitch_track_two_pass
 from repspeech.pipeline import (
     A_FEATURES,
     ExtractionRequest,
@@ -79,6 +79,17 @@ def test_vowel_level_needs_textgrid(voice_recording):
     assert all(v is None for v in a_rec.features.values())
     assert a_rec.errors == dict.fromkeys(A_FEATURES, "AlignmentMissing")
     assert a_rec.n_vowel_instances is None
+
+
+def test_unreadable_wav_gives_one_coded_record_per_level(tmp_path):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")  # no fmt chunk
+    s_rec, a_rec = extract_recording(ExtractionRequest(str(bad), None, ("S", "a")))
+    assert (s_rec.recording, s_rec.level, a_rec.level) == ("bad", "S", "a")
+    assert s_rec.features == dict.fromkeys(S_FEATURES) and s_rec.errors == dict.fromkeys(S_FEATURES, "MalformedRiff")
+    assert a_rec.features == dict.fromkeys(A_FEATURES) and a_rec.errors == dict.fromkeys(A_FEATURES, "MalformedRiff")
+    assert a_rec.n_vowel_instances is None
+    assert "pitch_adapted" not in s_rec.provenance and "version" in s_rec.provenance
 
 
 def test_deterministic_records(voice_recording):
@@ -171,7 +182,7 @@ def test_own_timing_contour_for_other_frames(voice_recording, monkeypatch):
     (rec,) = extract_recording(ExtractionRequest(wav, tg, ("S",), PipelineParams(timing=timing)))
     assert counts["phonation.intensity_track"] == 2
     buf = to_canonical(read_wav(wav), CanonicalPolicy())
-    tf = timing_features(buf, pitch_track_two_pass(buf), timing)
+    tf = timing_features(buf, intensity_track(buf, timing.frame_len, timing.hop), pitch_track_two_pass(buf), timing)
     assert (rec.features["speaking_rate"], rec.features["articulation_rate"], rec.features["pause_rate"]) == (
         tf.speaking_rate,
         tf.articulation_rate,

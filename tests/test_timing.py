@@ -8,6 +8,7 @@ from repspeech.errors import ZeroDuration, ZeroPhonationTime
 from repspeech.phonation import PitchParams, PitchTrack, intensity_track, pitch_track_two_pass
 from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
 from repspeech.timing import (
+    NO_CONTOUR,
     TimingParams,
     count_syllable_nuclei,
     detect_speech_regions,
@@ -56,7 +57,7 @@ def test_tone_gap_tone_single_pause():
     pat = synth_pattern(
         [SynthSpec("tone", 2.0, f0=1000), SynthSpec("silence", 0.5), SynthSpec("tone", 2.0, f0=1000)]
     )
-    regions = detect_speech_regions(pat.buffer)
+    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
     pauses = [s for s in regions if s.kind == "pause"]
     assert len(pauses) == 1
     assert pauses[0].duration == pytest.approx(0.5, abs=0.05)
@@ -66,18 +67,19 @@ def test_short_gap_not_a_pause():
     pat = synth_pattern(
         [SynthSpec("tone", 1.0, f0=1000), SynthSpec("silence", 0.2), SynthSpec("tone", 1.0, f0=1000)]
     )
-    regions = detect_speech_regions(pat.buffer)
+    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
     assert sum(1 for s in regions if s.kind == "pause") == 0
     assert sum(1 for s in regions if s.kind == "speech") == 1
 
 
 def test_all_silence_no_regions():
-    assert detect_speech_regions(synth_silence(2.0)) == []
+    silence = synth_silence(2.0)
+    assert detect_speech_regions(silence, intensity_track(silence)) == []
 
 
 def test_leading_trailing_silence_not_pauses():
     pat = burst_pattern(2, burst=0.5, gap=0.5, lead=0.6, trail=0.6)
-    regions = detect_speech_regions(pat.buffer)
+    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
     pauses = [s for s in regions if s.kind == "pause"]
     assert len(pauses) == 1
     speech = [s for s in regions if s.kind == "speech"]
@@ -88,13 +90,13 @@ def test_leading_trailing_silence_not_pauses():
 def test_four_bursts_counted(synth_cache):
     pat = burst_pattern(4)
     track = pitch_track_two_pass(pat.buffer)
-    assert count_syllable_nuclei(pat.buffer, track) == 4
+    assert count_syllable_nuclei(pat.buffer, intensity_track(pat.buffer), track) == 4
 
 
 def test_steady_tone_single_nucleus():
     pat = synth_pattern([SynthSpec("pulse_train", 2.0, f0=200)])
     track = pitch_track_two_pass(pat.buffer)
-    assert count_syllable_nuclei(pat.buffer, track) == 1
+    assert count_syllable_nuclei(pat.buffer, intensity_track(pat.buffer), track) == 1
 
 
 def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
@@ -110,13 +112,14 @@ def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
     write_wav(buf, path)
     read_back = to_canonical(read_wav(path))
     for b in (buf, read_back):
-        assert count_syllable_nuclei(b, pitch_track_two_pass(b)) == 1
+        assert count_syllable_nuclei(b, intensity_track(b), pitch_track_two_pass(b)) == 1
     empty = PitchTrack(np.zeros(0), np.zeros(0), PitchParams())
-    assert count_syllable_nuclei(read_back, empty) == 0
+    assert count_syllable_nuclei(read_back, intensity_track(read_back), empty) == 0
 
 
 def test_silence_zero_nuclei():
-    assert count_syllable_nuclei(synth_silence(1.0), None) == 0
+    silence = synth_silence(1.0)
+    assert count_syllable_nuclei(silence, intensity_track(silence), None) == 0
 
 
 def test_unvoiced_peaks_rejected():
@@ -124,9 +127,10 @@ def test_unvoiced_peaks_rejected():
         [SynthSpec("noise", 0.3, amplitude=0.2), SynthSpec("silence", 0.5), SynthSpec("noise", 0.3, amplitude=0.2, seed=1)]
     )
     params = TimingParams(require_voicing=True)
-    assert count_syllable_nuclei(pat.buffer, None, params) == 0
+    contour = intensity_track(pat.buffer)
+    assert count_syllable_nuclei(pat.buffer, contour, None, params) == 0
     relaxed = TimingParams(require_voicing=False)
-    assert count_syllable_nuclei(pat.buffer, None, relaxed) == 2
+    assert count_syllable_nuclei(pat.buffer, contour, None, relaxed) == 2
 
 
 def test_constructed_rates():
@@ -142,7 +146,7 @@ def test_constructed_rates():
     buf = pat.buffer
     assert buf.duration == pytest.approx(2.0)
     track = pitch_track_two_pass(buf)
-    tf = timing_features(buf, track)
+    tf = timing_features(buf, intensity_track(buf), track)
     assert tf.n_syllables == 5
     assert tf.n_pauses == 1
     assert tf.speaking_rate == pytest.approx(2.5)
@@ -153,7 +157,7 @@ def test_constructed_rates():
 def test_rate_identity_exact():
     pat = burst_pattern(4)
     track = pitch_track_two_pass(pat.buffer)
-    tf = timing_features(pat.buffer, track)
+    tf = timing_features(pat.buffer, intensity_track(pat.buffer), track)
     assert tf.speaking_rate == pytest.approx(
         tf.articulation_rate * (tf.phonation_time / tf.duration), rel=1e-9
     )
@@ -163,7 +167,7 @@ def test_rate_identity_exact():
 def test_pause_count_matches_brute_force_scan():
     for n, gap in ((2, 0.5), (3, 0.45), (5, 0.6)):
         pat = burst_pattern(n, gap=gap)
-        regions = detect_speech_regions(pat.buffer)
+        regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
         assert sum(1 for s in regions if s.kind == "pause") == brute_force_pause_count(pat.buffer)
 
 
@@ -181,26 +185,29 @@ def test_quantized_periodic_bursts_not_overcounted(tmp_path):
     write_wav(pat.buffer, path)
     buf = to_canonical(read_wav(path))
     track = pitch_track_two_pass(buf)
-    assert count_syllable_nuclei(buf, track) == 4
+    assert count_syllable_nuclei(buf, intensity_track(buf), track) == 4
 
 
 def test_counts_gain_invariant():
     pat = burst_pattern(3)
     track = pitch_track_two_pass(pat.buffer)
-    n1 = count_syllable_nuclei(pat.buffer, track)
+    contour = intensity_track(pat.buffer)
+    n1 = count_syllable_nuclei(pat.buffer, contour, track)
     scaled = AudioBuffer.mono(pat.buffer.signal * 0.1, RATE)
     track2 = pitch_track_two_pass(scaled)
-    assert count_syllable_nuclei(scaled, track2) == n1
-    r1 = detect_speech_regions(pat.buffer)
-    r2 = detect_speech_regions(scaled)
+    scaled_contour = intensity_track(scaled)
+    assert count_syllable_nuclei(scaled, scaled_contour, track2) == n1
+    r1 = detect_speech_regions(pat.buffer, contour)
+    r2 = detect_speech_regions(scaled, scaled_contour)
     assert [s.kind for s in r1] == [s.kind for s in r2]
 
 
 def test_empty_buffer():
     with pytest.raises(ZeroDuration):
-        timing_features(AudioBuffer.mono(np.zeros(0), RATE), None)
+        timing_features(AudioBuffer.mono(np.zeros(0), RATE), NO_CONTOUR, None)
 
 
 def test_all_silence_zero_phonation():
     with pytest.raises(ZeroPhonationTime):
-        timing_features(synth_silence(1.0), None)
+        silence = synth_silence(1.0)
+        timing_features(silence, intensity_track(silence), None)
