@@ -7,12 +7,11 @@ conventions and collection schedules, and normative summary tables.
 
 __version__ = "0.1.0"
 
-from .audio_io import AudioBuffer, CanonicalPolicy, read_wav, to_canonical, write_wav
+from .audio_io import AudioBuffer, read_wav, to_canonical, write_wav
 from .errors import RepSpeechError
 
 __all__ = [
     "AudioBuffer",
-    "CanonicalPolicy",
     "RepSpeechError",
     "read_wav",
     "to_canonical",

@@ -84,11 +84,9 @@ class Analysis:
     def pitch(self) -> PitchTrack:
         return self._track("pitch", lambda: phonation.pitch_track_two_pass(self.buf, self.pitch_explore))
 
-    def intensity(self, frame_len: float = 0.040, hop: float = 0.010) -> IntensityTrack:
-        """The intensity contour; contours of equal frame length and hop are one track."""
-        return self._track(
-            ("intensity", frame_len, hop), lambda: phonation.intensity_track(self.buf, frame_len, hop)
-        )
+    def intensity(self) -> IntensityTrack:
+        """The intensity contour, which intensity_mean and the timing detectors both read."""
+        return self._track("intensity", lambda: phonation.intensity_track(self.buf))
 
     def hnr(self) -> tuple:
         return self._track("hnr", lambda: phonation.hnr_track(self.buf, self.pitch()))
@@ -97,9 +95,7 @@ class Analysis:
         return self._track("cpp", lambda: phonation.cpp_track(self.buf, self.cpp_params))
 
     def spectra(self) -> tuple:
-        return self._track(
-            "spectra", lambda: phonation.voiced_frame_spectra(self.buf, self.pitch(), self.slope_params)
-        )
+        return self._track("spectra", lambda: phonation.voiced_frame_spectra(self.buf, self.pitch()))
 
     def formants(self) -> FormantTrack:
         return self._track(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, resample
-from .dsp import CHUNK_FRAMES, frame_centers, gather_frames, gaussian_window, lpc_burg
-from .errors import NoVoicedFrames, SignalTooShort, SilentSignal
+from .dsp import frame_centers, frame_chunks, gaussian_window, lpc_burg, span
+from .errors import NoVoicedFrames, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
 
@@ -40,11 +40,10 @@ class FormantTrack:
     f1: np.ndarray
     f2: np.ndarray
     valid: np.ndarray
-    params_used: FormantParams
 
     def slice(self, tmin: float, tmax: float) -> "FormantTrack":
-        keep = (self.times >= tmin) & (self.times <= tmax)
-        return FormantTrack(self.times[keep], self.f1[keep], self.f2[keep], self.valid[keep], self.params_used)
+        keep = span(self.times, tmin, tmax)
+        return FormantTrack(self.times[keep], self.f1[keep], self.f2[keep], self.valid[keep])
 
     def means(self) -> tuple[float | None, float | None]:
         """Mean F1/F2 over valid frames, or None when no frame is valid."""
@@ -77,19 +76,15 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
     y = pre_emphasize(y, params.pre_emphasis_from, analysis_rate)
     win_n = int(round(2.0 * params.window_len * analysis_rate))
     step_n = max(1, int(round(params.step * analysis_rate)))
-    if len(y) < win_n:
-        raise SignalTooShort("buffer shorter than one formant frame")
     window = gaussian_window(win_n)
     centers = frame_centers(len(y), win_n, step_n)
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
     times, f1s, f2s, valids = [], [], [], []
-    for start in range(0, len(voiced), CHUNK_FRAMES):
-        sub = voiced[start : start + CHUNK_FRAMES]
-        frames = gather_frames(y, sub, win_n)
+    for rows, frames in frame_chunks(y, voiced, win_n):
         frames -= frames.mean(axis=1, keepdims=True)
         frames *= window
-        for c, seg in zip(sub, frames):
+        for c, seg in zip(voiced[rows], frames):
             if not np.any(seg):
                 continue
             freqs = _candidate_frequencies(lpc_burg(seg, params.lpc_order), analysis_rate, params)
@@ -100,7 +95,7 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
             valids.append(valid)
     if not times:
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
-    return FormantTrack(np.asarray(times), np.asarray(f1s), np.asarray(f2s), np.asarray(valids, dtype=bool), params)
+    return FormantTrack(np.asarray(times), np.asarray(f1s), np.asarray(f2s), np.asarray(valids, dtype=bool))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 _PCM_FULL_SCALE = {8: 128.0, 16: 32768.0, 24: 8388608.0, 32: 2147483648.0}
 
+CANONICAL_RATE = 16000  # Hz, the sample rate of every buffer the features read
+
 # Kaiser beta 8.0 gives ~81 dB of stopband attenuation, comfortably past the
 # 60 dB needed to keep resampling aliases below feature-relevant levels.
 _KAISER_BETA = 8.0
@@ -86,13 +88,6 @@ class AudioBuffer:
         if i1 < i0:
             i1 = i0
         return AudioBuffer(self.samples[:, i0:i1], self.sample_rate, self.source_bit_depth)
-
-
-@dataclass(frozen=True)
-class CanonicalPolicy:
-    """Target format for pipeline input: mono at ``target_rate`` (16 kHz)."""
-
-    target_rate: int = 16000
 
 
 def read_wav(path) -> AudioBuffer:
@@ -187,14 +182,12 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(frames, rate, bits)
 
 
-def write_wav(buf: AudioBuffer, path, bit_depth: int = 16) -> None:
-    """Encode a buffer as little-endian integer PCM.
+def write_wav(buf: AudioBuffer, path) -> None:
+    """Encode a buffer as little-endian 16-bit integer PCM.
 
     Round-tripping through :func:`read_wav` reproduces samples within
     one quantization step.
     """
-    if bit_depth != 16:
-        raise ValueError("only 16-bit output supported")
     scale = _PCM_FULL_SCALE[16]
     q = np.clip(np.round(buf.samples * scale), -scale, scale - 1).astype("<i2")
     interleaved = q.T.reshape(-1).tobytes()
@@ -228,18 +221,17 @@ def resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     return resample_poly(np.asarray(x, dtype=np.float64), up, down, window=("kaiser", _KAISER_BETA))
 
 
-def to_canonical(buf: AudioBuffer, policy: CanonicalPolicy | None = None) -> AudioBuffer:
-    """Downmix and resample a buffer to the canonical pipeline format.
+def to_canonical(buf: AudioBuffer) -> AudioBuffer:
+    """Downmix and resample a buffer to the canonical pipeline format, mono at ``CANONICAL_RATE``.
 
     Channels are averaged, the result is resampled with a windowed-sinc
     polyphase filter, and amplitudes are clamped to [-1, 1].  Applying
     the conversion to already-canonical input is an identity.
     """
-    policy = policy or CanonicalPolicy()
     if buf.channels == 1 or np.all(buf.samples == buf.samples[0]):
         mono = buf.samples[0]
     else:
         mono = buf.samples.mean(axis=0)
-    y = resample(mono, buf.sample_rate, policy.target_rate)
+    y = resample(mono, buf.sample_rate, CANONICAL_RATE)
     y = np.clip(y, -1.0, 1.0)
-    return AudioBuffer(y, policy.target_rate, buf.source_bit_depth)
+    return AudioBuffer(y, CANONICAL_RATE, buf.source_bit_depth)

@@ -23,9 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .alignment import find_target_vowels, read_textgrid
-from .audio_io import CanonicalPolicy, read_wav, to_canonical, write_wav
+from .audio_io import read_wav, to_canonical, write_wav
 from .errors import RepSpeechError
 from .pipeline import (
+    LEVEL_FEATURES,
     ExtractionRequest,
     PipelineParams,
     S_FEATURES,
@@ -39,7 +40,6 @@ from .protocol import (
     SessionSchedule,
     checklist_template,
     lint_study_design,
-    parse_recording_filename,
     validate_manifest,
     validate_qc_log,
     validate_questionnaire,
@@ -145,7 +145,7 @@ def _write_out(text: str, output: str | None) -> None:
 
 
 def _cmd_canonicalize(args) -> int:
-    buf = to_canonical(read_wav(args.input), CanonicalPolicy())
+    buf = to_canonical(read_wav(args.input))
     write_wav(buf, args.output)
     print(f"wrote {args.output}: {buf.duration:.3f} s at {buf.sample_rate} Hz", file=sys.stderr)
     return EXIT_OK
@@ -179,6 +179,9 @@ def _extract_one(req: ExtractionRequest):
 
 def _cmd_extract(args) -> int:
     levels = tuple(s.strip() for s in args.level.split(",") if s.strip())
+    unknown = [level for level in levels if level not in LEVEL_FEATURES]
+    if unknown:
+        raise RepSpeechError(f"unknown extraction level {unknown[0]!r}; choose from {', '.join(LEVEL_FEATURES)}")
     params = _pipeline_params(args)
     requests = []
     for path in sorted(args.inputs):
@@ -248,16 +251,12 @@ def _cmd_validate(args) -> int:
     if args.what == "manifest":
         if not args.expect:
             raise RepSpeechError("manifest validation needs --expect with the expectation grid")
-        expect_raw = json.loads(Path(args.expect).read_text(encoding="utf-8"))
-        expectation = ManifestExpectation(
-            sessions=tuple((s["participant"], s["day"], s["session"]) for s in expect_raw["sessions"]),
-            devices=tuple(expect_raw.get("devices", DEFAULT_DEVICES)),
-            tasks=tuple(expect_raw["tasks"]) if expect_raw.get("tasks") else None,
-        )
-        manifest = [parse_recording_filename(name) for name in data]
+        expectation = ManifestExpectation.from_dict(json.loads(Path(args.expect).read_text(encoding="utf-8")))
+        if not isinstance(data, list) or not all(isinstance(name, str) for name in data):
+            raise RepSpeechError("a manifest is a JSON list of filenames")
         devices = tuple(args.devices.split(",")) if args.devices else DEFAULT_DEVICES
         tasks = tuple(args.tasks.split(",")) if args.tasks else DEFAULT_TASKS
-        report = validate_manifest(manifest, expectation, devices, tasks)
+        report = validate_manifest(data, expectation, devices, tasks)
     elif args.what == "schedule":
         schedules = data if isinstance(data, list) else [data]
         report = None
@@ -335,18 +334,6 @@ def _cmd_synth(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config file supplies defaults; explicit flags win.  Defaults must be
-    # pushed into every subparser because each parses into its own namespace.
-    try:
-        pre, _ = parser.parse_known_args(argv)
-        config = _load_config(pre.config)
-        if config:
-            parser.set_defaults(**config)
-            for sp in subparsers:
-                sp.set_defaults(**config)
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {
         "canonicalize": _cmd_canonicalize,
         "extract": _cmd_extract,
@@ -355,8 +342,19 @@ def main(argv: list[str] | None = None) -> int:
         "validate": _cmd_validate,
         "synth": _cmd_synth,
     }
+    # config file supplies defaults; explicit flags win.  Defaults must be
+    # pushed into every subparser because each parses into its own namespace.
     try:
+        args, _ = parser.parse_known_args(argv)  # --config and --json, before the config is read
+        config = _load_config(args.config)
+        if config:
+            parser.set_defaults(**config)
+            for sp in subparsers:
+                sp.set_defaults(**config)
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (RepSpeechError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(exc, args.json)
         return EXIT_ERROR

@@ -1,21 +1,22 @@
 """The batched numerical kernels that the feature extractors run.
 
 Each operation has one kernel here, and each kernel works on many frames
-at once, one frame per row: framing (frame centres, frame gathering), the
-gaussian analysis window, power spectra, window-compensated normalized
-autocorrelation, dB cepstra, Burg linear prediction, parabolic and
-tapered-sinc peak refinement, and robust trend lines.  Everything is a
-pure function over numpy arrays; the feature modules compose them into
-the extractors.
+at once, one frame per row: framing (frame centres, frame gathering in
+bounded chunks), span selection over frame times, the gaussian analysis
+window, power spectra, window-compensated normalized autocorrelation, dB
+cepstra, Burg linear prediction, parabolic and tapered-sinc peak
+refinement, and robust trend lines.  Everything is a pure function over
+numpy arrays; the feature modules compose them into the extractors.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
-from .errors import OrderTooHigh, ZeroEnergyFrame
+from .errors import OrderTooHigh, SignalTooShort, ZeroEnergyFrame
 
 CHUNK_FRAMES = 2048  # frames processed per batch to bound memory
 
@@ -40,11 +41,14 @@ def gaussian_window(n: int) -> np.ndarray:
 
 
 def frame_centers(n: int, win_n: int, step_n: int) -> np.ndarray:
-    """Sample index of the centre of every whole ``win_n``-sample frame of an n-sample signal."""
+    """Sample index of the centre of every whole ``win_n``-sample frame of an n-sample signal.
+
+    Raises SignalTooShort when not one whole frame fits.
+    """
     half = win_n // 2
     last = n - (win_n - half)
     if last < half:
-        return np.zeros(0, dtype=int)
+        raise SignalTooShort(f"signal of {n} samples is shorter than one {win_n}-sample frame")
     return np.arange(half, last + 1, step_n)
 
 
@@ -53,6 +57,22 @@ def gather_frames(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
     half = win_n // 2
     idx = centers[:, None] - half + np.arange(win_n)[None, :]
     return x[idx]
+
+
+def frame_chunks(x: np.ndarray, centers: np.ndarray, win_n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, frames) over ``centers`` in order, at most CHUNK_FRAMES frames at a time.
+
+    ``rows`` is the slice of ``centers`` a chunk covers, and ``frames`` its
+    ``gather_frames`` rows, so memory stays bounded whatever the length.
+    """
+    for start in range(0, len(centers), CHUNK_FRAMES):
+        rows = slice(start, start + CHUNK_FRAMES)
+        yield rows, gather_frames(x, centers[rows], win_n)
+
+
+def span(times: np.ndarray, t0: float, t1: float) -> slice:
+    """The frames of ascending ``times`` that lie in [t0, t1], as a slice (empty when none do)."""
+    return slice(int(np.searchsorted(times, t0, "left")), int(np.searchsorted(times, t1, "right")))
 
 
 def power_spectra(frames: np.ndarray, nfft: int) -> np.ndarray:

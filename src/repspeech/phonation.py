@@ -8,10 +8,12 @@ public entry point runs it twice, adapting the search range to the
 speaker's quartiles, which avoids the false high readings that a fixed
 wide ceiling produces.
 
-Framing, windows, spectra, autocorrelation, cepstra, peak refinement and
-trend lines are the batched kernels of ``dsp``; each track runs them over
-bounded chunks of frames so multi-minute recordings stay within a few
-hundred MB.
+Framing, span selection, windows, spectra, autocorrelation, cepstra, peak
+refinement and trend lines are the batched kernels of ``dsp``; each track
+runs them over bounded chunks of frames so multi-minute recordings stay
+within a few hundred MB.  The intensity contour, the timing detectors
+that read it and the voiced spectra share one grid: 40 ms Hann frames
+every 10 ms (``FRAME_LEN``, ``HOP``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .audio_io import AudioBuffer
 from .dsp import (
     CHUNK_FRAMES,
     frame_centers,
+    frame_chunks,
     gather_frames,
     gaussian_window,
     log_db_cepstrogram,
@@ -34,16 +37,21 @@ from .dsp import (
     parabolic_refine,
     power_spectra,
     sinc_refine,
+    span,
     trend_lines,
     window_autocorr,
 )
-from .errors import InsufficientBandwidth, NoVoicedFrames, SignalTooShort, SilentSignal
+from .errors import InsufficientBandwidth, NoVoicedFrames, SilentSignal
 
 DB_REF_PRESSURE = 2e-5  # full-scale amplitude 1.0 is treated as 1.0 reference units
 _MSQ_FLOOR = 1e-30  # mean square of a frame without energy
 # the level of a frame at the floor, with slack for rounding; one nonzero
 # 32-bit PCM sample lifts the frame centred on it some 90 dB above this
 _FLOOR_DB = 10.0 * math.log10(_MSQ_FLOOR / DB_REF_PRESSURE**2) + 1e-6
+
+# the one frame grid of the intensity contour, timing and spectral slope
+FRAME_LEN = 0.040  # s, Hann window
+HOP = 0.010  # s
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +94,8 @@ class PitchTrack:
     def voiced_f0(self) -> np.ndarray:
         return self.f0[self.voiced]
 
-    @property
-    def time_step(self) -> float:
-        return self.params_used.time_step
-
     def slice(self, tmin: float, tmax: float) -> "PitchTrack":
-        keep = (self.times >= tmin) & (self.times <= tmax)
+        keep = span(self.times, tmin, tmax)
         return PitchTrack(self.times[keep], self.f0[keep], self.params_used)
 
     def voiced_at_many(self, ts: np.ndarray) -> np.ndarray:
@@ -104,7 +108,7 @@ class PitchTrack:
         right = np.clip(right, 0, len(self.times) - 1)
         pick_right = np.abs(self.times[right] - ts) < np.abs(self.times[left] - ts)
         nearest = np.where(pick_right, right, left)
-        close = np.abs(self.times[nearest] - ts) <= 0.5 * self.time_step + 1e-9
+        close = np.abs(self.times[nearest] - ts) <= 0.5 * self.params_used.time_step + 1e-9
         return close & (self.f0[nearest] > 0)
 
 
@@ -112,14 +116,9 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     """Single-pass autocorrelation pitch analysis over a canonical buffer."""
     x = buf.signal
     rate = buf.sample_rate
-    eff_len = params.periods_per_window / params.floor
-    win_n = int(round(2.0 * eff_len * rate))  # gaussian window: physical = 2x effective
-    if win_n < 8 or win_n > len(x):
-        raise SignalTooShort(f"signal shorter than one {eff_len * 2:.3f} s pitch window")
+    win_n = int(round(2.0 * params.periods_per_window / params.floor * rate))  # gaussian: physical = 2x effective
     step_n = max(1, int(round(params.time_step * rate)))
     centers = frame_centers(len(x), win_n, step_n)
-    if len(centers) == 0:
-        raise SignalTooShort("no complete pitch frames fit the signal")
 
     lag_min = max(2, int(math.floor(rate / params.ceiling)))
     lag_max = min(win_n // 2 - 2, int(math.ceil(rate / params.floor)))
@@ -136,15 +135,12 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     n_cand = params.max_candidates
     freqs_mat = np.zeros((n_frames, n_cand))
     strengths_mat = np.full((n_frames, n_cand), -np.inf)
-    for start in range(0, n_frames, CHUNK_FRAMES):
-        sub = centers[start : start + CHUNK_FRAMES]
-        frames = gather_frames(x, sub, win_n)
+    for rows, frames in frame_chunks(x, centers, win_n):
         local_peaks = np.max(np.abs(frames), axis=1)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         r, dead = normalized_autocorrelation(frames, nfft, rw)
         _chunk_candidates(
-            r, dead, local_peaks, global_peak, rate, params, lag_min, lag_max,
-            freqs_mat[start : start + len(sub)], strengths_mat[start : start + len(sub)],
+            r, dead, local_peaks, global_peak, rate, params, lag_min, lag_max, freqs_mat[rows], strengths_mat[rows]
         )
 
     path = _best_path(freqs_mat, strengths_mat, params)
@@ -275,33 +271,28 @@ class IntensityTrack:
     level_db: np.ndarray
 
 
-def intensity_track(buf: AudioBuffer, frame_len: float = 0.040, hop: float = 0.010) -> IntensityTrack:
-    """Hann-weighted mean-square level per frame, in dB."""
+def _grid(buf: AudioBuffer) -> tuple[np.ndarray, int]:
+    """Centres and length in samples of the ``FRAME_LEN`` / ``HOP`` frames of ``buf``."""
+    win_n = int(round(FRAME_LEN * buf.sample_rate))
+    step_n = max(1, int(round(HOP * buf.sample_rate)))
+    return frame_centers(buf.n_samples, win_n, step_n), win_n
+
+
+def intensity_track(buf: AudioBuffer) -> IntensityTrack:
+    """Hann-weighted mean-square level per frame of the shared grid, in dB."""
     x = buf.signal
-    rate = buf.sample_rate
-    win_n = int(round(frame_len * rate))
-    step_n = max(1, int(round(hop * rate)))
-    if len(x) < win_n:
-        raise SignalTooShort("buffer shorter than one intensity frame")
-    centers = frame_centers(len(x), win_n, step_n)
+    centers, win_n = _grid(buf)
     w = np.hanning(win_n)
     wsum = float(np.sum(w))
     level = np.empty(len(centers))
-    for start in range(0, len(centers), CHUNK_FRAMES):
-        sub = centers[start : start + CHUNK_FRAMES]
-        frames = gather_frames(x, sub, win_n)
+    for rows, frames in frame_chunks(x, centers, win_n):
         msq = (frames**2 @ w) / wsum
-        level[start : start + len(sub)] = 10.0 * np.log10(np.maximum(msq, _MSQ_FLOOR) / DB_REF_PRESSURE**2)
-    return IntensityTrack(centers / rate, level)
+        level[rows] = 10.0 * np.log10(np.maximum(msq, _MSQ_FLOOR) / DB_REF_PRESSURE**2)
+    return IntensityTrack(centers / buf.sample_rate, level)
 
 
 def _energy_mean_db(levels: np.ndarray) -> float:
     return 10.0 * math.log10(float(np.mean(10.0 ** (levels / 10.0))))
-
-
-def _in_span(times: np.ndarray, tmin: float, tmax: float) -> np.ndarray:
-    """Mask of the frame times inside [tmin, tmax]."""
-    return (times >= tmin) & (times <= tmax)
 
 
 def intensity_mean(track: IntensityTrack, tmin: float, tmax: float) -> float:
@@ -316,19 +307,21 @@ def intensity_mean(track: IntensityTrack, tmin: float, tmax: float) -> float:
     peak = float(np.max(track.level_db)) if len(track.level_db) else -math.inf
     if peak <= _FLOOR_DB:
         raise SilentSignal("no signal energy")
-    keep = (track.level_db >= peak - 30.0) & _in_span(track.times, tmin, tmax)
-    if not np.any(keep):
+    level = track.level_db[span(track.times, tmin, tmax)]
+    level = level[level >= peak - 30.0]
+    if len(level) == 0:
         raise SilentSignal("no frame of the span above the silence floor")
-    return _energy_mean_db(track.level_db[keep])
+    return _energy_mean_db(level)
 
 
 # ---------------------------------------------------------------------------
 # harmonics-to-noise ratio
 
 
-def hnr_track(
-    buf: AudioBuffer, track: PitchTrack, periods_per_window: float = 4.5
-) -> tuple[np.ndarray, np.ndarray]:
+_HNR_PERIODS_PER_WINDOW = 4.5  # gaussian window length in periods of the pitch floor
+
+
+def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarray]:
     """Per-voiced-frame harmonics-to-noise ratio in dB.
 
     For each voiced frame the window-compensated autocorrelation is
@@ -340,7 +333,7 @@ def hnr_track(
     x = buf.signal
     rate = buf.sample_rate
     floor = track.params_used.floor
-    win_n = int(round(2.0 * periods_per_window / floor * rate))
+    win_n = int(round(2.0 * _HNR_PERIODS_PER_WINDOW / floor * rate))
     window = gaussian_window(win_n)
     half = win_n // 2
     max_lag = min(win_n - 2, int(math.ceil(rate / floor)) + 4)
@@ -348,9 +341,7 @@ def hnr_track(
     n_bins = nfft // 2 + 1
 
     fold = np.full(n_bins, 2.0)
-    fold[0] = 1.0
-    if nfft % 2 == 0:
-        fold[-1] = 1.0
+    fold[[0, -1]] = 1.0  # DC and Nyquist bins (nfft is even) appear once
     wpower = np.abs(np.fft.rfft(window, nfft)) ** 2 * fold
     rw0 = float(wpower.sum())
 
@@ -374,9 +365,8 @@ def hnr_track(
     )
     idx = np.flatnonzero(usable)
     times_out, values_out = [], []
-    for start in range(0, len(idx), CHUNK_FRAMES):
-        sel = idx[start : start + CHUNK_FRAMES]
-        frames = gather_frames(x, centers[sel], win_n)
+    for rows, frames in frame_chunks(x, centers[idx], win_n):
+        sel = idx[rows]
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         live = np.any(frames, axis=1)
         if not np.any(live):
@@ -404,7 +394,7 @@ def hnr_track(
 def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
     """Mean HNR over the voiced frames in [tmin, tmax]; ``hnr`` is the recording's ``hnr_track``."""
     times, values = hnr
-    values = values[_in_span(times, tmin, tmax)]
+    values = values[span(times, tmin, tmax)]
     if len(values) == 0:
         raise NoVoicedFrames("no analyzable voiced frames for harmonicity")
     return float(np.mean(values))
@@ -417,21 +407,13 @@ def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> fl
 @dataclass(frozen=True)
 class SlopeParams:
     band: tuple[float, float] = (50.0, 5000.0)
-    frame_len: float = 0.040
-    hop: float = 0.010
 
 
-def voiced_frame_spectra(
-    buf: AudioBuffer, track: PitchTrack, params: SlopeParams = SlopeParams()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, frequency axis, and power spectra of voiced frames."""
+def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, frequency axis, and power spectra of the voiced frames of the shared grid."""
     x = buf.signal
     rate = buf.sample_rate
-    win_n = int(round(params.frame_len * rate))
-    step_n = max(1, int(round(params.hop * rate)))
-    if len(x) < win_n:
-        raise SignalTooShort("buffer shorter than one analysis frame")
-    centers = frame_centers(len(x), win_n, step_n)
+    centers, win_n = _grid(buf)
     times = centers / rate
     keep = track.voiced_at_many(times)
     if not np.any(keep):
@@ -440,10 +422,9 @@ def voiced_frame_spectra(
     w = np.hanning(win_n)
     kept = centers[keep]
     power = np.empty((len(kept), nfft // 2 + 1))
-    for start in range(0, len(kept), CHUNK_FRAMES):
-        sub = kept[start : start + CHUNK_FRAMES]
-        frames = gather_frames(x, sub, win_n) * w
-        power[start : start + len(sub)] = power_spectra(frames, nfft)
+    for rows, frames in frame_chunks(x, kept, win_n):
+        frames *= w
+        power[rows] = power_spectra(frames, nfft)
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate)
     return times[keep], freqs, power
 
@@ -489,9 +470,7 @@ def spectral_slope(
     fitted over ``band`` (Hz).
     """
     times, freqs, power = spectra
-    sel = _in_span(times, tmin, tmax)
-    if not np.all(sel):  # a span over every frame averages the stored spectra without a copy
-        power = power[sel]
+    power = power[span(times, tmin, tmax)]
     if power.shape[0] == 0:
         raise NoVoicedFrames("no voiced frames for the long-term spectrum")
     ltas = power.mean(axis=0)
@@ -538,8 +517,6 @@ def cpp_track(
     rate = buf.sample_rate
     win_n = int(round(params.frame_len * rate))
     step_n = max(1, int(round(params.step * rate)))
-    if len(x) < win_n:
-        raise SignalTooShort("buffer shorter than one cepstral frame")
     centers = frame_centers(len(x), win_n, step_n)
     n_frames = len(centers)
     global_peak = float(np.max(np.abs(x))) if np.any(x) else 0.0
@@ -607,7 +584,8 @@ def cpp_mean(cpp: tuple[np.ndarray, np.ndarray, np.ndarray], tmin: float, tmax: 
     ``cpp`` is the recording's ``cpp_track``.
     """
     times, values, included = cpp
-    keep = included & _in_span(times, tmin, tmax)
-    if not np.any(keep):
+    keep = span(times, tmin, tmax)
+    values = values[keep][included[keep]]
+    if len(values) == 0:
         raise SilentSignal("no frames above the silence threshold")
-    return float(np.mean(values[keep]))
+    return float(np.mean(values))

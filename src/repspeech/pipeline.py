@@ -27,7 +27,7 @@ from .alignment import (
 )
 from .analysis import A_FEATURES, Analysis, fill
 from .articulation import FormantParams
-from .audio_io import CanonicalPolicy, read_wav, to_canonical
+from .audio_io import read_wav, to_canonical
 from .errors import AlignmentMissing, RepSpeechError, SignalTooShort, error_code
 from .phonation import CppParams, PitchParams, SlopeParams
 from .timing import NO_CONTOUR, TimingParams, timing_features
@@ -108,7 +108,7 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
     params = req.params
     name = Path(req.audio_path).stem
     try:
-        buf = to_canonical(read_wav(req.audio_path), CanonicalPolicy())
+        buf = to_canonical(read_wav(req.audio_path))
     except RepSpeechError as exc:  # every feature of every level carries the read error
         code = error_code(exc)
         return [
@@ -132,7 +132,7 @@ def _rates(analysis: Analysis, params: TimingParams) -> tuple[float, float, floa
     except RepSpeechError:
         pitch = None  # every nucleus then counts as unvoiced
     try:
-        contour = analysis.intensity(params.frame_len, params.hop)
+        contour = analysis.intensity()  # the contour intensity_mean reads
     except SignalTooShort:
         contour = NO_CONTOUR
     tf = timing_features(analysis.buf, contour, pitch, params)

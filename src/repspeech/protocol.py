@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
 from itertools import product
 
-from .errors import BadFieldCount, EmptyField
+from .errors import BadFieldCount, EmptyField, RepSpeechError, error_code
 
 # ---------------------------------------------------------------------------
 # reports
@@ -114,6 +114,18 @@ class ManifestExpectation:
     devices: tuple[str, ...]
     tasks: tuple[str, ...] | None = None
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ManifestExpectation":
+        """The grid from its JSON form; a missing or malformed field raises RepSpeechError."""
+        try:
+            return cls(
+                sessions=tuple((s["participant"], s["day"], s["session"]) for s in data["sessions"]),
+                devices=tuple(data.get("devices", DEFAULT_DEVICES)),
+                tasks=tuple(data["tasks"]) if data.get("tasks") else None,
+            )
+        except (KeyError, AttributeError, TypeError) as exc:
+            raise RepSpeechError(f"manifest expectation is malformed: {type(exc).__name__}: {exc}") from exc
+
     @property
     def expected_count(self) -> int:
         per_session = len(self.devices) * (len(self.tasks) if self.tasks else 1)
@@ -131,20 +143,28 @@ class ManifestExpectation:
 
 
 def validate_manifest(
-    manifest: list[RecordingId],
+    manifest: list[RecordingId | str],
     expected: ManifestExpectation,
     device_vocabulary: tuple[str, ...] | None = None,
     task_vocabulary: tuple[str, ...] | None = None,
 ) -> Report:
     """Compare a recording manifest against the expectation grid.
 
-    The report lists missing, duplicate, and unexpected entries; the result
-    depends only on the multiset of identifiers.  Optional vocabularies
-    flag unknown device or task tokens as warnings.
+    Entries are identifiers or filenames; a filename that does not parse is
+    a finding coded with its parse error, and the other entries are still
+    checked.  The report lists missing, duplicate, and unexpected entries;
+    the result depends only on the multiset of entries.  Optional
+    vocabularies flag unknown device or task tokens as warnings.
     """
     report = Report("manifest")
+    ids: list[RecordingId] = []
+    for entry in sorted(manifest, key=str):  # findings in one order, whatever the entry order
+        try:
+            ids.append(entry if isinstance(entry, RecordingId) else parse_recording_filename(entry))
+        except (BadFieldCount, EmptyField) as exc:
+            report.add(error_code(exc), str(exc), entry)
     seen: dict[RecordingId, int] = {}
-    for rid in manifest:
+    for rid in ids:
         seen[rid] = seen.get(rid, 0) + 1
     want = expected.expected_ids()
     for rid in sorted(want - set(seen), key=RecordingId.format):
@@ -154,10 +174,10 @@ def validate_manifest(
     for rid in sorted((r for r, n in seen.items() if n > 1), key=RecordingId.format):
         report.add("Duplicate", f"recording {rid.format()} appears {seen[rid]} times", rid.format())
     if device_vocabulary:
-        for dev in sorted({r.device for r in manifest} - set(device_vocabulary)):
+        for dev in sorted({r.device for r in ids} - set(device_vocabulary)):
             report.add("UnknownDevice", f"device token {dev!r} not in the configured vocabulary", dev)
     if task_vocabulary:
-        for task in sorted({r.task for r in manifest if r.task} - set(task_vocabulary)):
+        for task in sorted({r.task for r in ids if r.task} - set(task_vocabulary)):
             report.add("UnknownTask", f"task token {task!r} not in the configured vocabulary", task)
     report.summary = {
         "manifest_count": len(manifest),
@@ -191,8 +211,12 @@ class SessionSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionSchedule":
-        starts = tuple(datetime.fromisoformat(s) for s in data["session_starts"])
-        return cls(arm=data["arm"], session_starts=starts, participant=data.get("participant", ""))
+        """The schedule from its JSON form; a missing or malformed field raises RepSpeechError."""
+        try:
+            starts = tuple(datetime.fromisoformat(s) for s in data["session_starts"])
+            return cls(arm=data["arm"], session_starts=starts, participant=data.get("participant", ""))
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            raise RepSpeechError(f"schedule is malformed: {type(exc).__name__}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,8 @@
 """Speech timing: pause detection, syllable-nucleus counting, rate features.
 
-Both detectors read one intensity contour of the recording at the timing
-frame length and hop, which the caller computes once (``NO_CONTOUR`` when
-the recording is shorter than one frame).  Silence is anything more than
+Both detectors read one intensity contour of the recording, on the shared
+40 ms / 10 ms frame grid of ``phonation``, which the caller computes once
+(``NO_CONTOUR`` when the recording is shorter than one frame).  Silence is anything more than
 the threshold below the loudest frame; internal silent runs of at least
 the minimum pause length count as pauses, and syllable nuclei are
 intensity peaks flanked by dips that coincide with voiced frames.
@@ -17,7 +17,7 @@ from scipy.signal import find_peaks
 
 from .audio_io import AudioBuffer
 from .errors import ZeroDuration, ZeroPhonationTime
-from .phonation import IntensityTrack, PitchTrack
+from .phonation import HOP, IntensityTrack, PitchTrack
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,6 @@ class TimingParams:
     min_dip_db: float = 2.0
     min_pause_s: float = 0.30
     require_voicing: bool = True
-    frame_len: float = 0.040
-    hop: float = 0.010
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def detect_speech_regions(
     Silent runs shorter than the minimum pause are absorbed into speech;
     leading and trailing silence belongs to neither category.  All-silent
     input yields an empty list.  ``contour`` is the intensity track of
-    ``buf`` at the ``params`` frame length and hop.
+    ``buf``.
     """
     if len(contour.level_db) == 0 or not np.any(buf.signal):
         return []
@@ -92,7 +90,7 @@ def detect_speech_regions(
         return []
     runs = _runs(mask)
     # frame i covers [t_i - hop/2, t_i + hop/2], clipped to the recording
-    half = 0.5 * params.hop
+    half = 0.5 * HOP
 
     def run_bounds(i0: int, i1: int) -> tuple[float, float]:
         start = max(0.0, contour.times[i0] - half)
@@ -132,8 +130,7 @@ def count_syllable_nuclei(
     consecutive maxima without such a valley between them merge into one
     nucleus.  When voicing is required, the peak must fall on a voiced
     pitch frame; a peak outside the pitch track's span is read at its
-    first or last frame.  ``contour`` is the intensity track of ``buf`` at
-    the ``params`` frame length and hop.
+    first or last frame.  ``contour`` is the intensity track of ``buf``.
     """
     if not np.any(buf.signal) or len(contour.level_db) == 0:
         return 0
@@ -178,8 +175,7 @@ def timing_features(
     Duration is the full recording length; speaking rate divides nuclei by
     it, articulation rate divides by phonation time only, and
     speaking_rate = articulation_rate x (phonation_time / duration).
-    Both detectors read ``contour``, the intensity track of ``buf`` at the
-    ``params`` frame length and hop.
+    Both detectors read ``contour``, the intensity track of ``buf``.
     """
     if buf.n_samples == 0:
         raise ZeroDuration("empty recording")

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import make_wav_bytes
 
-from repspeech.audio_io import AudioBuffer, CanonicalPolicy, read_wav, resample, to_canonical, write_wav
+from repspeech.audio_io import AudioBuffer, read_wav, resample, to_canonical, write_wav
 from repspeech.errors import MalformedRiff, TruncatedData, UnsupportedEncoding
 from repspeech.synth import synth_pulse_train
 
@@ -180,7 +180,7 @@ def test_canonical_preserves_tone_frequency():
 def test_downmix_identical_channels_exact():
     x = np.linspace(-0.5, 0.5, 1000)
     buf = AudioBuffer(np.stack([x, x, x]), 16000)
-    canon = to_canonical(buf, CanonicalPolicy())
+    canon = to_canonical(buf)
     np.testing.assert_array_equal(canon.samples[0], x)
 
 

@@ -259,3 +259,62 @@ def test_summarize_non_utf8_exits_2(tmp_path, capsys):
     assert main(["summarize", str(path), "--group", "cohort"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: UnicodeDecodeError:") and err.count("\n") == 1
+
+
+def error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
+EXPECT = {"sessions": [{"participant": "P01", "day": "D1", "session": "S1"}], "devices": ["condenser", "iPhone11"]}
+
+
+# valid JSON of the wrong shape: (subcommand, file content, --expect content)
+WRONG_SHAPES = {
+    "schedule_without_starts": ("schedule", {"arm": "Day"}, None),
+    "schedule_bad_date": ("schedule", {"arm": "Day", "session_starts": ["not-a-date"]}, None),
+    "expectation_without_sessions": ("manifest", ["P01_condenser_D1_S1.wav"], {"devices": ["condenser"]}),
+    "manifest_not_names": ("manifest", [1], EXPECT),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_validate_wrong_shape_exits_2(tmp_path, capsys, case):
+    what, content, expect = WRONG_SHAPES[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    argv = ["validate", what, str(path)]
+    if expect is not None:
+        (tmp_path / "expect.json").write_text(json.dumps(expect))
+        argv += ["--expect", str(tmp_path / "expect.json")]
+    assert main(argv) == 2
+    assert error_line(capsys).startswith("error: RepSpeechError:")
+
+
+def test_validate_manifest_reports_unparseable_names(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(["badname", "P01_condenser_D1_S1.wav", "P01__D1_S1.wav"]))
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps(EXPECT))
+    assert main(["validate", "manifest", str(manifest), "--expect", str(expect)]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [(f["code"], f["context"]) for f in findings] == [
+        ("EmptyField", "P01__D1_S1.wav"),
+        ("BadFieldCount", "badname"),
+        ("Missing", "P01_iPhone11_D1_S1"),
+    ]
+
+
+def test_extract_unknown_level_exits_2(recording, capsys):
+    _, wav, _ = recording
+    assert main(["extract", "--level", "X", wav]) == 2
+    assert error_line(capsys).startswith("error: RepSpeechError: unknown extraction level 'X'")
+
+
+def test_undecodable_config_exits_2(recording, tmp_path, capsys):
+    _, _, tg = recording
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{bad")
+    assert main(["--config", str(cfg), "vowels", tg]) == 2
+    assert error_line(capsys).startswith("error: JSONDecodeError:")

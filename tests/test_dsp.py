@@ -1,10 +1,11 @@
-"""Batched numerical kernels: framing, spectra, autocorrelation, Burg, cepstra, peaks, lines."""
+"""Batched numerical kernels: framing, spans, spectra, autocorrelation, Burg, cepstra, peaks, lines."""
 
 import numpy as np
 import pytest
 
 from repspeech.dsp import (
     frame_centers,
+    frame_chunks,
     gather_frames,
     gaussian_window,
     log_db_cepstrogram,
@@ -14,10 +15,11 @@ from repspeech.dsp import (
     parabolic_refine,
     power_spectra,
     sinc_refine,
+    span,
     trend_lines,
     window_autocorr,
 )
-from repspeech.errors import OrderTooHigh
+from repspeech.errors import OrderTooHigh, SignalTooShort
 from repspeech.synth import synth_pulse_train
 
 RATE = 16000
@@ -60,7 +62,8 @@ def test_single_frame_when_length_equals_duration():
 
 
 def test_too_short_signal():
-    assert len(frame_centers(480, 640, 160)) == 0
+    with pytest.raises(SignalTooShort):
+        frame_centers(480, 640, 160)
 
 
 def test_frames_are_windowed():
@@ -69,6 +72,30 @@ def test_frames_are_windowed():
     frames = gather_frames(x, centers, 800) * np.hanning(800)
     for c, frame in zip(centers, frames):
         np.testing.assert_array_equal(frame, x[c - 400 : c + 400] * np.hanning(800))
+
+
+def test_chunks_cover_every_frame_in_order():
+    x = np.random.default_rng(0).standard_normal(4999 * 16 + 64)
+    centers = frame_centers(len(x), 64, 16)
+    assert len(centers) == 5000
+    chunks = list(frame_chunks(x, centers, 64))
+    assert [len(frames) for _rows, frames in chunks] == [2048, 2048, 904]
+    assert np.array_equal(np.concatenate([np.arange(5000)[rows] for rows, _ in chunks]), np.arange(5000))
+    for rows, frames in chunks:
+        np.testing.assert_array_equal(frames, gather_frames(x, centers[rows], 64))
+
+
+# -- span selection ----------------------------------------------------------------
+
+
+def test_span_selects_what_the_bounds_mask_selects():
+    times = np.array([0.0, 0.01, 0.02, 0.02, 0.03, 0.05, 0.08])
+    bounds = [(0.0, 0.08), (0.01, 0.02), (0.02, 0.02), (0.015, 0.045), (-1.0, 0.0), (0.08, 9.0),
+              (0.021, 0.029), (0.05, 0.01), (-2.0, -1.0), (0.09, 1.0)]
+    for t0, t1 in bounds:
+        mask = (times >= t0) & (times <= t1)
+        np.testing.assert_array_equal(np.arange(len(times))[span(times, t0, t1)], np.flatnonzero(mask))
+    assert times[span(np.zeros(0), 0.0, 1.0)].size == 0
 
 
 # -- power spectrum --------------------------------------------------------------

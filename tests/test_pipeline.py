@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
-from repspeech.audio_io import AudioBuffer, CanonicalPolicy, read_wav, to_canonical, write_wav
-from repspeech.phonation import intensity_track, pitch_track_two_pass
+from repspeech.audio_io import AudioBuffer, write_wav
 from repspeech.pipeline import (
     A_FEATURES,
     ExtractionRequest,
-    PipelineParams,
     S_FEATURES,
     extract_recording,
     record_to_row,
 )
 from repspeech.synth import synth_formant_voice, synth_pulse_train
-from repspeech.timing import TimingParams, timing_features
 
 
 @pytest.fixture(scope="module")
@@ -173,21 +170,6 @@ def test_each_track_computed_once(voice_recording, monkeypatch):
     s_rec, a_rec = extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
     assert not s_rec.errors and not a_rec.errors
     assert counts == {**dict.fromkeys(TRACKS, 1), "phonation.pitch_track": 2}  # two pitch passes
-
-
-def test_own_timing_contour_for_other_frames(voice_recording, monkeypatch):
-    wav, tg = voice_recording
-    timing = TimingParams(frame_len=0.03)
-    counts = count_calls(monkeypatch)
-    (rec,) = extract_recording(ExtractionRequest(wav, tg, ("S",), PipelineParams(timing=timing)))
-    assert counts["phonation.intensity_track"] == 2
-    buf = to_canonical(read_wav(wav), CanonicalPolicy())
-    tf = timing_features(buf, intensity_track(buf, timing.frame_len, timing.hop), pitch_track_two_pass(buf), timing)
-    assert (rec.features["speaking_rate"], rec.features["articulation_rate"], rec.features["pause_rate"]) == (
-        tf.speaking_rate,
-        tf.articulation_rate,
-        tf.pause_rate,
-    )
 
 
 def test_no_target_vowels_marks_features_absent(voice_recording, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from repspeech.audio_io import AudioBuffer
 from repspeech.errors import ZeroDuration, ZeroPhonationTime
-from repspeech.phonation import PitchParams, PitchTrack, intensity_track, pitch_track_two_pass
+from repspeech.phonation import HOP, PitchParams, PitchTrack, intensity_track, pitch_track_two_pass
 from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
 from repspeech.timing import (
     NO_CONTOUR,
@@ -33,7 +33,7 @@ def burst_pattern(n_bursts, burst=0.25, gap=0.4, f0=200, lead=0.0, trail=0.0):
 
 def brute_force_pause_count(buf, params=TimingParams()):
     """Literal scan over the intensity contour, as an independent oracle."""
-    track = intensity_track(buf, params.frame_len, params.hop)
+    track = intensity_track(buf)
     mask = track.level_db >= track.level_db.max() + params.silence_threshold_db
     count = 0
     i = 0
@@ -44,7 +44,7 @@ def brute_force_pause_count(buf, params=TimingParams()):
             while j < n and not mask[j]:
                 j += 1
             is_internal = i > 0 and j < n
-            gap = (j - i) * params.hop
+            gap = (j - i) * HOP
             if is_internal and gap >= params.min_pause_s:
                 count += 1
             i = j
