@@ -1,8 +1,9 @@
 """Formant estimation and spectral moments.
 
-Formants come from per-frame Burg linear prediction on a signal resampled
-to twice the formant ceiling: polynomial roots above the real axis map to
-candidate resonances, and the in-band ones are kept in ascending order.
+Formants come from Burg linear prediction of every voiced frame of a signal
+resampled to twice the formant ceiling, batched over frames: polynomial
+roots above the real axis map to candidate resonances, and the two lowest
+in-band ones are F1 and F2.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ class FormantTrack:
         return float(np.mean(self.f1[self.valid])), float(np.mean(self.f2[self.valid]))
 
 
-def _candidate_frequencies(coeffs: np.ndarray, rate: float, params: FormantParams) -> np.ndarray:
-    roots = np.roots(coeffs)
-    roots = roots[np.imag(roots) > 0]
-    freqs = np.angle(roots) * rate / (2.0 * math.pi)
-    with np.errstate(divide="ignore"):
-        bandwidths = -np.log(np.maximum(np.abs(roots), 1e-12)) * rate / math.pi
-    keep = (freqs > 50.0) & (freqs < params.ceiling - 50.0) & (bandwidths < params.max_bandwidth)
-    return np.sort(freqs[keep])
-
-
 def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = FormantParams()) -> FormantTrack:
     """Burg-method formant analysis on the voiced frames of a recording.
 
@@ -80,22 +71,42 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
     centers = frame_centers(len(y), win_n, step_n)
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
-    times, f1s, f2s, valids = [], [], [], []
+    times, lowest = [], []
     for rows, frames in frame_chunks(y, voiced, win_n):
         frames -= frames.mean(axis=1, keepdims=True)
         frames *= window
-        for c, seg in zip(voiced[rows], frames):
-            if not np.any(seg):
-                continue
-            freqs = _candidate_frequencies(lpc_burg(seg, params.lpc_order), analysis_rate, params)
-            times.append(c / analysis_rate)
-            valid = len(freqs) >= 2
-            f1s.append(freqs[0] if valid else 0.0)
-            f2s.append(freqs[1] if valid else 0.0)
-            valids.append(valid)
-    if not times:
+        live = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
+        times.append(voiced[rows][live] / analysis_rate)
+        lowest.append(_lowest_resonances(lpc_burg(frames[live], params.lpc_order), analysis_rate, params))
+    if not any(len(t) for t in times):
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
-    return FormantTrack(np.asarray(times), np.asarray(f1s), np.asarray(f2s), np.asarray(valids, dtype=bool))
+    lowest = np.concatenate(lowest)
+    valid = np.isfinite(lowest[:, 1])
+    lowest[~valid] = 0.0
+    return FormantTrack(np.concatenate(times), lowest[:, 0], lowest[:, 1], valid)
+
+
+def _lowest_resonances(coeffs: np.ndarray, rate: float, params: FormantParams) -> np.ndarray:
+    """The two lowest in-band resonances (Hz) of each row's prediction polynomial, inf where missing.
+
+    The roots are the eigenvalues of the stacked companion matrices; a
+    root above the real axis is a resonance at its angle, with a bandwidth
+    set by its distance from the unit circle.
+    """
+    m, order = coeffs.shape[0], coeffs.shape[1] - 1
+    companion = np.zeros((m, order, order))
+    companion[:, 0, :] = -coeffs[:, 1:]  # the leading coefficient is 1
+    companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    freqs = np.angle(roots) * rate / (2.0 * math.pi)
+    bandwidths = -np.log(np.maximum(np.abs(roots), 1e-12)) * rate / math.pi
+    keep = (
+        (np.imag(roots) > 0)
+        & (freqs > 50.0)
+        & (freqs < params.ceiling - 50.0)
+        & (bandwidths < params.max_bandwidth)
+    )
+    return np.sort(np.where(keep, freqs, np.inf), axis=1)[:, :2]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ import functools
 from typing import Iterator
 
 import numpy as np
+import scipy.fft
 
-from .errors import OrderTooHigh, SignalTooShort, ZeroEnergyFrame
+from .errors import OrderTooHigh, SignalTooShort
 
 CHUNK_FRAMES = 2048  # frames processed per batch to bound memory
 
@@ -105,40 +106,43 @@ def normalized_autocorrelation(frames: np.ndarray, nfft: int, rw: np.ndarray) ->
 
 
 def log_db_cepstrogram(frames: np.ndarray, fft_size: int) -> np.ndarray:
-    """Batched real cepstra (rows = frames) of dB log-power spectra."""
+    """Batched real cepstra (rows = frames) of dB log-power spectra, quefrencies 0 to fft_size / 2.
+
+    The dB spectrum of a real frame is real and even, so its inverse
+    transform is the type-I cosine transform of the one-sided half.
+    """
     power = power_spectra(frames, fft_size)
     floors = power.max(axis=1, keepdims=True) * 1e-12
     floors = np.maximum(floors, np.finfo(float).tiny)
     level_db = 10.0 * np.log10(np.maximum(power, floors))
-    return np.fft.irfft(level_db, fft_size, axis=1)[:, : fft_size // 2 + 1]
+    return scipy.fft.dct(level_db, type=1, axis=1, overwrite_x=True) / fft_size
 
 
-def lpc_burg(samples: np.ndarray, order: int) -> np.ndarray:
-    """Burg-method linear prediction coefficients [1, a1, ..., a_order].
+def lpc_burg(frames: np.ndarray, order: int) -> np.ndarray:
+    """Burg-method linear prediction coefficients [1, a1, ..., a_order] of every frame.
 
-    The reflection coefficients are bounded by 1 in magnitude, so the
-    resulting all-pole filter is stable for any input.
+    Frames run along the last axis, and the result keeps the leading
+    shape.  The reflection coefficients are bounded by 1 in magnitude, so
+    every resulting all-pole filter is stable; an all-zero frame gives
+    [1, 0, ..., 0].
     """
-    x = np.asarray(samples, dtype=np.float64)
-    n = len(x)
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
     if order < 2:
         raise ValueError("order must be at least 2")
     if n <= order:
         raise OrderTooHigh(f"order {order} needs more than {order} samples, got {n}")
-    if not np.any(x):
-        raise ZeroEnergyFrame("all-zero frame")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    fwd = x[1:].copy()
-    bwd = x[:-1].copy()
+    a = np.zeros(x.shape[:-1] + (order + 1,))
+    a[..., 0] = 1.0
+    fwd = x[..., 1:]
+    bwd = x[..., :-1]
     for i in range(order):
-        den = float(np.dot(fwd, fwd) + np.dot(bwd, bwd))
-        k = 0.0 if den <= np.finfo(float).tiny else -2.0 * float(np.dot(fwd, bwd)) / den
-        prev = a.copy()
-        a[1 : i + 2] = prev[1 : i + 2] + k * prev[i::-1]
-        new_fwd = fwd[1:] + k * bwd[1:]
-        bwd = bwd[:-1] + k * fwd[:-1]
-        fwd = new_fwd
+        den = np.einsum("...j,...j->...", fwd, fwd) + np.einsum("...j,...j->...", bwd, bwd)
+        live = den > np.finfo(float).tiny
+        k = np.where(live, -2.0 * np.einsum("...j,...j->...", fwd, bwd) / np.where(live, den, 1.0), 0.0)
+        k = k[..., None]
+        a[..., 1 : i + 2] = a[..., 1 : i + 2] + k * a[..., i::-1]
+        fwd, bwd = fwd[..., 1:] + k * bwd[..., 1:], bwd[..., :-1] + k * fwd[..., :-1]
     return a
 
 
@@ -208,6 +212,17 @@ def trend_lines(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = n // 2
     dx = x[h:] - x[: n - h]
     slopes = (y[:, h:] - y[:, : n - h]) / dx[None, :]
-    slope = np.median(slopes, axis=1)
-    intercept = np.median(y - slope[:, None] * x[None, :], axis=1)
+    slope = _row_medians(slopes)
+    intercept = _row_medians(y - slope[:, None] * x[None, :])
     return slope, intercept
+
+
+def _row_medians(y: np.ndarray) -> np.ndarray:
+    """``np.median(y, axis=1)`` for finite y, from a single partition of each row."""
+    n = y.shape[1]
+    h = n // 2
+    part = np.partition(y, h, axis=1)
+    if n % 2:
+        return part[:, h]
+    # the lower half holds the rest of the smallest values; its maximum is the other middle one
+    return (part[:, :h].max(axis=1) + part[:, h]) / 2

@@ -34,10 +34,6 @@ class SignalTooShort(RepSpeechError):
     """Signal is shorter than one analysis frame."""
 
 
-class ZeroEnergyFrame(RepSpeechError):
-    """Frame contains only zeros."""
-
-
 class OrderTooHigh(RepSpeechError):
     """Prediction order is not smaller than the frame length."""
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
+from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .audio_io import AudioBuffer
 from .dsp import (
@@ -197,31 +197,32 @@ def _chunk_candidates(r, dead, local_peaks, global_peak, rate, params, lag_min, 
     strengths_out[rows, rank + 1] = vals - params.octave_cost * np.log2(params.floor * lag_s)
 
 
-def _transition_costs(f_prev: np.ndarray, f_cur: np.ndarray, params: PitchParams) -> np.ndarray:
-    """Cost matrix between candidate sets of adjacent frames.
-
-    Unvoiced-to-unvoiced is free, a voicing flip costs the fixed penalty,
-    and voiced-to-voiced costs the octave-jump weight per octave moved.
-    """
-    pv = f_prev > 0
-    cv = f_cur > 0
-    both = pv[:, None] & cv[None, :]
-    cost = np.where(pv[:, None] != cv[None, :], params.voiced_unvoiced_cost, 0.0)
-    safe_prev = np.where(pv, f_prev, 1.0)
-    safe_cur = np.where(cv, f_cur, 1.0)
-    jumps = params.octave_jump_cost * np.abs(np.log2(safe_cur[None, :] / safe_prev[:, None]))
-    return np.where(both, jumps, cost)
-
-
 def _best_path(freqs: np.ndarray, strengths: np.ndarray, params: PitchParams) -> np.ndarray:
-    """Dynamic-programming candidate choice maximizing strength minus costs."""
-    n = freqs.shape[0]
+    """Dynamic-programming candidate choice maximizing strength minus transition costs.
+
+    Between adjacent frames, unvoiced-to-unvoiced is free, a voicing flip
+    costs the fixed penalty, and voiced-to-voiced costs the octave-jump
+    weight per octave moved.  The costs of up to CHUNK_FRAMES frame pairs
+    are built in one array op.
+    """
+    n, n_cand = freqs.shape
+    voiced = freqs > 0
+    safe = np.where(voiced, freqs, 1.0)
     score = strengths[0].copy()
-    back = np.zeros((n, freqs.shape[1]), dtype=np.int64)
-    for i in range(1, n):
-        total = score[:, None] - _transition_costs(freqs[i - 1], freqs[i], params)
-        back[i] = np.argmax(total, axis=0)
-        score = total[back[i], np.arange(total.shape[1])] + strengths[i]
+    back = np.zeros((n, n_cand), dtype=np.int64)
+    cols = np.arange(n_cand)
+    for start in range(1, n, CHUNK_FRAMES):
+        cur = slice(start, min(n, start + CHUNK_FRAMES))
+        prev = slice(start - 1, cur.stop - 1)
+        pv = voiced[prev][:, :, None]
+        cv = voiced[cur][:, None, :]
+        flips = np.where(pv != cv, params.voiced_unvoiced_cost, 0.0)
+        jumps = params.octave_jump_cost * np.abs(np.log2(safe[cur][:, None, :] / safe[prev][:, :, None]))
+        costs = np.where(pv & cv, jumps, flips)  # (frames, previous candidate, candidate)
+        for i, cost in enumerate(costs, start):
+            total = score[:, None] - cost
+            back[i] = np.argmax(total, axis=0)
+            score = total[back[i], cols] + strengths[i]
     path = np.zeros(n, dtype=np.int64)
     path[-1] = int(np.argmax(score))
     for i in range(n - 1, 0, -1):
@@ -519,7 +520,10 @@ def cpp_track(
     step_n = max(1, int(round(params.step * rate)))
     centers = frame_centers(len(x), win_n, step_n)
     n_frames = len(centers)
-    global_peak = float(np.max(np.abs(x))) if np.any(x) else 0.0
+    # the silence gate: each frame's peak magnitude against the recording's
+    # (an all-zero recording passes every frame here, but has no live frame)
+    magnitude = np.abs(x)
+    loud = maximum_filter1d(magnitude, win_n)[centers] >= params.silence_threshold * magnitude.max()
     emphasized = pre_emphasize(x, params.pre_emphasis_from, rate)
     w = np.hanning(win_n)
 
@@ -555,13 +559,7 @@ def cpp_track(
         block = smoothed[a - lo : b - lo]
         block_live = live[a - lo : b - lo]
 
-        raw = gather_frames(x, centers[a:b], win_n)
-        loud = (
-            np.max(np.abs(raw), axis=1) >= params.silence_threshold * global_peak
-            if global_peak > 0
-            else np.zeros(b - a, dtype=bool)
-        )
-        use = loud & block_live
+        use = loud[a:b] & block_live
         included[a:b] = use
         if not np.any(use):
             continue

@@ -338,6 +338,13 @@ MOOD_LABELS = (
 HEALTH_ANSWERS = ("yes", "no", "unsure")
 
 
+def _object(value, what: str) -> dict:
+    """``value`` when it is a JSON object; anything else raises RepSpeechError naming ``what``."""
+    if not isinstance(value, dict):
+        raise RepSpeechError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _parse_clock(value: str) -> bool:
     try:
         time.fromisoformat(value)
@@ -353,6 +360,7 @@ def validate_questionnaire(resp: dict) -> Report:
     label is optional but must come from the nine-value list when present.
     """
     report = Report("questionnaire")
+    resp = _object(resp, "a questionnaire response")
     health = resp.get("minor_health_issues")
     if not isinstance(health, dict) or health.get("answer") not in HEALTH_ANSWERS:
         report.add("BadHealthAnswer", "minor_health_issues.answer must be yes, no, or unsure")
@@ -396,6 +404,7 @@ QC_LOG_FIELDS = (
 def validate_qc_log(entry: dict) -> Report:
     """Check that a quality-control log entry carries all seven fields."""
     report = Report("qc_log")
+    entry = _object(entry, "a quality-control log entry")
     for key in QC_LOG_FIELDS:
         if key not in entry:
             report.add("MissingField", f"log entry lacks {key!r}", key)
@@ -523,14 +532,16 @@ def lint_study_design(config: dict) -> Report:
     warnings rather than errors.
     """
     report = Report("checklist")
+    config = _object(config, "a study config")
     for section, aspects in DESIGN_CHECKLIST.items():
-        got_section = config.get(section, {})
+        got_section = _object(config.get(section, {}), f"section {section}")
         for aspect, considerations in aspects.items():
             entry = got_section.get(aspect)
             where = f"{section}/{aspect}"
             if entry is None:
                 report.add("Missing", f"aspect {where} is absent", where)
                 continue
+            entry = _object(entry, f"aspect {where}")
             status = entry.get("status")
             if status not in ASPECT_STATUSES:
                 report.add("BadStatus", f"{where} status {status!r} not in {ASPECT_STATUSES}", where)
@@ -542,7 +553,7 @@ def lint_study_design(config: dict) -> Report:
                 if not entry.get("reason"):
                     report.add("NotApplicableWithoutReason", f"{where} needs a reason", where)
                 continue
-            covered = entry.get("considerations", {})
+            covered = _object(entry.get("considerations", {}), f"{where} considerations")
             for consideration in considerations:
                 if consideration not in covered:
                     report.add(

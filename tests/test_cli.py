@@ -292,6 +292,28 @@ def test_validate_wrong_shape_exits_2(tmp_path, capsys, case):
     assert error_line(capsys).startswith("error: RepSpeechError:")
 
 
+# valid JSON that is not an object where the validator reads one: (subcommand, file content)
+NOT_OBJECTS = {
+    "questionnaire_string": ("questionnaire", "x"),
+    "questionnaire_list": ("questionnaire", [1]),
+    "qclog_string": ("qclog", "x"),
+    "qclog_list": ("qclog", [1]),
+    "checklist_string": ("checklist", "x"),
+    "checklist_list": ("checklist", [1]),
+    "checklist_section": ("checklist", {"participants": "x"}),
+    "checklist_aspect": ("checklist", {"participants": {"input_and_feedback": [1]}}),
+}
+
+
+@pytest.mark.parametrize("case", NOT_OBJECTS)
+def test_validate_non_object_exits_2(tmp_path, capsys, case):
+    what, content = NOT_OBJECTS[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    assert main(["validate", what, str(path)]) == 2
+    assert error_line(capsys).startswith("error: RepSpeechError:")
+
+
 def test_validate_manifest_reports_unparseable_names(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(["badname", "P01_condenser_D1_S1.wav", "P01__D1_S1.wav"]))

@@ -190,15 +190,41 @@ def test_recovers_known_ar2_filter():
     assert coeffs[2] == pytest.approx(a2, abs=1e-2)
 
 
+def burg_reference(x, order):
+    """The per-frame Burg recursion, one frame at a time."""
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    fwd = x[1:].copy()
+    bwd = x[:-1].copy()
+    for i in range(order):
+        den = float(np.dot(fwd, fwd) + np.dot(bwd, bwd))
+        k = 0.0 if den <= np.finfo(float).tiny else -2.0 * float(np.dot(fwd, bwd)) / den
+        prev = a.copy()
+        a[1 : i + 2] = prev[1 : i + 2] + k * prev[i::-1]
+        new_fwd = fwd[1:] + k * bwd[1:]
+        bwd = bwd[:-1] + k * fwd[:-1]
+        fwd = new_fwd
+    return a
+
+
+def test_batched_burg_matches_per_frame_recursion():
+    frames = np.vstack([noise_frames(range(12)), pulse_frames(), np.zeros((1, 960))])
+    coeffs = lpc_burg(frames, 10)
+    assert coeffs.shape == (len(frames), 11)
+    for row, frame in zip(coeffs, frames):
+        np.testing.assert_allclose(row, burg_reference(frame, 10), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(coeffs[-1], np.r_[1.0, np.zeros(10)])  # all-zero frame
+
+
 def test_burg_filter_always_stable():
-    for frame in noise_frames(range(20)):
-        roots = np.roots(lpc_burg(frame, 10))
+    for coeffs in lpc_burg(noise_frames(range(20)), 10):
+        roots = np.roots(coeffs)
         assert np.all(np.abs(roots) < 1.0)
 
 
 def test_order_too_high():
     with pytest.raises(OrderTooHigh):
-        lpc_burg(np.ones(8), 8)
+        lpc_burg(np.ones((3, 8)), 8)
 
 
 # -- real cepstrum ---------------------------------------------------------------
@@ -230,6 +256,17 @@ def test_cepstrum_zero_frame():
     np.testing.assert_array_equal(ceps[1], log_db_cepstrogram(frames[1:], 2048)[0])
 
 
+def test_cepstrum_matches_inverse_fft():
+    frames = np.vstack([noise_frames(range(8)), pulse_frames(), np.zeros((1, 960))])
+    power = power_spectra(frames, 2048)
+    floors = np.maximum(power.max(axis=1, keepdims=True) * 1e-12, np.finfo(float).tiny)
+    level_db = 10.0 * np.log10(np.maximum(power, floors))
+    expected = np.fft.irfft(level_db, 2048, axis=1)[:, :1025]
+    ceps = log_db_cepstrogram(frames, 2048)
+    peaks = np.abs(expected).max(axis=1, keepdims=True)
+    assert np.all(np.abs(ceps - expected) <= 1e-12 * peaks)
+
+
 # -- peak refinement and lines ------------------------------------------------------
 
 
@@ -257,6 +294,19 @@ def test_robust_line_exact_and_outlier_resistant():
     assert slope[0] == pytest.approx(3.0, abs=1e-9)
     assert intercept[0] == pytest.approx(1.0, abs=1e-9)
     assert slope[1] == pytest.approx(3.0, abs=0.2)
+
+
+@pytest.mark.parametrize("n", [200, 201, 1009, 1010])
+def test_trend_line_medians_equal_numpy_median(n):
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    y = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-3, 3, (7, 1))
+    y[0] = np.round(y[0])  # ties
+    slope, intercept = trend_lines(y, x)
+    h = n // 2
+    expected = np.median((y[:, h:] - y[:, : n - h]) / (x[h:] - x[: n - h]), axis=1)
+    np.testing.assert_array_equal(slope, expected)
+    np.testing.assert_array_equal(intercept, np.median(y - expected[:, None] * x, axis=1))
 
 
 def test_sinc_peak_recovers_fractional_maximum():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repspeech.audio_io import AudioBuffer
+from repspeech.dsp import CHUNK_FRAMES
 from repspeech.errors import InsufficientBandwidth, NoVoicedFrames, SilentSignal
 from repspeech.phonation import (
     PitchParams,
     PitchTrack,
     SlopeParams,
+    _best_path,
     cpp_mean,
     cpp_track,
     hnr_mean,
@@ -103,6 +105,41 @@ def test_pitch_gain_invariant(synth_cache):
     track2 = pitch_track_two_pass(scaled)
     assert len(track.f0) == len(track2.f0)
     np.testing.assert_allclose(track2.f0, track.f0, atol=0.1)
+
+
+def best_path_reference(freqs, strengths, params):
+    """The Viterbi path with the transition costs built one frame pair at a time."""
+    n = freqs.shape[0]
+    score = strengths[0].copy()
+    back = np.zeros((n, freqs.shape[1]), dtype=np.int64)
+    for i in range(1, n):
+        pv, cv = freqs[i - 1] > 0, freqs[i] > 0
+        cost = np.where(pv[:, None] != cv[None, :], params.voiced_unvoiced_cost, 0.0)
+        safe_prev, safe_cur = np.where(pv, freqs[i - 1], 1.0), np.where(cv, freqs[i], 1.0)
+        jumps = params.octave_jump_cost * np.abs(np.log2(safe_cur[None, :] / safe_prev[:, None]))
+        total = score[:, None] - np.where(pv[:, None] & cv[None, :], jumps, cost)
+        back[i] = np.argmax(total, axis=0)
+        score = total[back[i], np.arange(total.shape[1])] + strengths[i]
+    path = np.zeros(n, dtype=np.int64)
+    path[-1] = int(np.argmax(score))
+    for i in range(n - 1, 0, -1):
+        path[i - 1] = back[i, path[i]]
+    return path
+
+
+def test_best_path_equals_per_frame_recursion():
+    rng = np.random.default_rng(3)
+    params = PitchParams()
+    n, n_cand = 2 * CHUNK_FRAMES + 37, params.max_candidates
+    freqs = rng.uniform(75.0, 600.0, (n, n_cand))
+    strengths = rng.uniform(0.0, 1.0, (n, n_cand))
+    freqs[:, 0] = 0.0  # the unvoiced candidate
+    # frames with fewer voiced candidates leave empty slots, as _chunk_candidates does
+    n_voiced = rng.integers(0, n_cand, n)
+    empty = np.arange(n_cand)[None, :] > n_voiced[:, None]
+    freqs[empty] = 0.0
+    strengths[empty] = -np.inf
+    np.testing.assert_array_equal(_best_path(freqs, strengths, params), best_path_reference(freqs, strengths, params))
 
 
 # -- intensity --------------------------------------------------------------------
