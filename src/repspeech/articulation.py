@@ -72,7 +72,7 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
     times, lowest = [], []
-    for rows, frames in frame_chunks(y, voiced, win_n):
+    for rows, frames in frame_chunks(y, voiced, win_n, 8 * win_n):
         frames -= frames.mean(axis=1, keepdims=True)
         frames *= window
         live = np.any(frames, axis=1)  # an all-zero frame has no resonances to find

@@ -2,11 +2,12 @@
 
 Each operation has one kernel here, and each kernel works on many frames
 at once, one frame per row: framing (frame centres, frame gathering in
-bounded chunks), span selection over frame times, the gaussian analysis
-window, power spectra, window-compensated normalized autocorrelation, dB
-cepstra, Burg linear prediction, parabolic and tapered-sinc peak
-refinement, and robust trend lines.  Everything is a pure function over
-numpy arrays; the feature modules compose them into the extractors.
+chunks of ``CHUNK_BYTES``), span selection over frame times, the gaussian
+analysis window, power spectra, window-compensated normalized
+autocorrelation, dB cepstra, Burg linear prediction, parabolic and
+tapered-sinc peak refinement, and robust trend lines.  Everything is a
+pure function over numpy arrays; the feature modules compose them into
+the extractors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ import scipy.fft
 
 from .errors import OrderTooHigh, SignalTooShort
 
-CHUNK_FRAMES = 2048  # frames processed per batch to bound memory
+# Bytes of the widest per-row array a chunk loop holds at once.  Sizing every
+# chunk by bytes, not rows, keeps each loop's working set near the core's
+# cache and its memory flat with duration, whatever the row width.  2 MiB
+# (one core's L2 on the benchmark host) ran fastest of 1 to 16 MiB there.
+CHUNK_BYTES = 2 << 20
 
 
 def next_pow2(n: int) -> int:
@@ -60,14 +65,28 @@ def gather_frames(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
     return x[idx]
 
 
-def frame_chunks(x: np.ndarray, centers: np.ndarray, win_n: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, frames) over ``centers`` in order, at most CHUNK_FRAMES frames at a time.
+def chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk when the widest per-row array takes ``row_bytes``: CHUNK_BYTES worth, at least one."""
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
+def spectrum_bytes(nfft: int) -> int:
+    """Bytes per row of a complex ``nfft``-point rfft."""
+    return 16 * (nfft // 2 + 1)
+
+
+def frame_chunks(
+    x: np.ndarray, centers: np.ndarray, win_n: int, row_bytes: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, frames) over ``centers`` in order, ``chunk_rows(row_bytes)`` frames at a time.
 
     ``rows`` is the slice of ``centers`` a chunk covers, and ``frames`` its
-    ``gather_frames`` rows, so memory stays bounded whatever the length.
+    ``gather_frames`` rows; ``row_bytes`` is the widest per-row array the
+    caller derives from a frame, so memory stays bounded whatever the length.
     """
-    for start in range(0, len(centers), CHUNK_FRAMES):
-        rows = slice(start, start + CHUNK_FRAMES)
+    step = chunk_rows(row_bytes)
+    for start in range(0, len(centers), step):
+        rows = slice(start, start + step)
         yield rows, gather_frames(x, centers[rows], win_n)
 
 
@@ -168,6 +187,11 @@ def parabolic_refine(y: np.ndarray, idx: np.ndarray, limit: float) -> tuple[np.n
 
 
 _SINC_DEPTH = 30  # neighbours on each side of the interpolated peak
+# BLAS hands a product of only a few rows to a small-matrix kernel that
+# rounds differently (OpenBLAS 0.3.31: up to 29 rows of this kernel), so
+# the peaks are interpolated at least this many rows at a time to keep each
+# row's result, and the pitch path, independent of the chunk size
+_GEMM_MIN_ROWS = 64
 
 
 @functools.cache
@@ -194,7 +218,9 @@ def sinc_refine(y: np.ndarray, rows: np.ndarray, ks: np.ndarray) -> tuple[np.nda
     mirrored = np.concatenate([y[:, _SINC_DEPTH:0:-1], y], axis=1)
     gather = ks[:, None] + np.arange(2 * _SINC_DEPTH + 1)[None, :]  # shifted by +depth already
     segs = mirrored[rows[:, None], gather]
-    interp = segs @ kernel.T  # (len(ks), grid points)
+    if len(ks) < _GEMM_MIN_ROWS:
+        segs = np.concatenate([segs, np.zeros((_GEMM_MIN_ROWS - len(ks), segs.shape[1]))])
+    interp = (segs @ kernel.T)[: len(ks)]  # (len(ks), grid points)
     mi = np.argmax(interp, axis=1)
     delta, values = parabolic_refine(interp, mi, 1.0)
     step = tau_rel[1] - tau_rel[0]

@@ -10,10 +10,11 @@ wide ceiling produces.
 
 Framing, span selection, windows, spectra, autocorrelation, cepstra, peak
 refinement and trend lines are the batched kernels of ``dsp``; each track
-runs them over bounded chunks of frames so multi-minute recordings stay
-within a few hundred MB.  The intensity contour, the timing detectors
-that read it and the voiced spectra share one grid: 40 ms Hann frames
-every 10 ms (``FRAME_LEN``, ``HOP``).
+runs them over chunks of frames whose widest per-row array fills
+``dsp.CHUNK_BYTES``, so a track's working memory stays a few tens of MB
+whatever the recording's length.  The intensity contour, the timing
+detectors that read it and the voiced spectra share one grid: 40 ms Hann
+frames every 10 ms (``FRAME_LEN``, ``HOP``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .audio_io import AudioBuffer
 from .dsp import (
-    CHUNK_FRAMES,
+    chunk_rows,
     frame_centers,
     frame_chunks,
     gather_frames,
@@ -38,6 +39,7 @@ from .dsp import (
     power_spectra,
     sinc_refine,
     span,
+    spectrum_bytes,
     trend_lines,
     window_autocorr,
 )
@@ -135,7 +137,7 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     n_cand = params.max_candidates
     freqs_mat = np.zeros((n_frames, n_cand))
     strengths_mat = np.full((n_frames, n_cand), -np.inf)
-    for rows, frames in frame_chunks(x, centers, win_n):
+    for rows, frames in frame_chunks(x, centers, win_n, spectrum_bytes(nfft)):
         local_peaks = np.max(np.abs(frames), axis=1)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         r, dead = normalized_autocorrelation(frames, nfft, rw)
@@ -202,8 +204,8 @@ def _best_path(freqs: np.ndarray, strengths: np.ndarray, params: PitchParams) ->
 
     Between adjacent frames, unvoiced-to-unvoiced is free, a voicing flip
     costs the fixed penalty, and voiced-to-voiced costs the octave-jump
-    weight per octave moved.  The costs of up to CHUNK_FRAMES frame pairs
-    are built in one array op.
+    weight per octave moved.  The (cand, cand) costs of a ``CHUNK_BYTES``
+    block of frame pairs are built in one array op.
     """
     n, n_cand = freqs.shape
     voiced = freqs > 0
@@ -211,14 +213,19 @@ def _best_path(freqs: np.ndarray, strengths: np.ndarray, params: PitchParams) ->
     score = strengths[0].copy()
     back = np.zeros((n, n_cand), dtype=np.int64)
     cols = np.arange(n_cand)
-    for start in range(1, n, CHUNK_FRAMES):
-        cur = slice(start, min(n, start + CHUNK_FRAMES))
+    step = chunk_rows(8 * n_cand * n_cand)
+    for start in range(1, n, step):
+        cur = slice(start, min(n, start + step))
         prev = slice(start - 1, cur.stop - 1)
         pv = voiced[prev][:, :, None]
         cv = voiced[cur][:, None, :]
-        flips = np.where(pv != cv, params.voiced_unvoiced_cost, 0.0)
-        jumps = params.octave_jump_cost * np.abs(np.log2(safe[cur][:, None, :] / safe[prev][:, :, None]))
-        costs = np.where(pv & cv, jumps, flips)  # (frames, previous candidate, candidate)
+        # (frames, previous candidate, candidate), built in place; two
+        # unvoiced candidates (safe frequency 1) cost log2(1) = 0
+        costs = safe[cur][:, None, :] / safe[prev][:, :, None]
+        np.log2(costs, out=costs)
+        np.abs(costs, out=costs)
+        costs *= params.octave_jump_cost
+        np.copyto(costs, params.voiced_unvoiced_cost, where=pv != cv)
         for i, cost in enumerate(costs, start):
             total = score[:, None] - cost
             back[i] = np.argmax(total, axis=0)
@@ -286,7 +293,7 @@ def intensity_track(buf: AudioBuffer) -> IntensityTrack:
     w = np.hanning(win_n)
     wsum = float(np.sum(w))
     level = np.empty(len(centers))
-    for rows, frames in frame_chunks(x, centers, win_n):
+    for rows, frames in frame_chunks(x, centers, win_n, 8 * win_n):
         msq = (frames**2 @ w) / wsum
         level[rows] = 10.0 * np.log10(np.maximum(msq, _MSQ_FLOOR) / DB_REF_PRESSURE**2)
     return IntensityTrack(centers / buf.sample_rate, level)
@@ -366,7 +373,7 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarr
     )
     idx = np.flatnonzero(usable)
     times_out, values_out = [], []
-    for rows, frames in frame_chunks(x, centers[idx], win_n):
+    for rows, frames in frame_chunks(x, centers[idx], win_n, spectrum_bytes(nfft)):
         sel = idx[rows]
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         live = np.any(frames, axis=1)
@@ -423,7 +430,7 @@ def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarra
     w = np.hanning(win_n)
     kept = centers[keep]
     power = np.empty((len(kept), nfft // 2 + 1))
-    for rows, frames in frame_chunks(x, kept, win_n):
+    for rows, frames in frame_chunks(x, kept, win_n, spectrum_bytes(nfft)):
         frames *= w
         power[rows] = power_spectra(frames, nfft)
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate)
@@ -538,7 +545,12 @@ def cpp_track(
 
     included = np.zeros(n_frames, dtype=bool)
     values = np.zeros(n_frames)
-    pad = t_size  # margin so chunked time smoothing equals the full pass
+    # each frame's time smoothing is the mean of the t_size frames from
+    # ``before`` frames earlier, summed in one fixed order (the recording's
+    # end frames repeat at its edges), so it does not depend on where a
+    # chunk starts
+    before = t_size // 2
+    after = t_size - 1 - before
 
     def power_cepstra(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         frames = gather_frames(emphasized, centers[rows], win_n) * w
@@ -548,16 +560,16 @@ def cpp_track(
             pc[live] = log_db_cepstrogram(frames[live], nfft) ** 2
         return pc, live
 
-    for a in range(0, n_frames, CHUNK_FRAMES):
-        b = min(n_frames, a + CHUNK_FRAMES)
-        lo = max(0, a - pad)
-        hi = min(n_frames, b + pad)
-        rows = np.arange(lo, hi)
-        pc, live = power_cepstra(rows)
-        smoothed = uniform_filter1d(pc, size=t_size, axis=0, mode="nearest")
-        smoothed = uniform_filter1d(smoothed, size=q_size, axis=1, mode="nearest")
-        block = smoothed[a - lo : b - lo]
-        block_live = live[a - lo : b - lo]
+    step = chunk_rows(spectrum_bytes(nfft))
+    for a in range(0, n_frames, step):
+        b = min(n_frames, a + step)
+        pc, live = power_cepstra(np.clip(np.arange(a - before, b + after), 0, n_frames - 1))
+        smoothed = pc[: b - a].copy()
+        for j in range(1, t_size):
+            smoothed += pc[j : j + b - a]
+        smoothed /= t_size
+        block = uniform_filter1d(smoothed, size=q_size, axis=1, mode="nearest")
+        block_live = live[before : before + b - a]
 
         use = loud[a:b] & block_live
         included[a:b] = use

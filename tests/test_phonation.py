@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repspeech.audio_io import AudioBuffer
-from repspeech.dsp import CHUNK_FRAMES
+from repspeech.dsp import chunk_rows
 from repspeech.errors import InsufficientBandwidth, NoVoicedFrames, SilentSignal
 from repspeech.phonation import (
     PitchParams,
@@ -130,7 +130,8 @@ def best_path_reference(freqs, strengths, params):
 def test_best_path_equals_per_frame_recursion():
     rng = np.random.default_rng(3)
     params = PitchParams()
-    n, n_cand = 2 * CHUNK_FRAMES + 37, params.max_candidates
+    n_cand = params.max_candidates
+    n = 2 * chunk_rows(8 * n_cand * n_cand) + 37  # three blocks of frame-pair costs
     freqs = rng.uniform(75.0, 600.0, (n, n_cand))
     strengths = rng.uniform(0.0, 1.0, (n, n_cand))
     freqs[:, 0] = 0.0  # the unvoiced candidate
