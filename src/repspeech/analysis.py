@@ -17,10 +17,10 @@ from typing import Callable, Iterable
 # tracks are computed through their module attributes, so a wrapper
 # installed on a module (a tracer, a test's call counter) sees every call
 from . import articulation, phonation
-from .articulation import FormantParams, FormantTrack
+from .articulation import FORMANT_CEILING, FormantTrack
 from .audio_io import AudioBuffer
 from .errors import NoMeasurableInstances, RepSpeechError, error_code
-from .phonation import CppParams, IntensityTrack, PitchParams, PitchTrack, SlopeParams
+from .phonation import IntensityTrack, PitchTrack
 
 # the features that reduce over a span, in record order
 A_FEATURES = (
@@ -55,19 +55,9 @@ def fill(
 class Analysis:
     """The analysis tracks of one canonical recording, each computed on first use."""
 
-    def __init__(
-        self,
-        buf: AudioBuffer,
-        pitch_explore: PitchParams | None = None,
-        formant: FormantParams = FormantParams(),
-        cpp: CppParams = CppParams(),
-        slope: SlopeParams = SlopeParams(),
-    ):
+    def __init__(self, buf: AudioBuffer, formant_ceiling: float = FORMANT_CEILING):
         self.buf = buf
-        self.pitch_explore = pitch_explore
-        self.formant_params = formant
-        self.cpp_params = cpp
-        self.slope_params = slope
+        self.formant_ceiling = formant_ceiling
         self._tracks: dict[object, object] = {}
 
     def _track(self, key: object, compute: Callable[[], object]):
@@ -82,7 +72,7 @@ class Analysis:
         return track
 
     def pitch(self) -> PitchTrack:
-        return self._track("pitch", lambda: phonation.pitch_track_two_pass(self.buf, self.pitch_explore))
+        return self._track("pitch", lambda: phonation.pitch_track_two_pass(self.buf))
 
     def intensity(self) -> IntensityTrack:
         """The intensity contour, which intensity_mean and the timing detectors both read."""
@@ -92,14 +82,14 @@ class Analysis:
         return self._track("hnr", lambda: phonation.hnr_track(self.buf, self.pitch()))
 
     def cpp(self) -> tuple:
-        return self._track("cpp", lambda: phonation.cpp_track(self.buf, self.cpp_params))
+        return self._track("cpp", lambda: phonation.cpp_track(self.buf))
 
     def spectra(self) -> tuple:
         return self._track("spectra", lambda: phonation.voiced_frame_spectra(self.buf, self.pitch()))
 
     def formants(self) -> FormantTrack:
         return self._track(
-            "formants", lambda: articulation.formant_track(self.buf, self.pitch(), self.formant_params)
+            "formants", lambda: articulation.formant_track(self.buf, self.pitch(), self.formant_ceiling)
         )
 
     def _formant_means(self, t0: float, t1: float) -> tuple[float, float]:
@@ -121,7 +111,7 @@ class Analysis:
             (("intensity_mean",), lambda: [phonation.intensity_mean(self.intensity(), t0, t1)]),
             (("pitch_mean", "pitch_sd"), lambda: phonation.pitch_stats(self.pitch().slice(t0, t1))),
             (("hnr_mean",), lambda: [phonation.hnr_mean(self.hnr(), t0, t1)]),
-            (("spectral_slope",), lambda: [phonation.spectral_slope(self.spectra(), self.slope_params.band, t0, t1)]),
+            (("spectral_slope",), lambda: [phonation.spectral_slope(self.spectra(), t0, t1)]),
             (("cpp_mean",), lambda: [phonation.cpp_mean(self.cpp(), t0, t1)]),
             (("f1_mean", "f2_mean"), lambda: self._formant_means(t0, t1)),
             (("spectral_gravity", "spectral_deviation"), lambda: _moments(self.buf.slice(t0, t1))),

@@ -18,19 +18,11 @@ from .dsp import frame_centers, frame_chunks, gaussian_window, lpc_burg, span
 from .errors import NoVoicedFrames, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
-
-@dataclass(frozen=True)
-class FormantParams:
-    ceiling: float = 5500.0
-    n_formants: int = 5
-    window_len: float = 0.025
-    step: float = 0.010
-    pre_emphasis_from: float = 50.0
-    max_bandwidth: float = 700.0  # broad spurious poles are not resonances
-
-    @property
-    def lpc_order(self) -> int:
-        return 2 * self.n_formants
+FORMANT_CEILING = 5500.0  # Hz, the default of ``extract --formant-ceiling``
+N_FORMANTS = 5  # resonances below the ceiling; two prediction coefficients each
+FORMANT_WINDOW = 0.025  # s, effective gaussian window (physical = 2x)
+FORMANT_STEP = 0.010  # s
+FORMANT_MAX_BANDWIDTH = 700.0  # Hz; broad spurious poles are not resonances
 
 
 @dataclass(frozen=True)
@@ -53,20 +45,20 @@ class FormantTrack:
         return float(np.mean(self.f1[self.valid])), float(np.mean(self.f2[self.valid]))
 
 
-def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = FormantParams()) -> FormantTrack:
+def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_CEILING) -> FormantTrack:
     """Burg-method formant analysis on the voiced frames of a recording.
 
-    The signal is resampled to 2 x ceiling, pre-emphasized, and analyzed in
+    The signal is resampled to 2 x ceiling (Hz), pre-emphasized, and analyzed in
     gaussian-windowed frames.  A frame is valid when at least two in-band
     resonances survive; it then contributes F1 and F2 in ascending order.
     """
     if not np.any(track.voiced):
         raise NoVoicedFrames("formant analysis needs voiced frames")
-    analysis_rate = int(round(2.0 * params.ceiling))
+    analysis_rate = int(round(2.0 * ceiling))
     y = resample(buf.signal, buf.sample_rate, analysis_rate)
-    y = pre_emphasize(y, params.pre_emphasis_from, analysis_rate)
-    win_n = int(round(2.0 * params.window_len * analysis_rate))
-    step_n = max(1, int(round(params.step * analysis_rate)))
+    y = pre_emphasize(y, analysis_rate)
+    win_n = int(round(2.0 * FORMANT_WINDOW * analysis_rate))
+    step_n = max(1, int(round(FORMANT_STEP * analysis_rate)))
     window = gaussian_window(win_n)
     centers = frame_centers(len(y), win_n, step_n)
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
@@ -77,7 +69,7 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
         frames *= window
         live = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
         times.append(voiced[rows][live] / analysis_rate)
-        lowest.append(_lowest_resonances(lpc_burg(frames[live], params.lpc_order), analysis_rate, params))
+        lowest.append(_lowest_resonances(lpc_burg(frames[live], 2 * N_FORMANTS), analysis_rate, ceiling))
     if not any(len(t) for t in times):
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
     lowest = np.concatenate(lowest)
@@ -86,7 +78,7 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, params: FormantParams = F
     return FormantTrack(np.concatenate(times), lowest[:, 0], lowest[:, 1], valid)
 
 
-def _lowest_resonances(coeffs: np.ndarray, rate: float, params: FormantParams) -> np.ndarray:
+def _lowest_resonances(coeffs: np.ndarray, rate: float, ceiling: float) -> np.ndarray:
     """The two lowest in-band resonances (Hz) of each row's prediction polynomial, inf where missing.
 
     The roots are the eigenvalues of the stacked companion matrices; a
@@ -103,8 +95,8 @@ def _lowest_resonances(coeffs: np.ndarray, rate: float, params: FormantParams) -
     keep = (
         (np.imag(roots) > 0)
         & (freqs > 50.0)
-        & (freqs < params.ceiling - 50.0)
-        & (bandwidths < params.max_bandwidth)
+        & (freqs < ceiling - 50.0)
+        & (bandwidths < FORMANT_MAX_BANDWIDTH)
     )
     return np.sort(np.where(keep, freqs, np.inf), axis=1)[:, :2]
 

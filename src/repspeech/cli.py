@@ -160,10 +160,9 @@ def _pipeline_params(args) -> PipelineParams:
         timing = replace(timing, min_pause_s=args.min_pause)
     if args.min_dip is not None:
         timing = replace(timing, min_dip_db=args.min_dip)
-    formant = params.formant
+    updates = {"timing": timing}
     if args.formant_ceiling is not None:
-        formant = replace(formant, ceiling=args.formant_ceiling)
-    updates = {"timing": timing, "formant": formant}
+        updates["formant_ceiling"] = args.formant_ceiling
     if args.vowel_labels:
         updates["vowel_labels"] = frozenset(args.vowel_labels.split(","))
     if args.min_vowel_duration is not None:

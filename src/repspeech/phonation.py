@@ -14,13 +14,15 @@ runs them over chunks of frames whose widest per-row array fills
 ``dsp.CHUNK_BYTES``, so a track's working memory stays a few tens of MB
 whatever the recording's length.  The intensity contour, the timing
 detectors that read it and the voiced spectra share one grid: 40 ms Hann
-frames every 10 ms (``FRAME_LEN``, ``HOP``).
+frames every 10 ms (``FRAME_LEN``, ``HOP``); CPP takes the same frames every
+2 ms.  Every analysis setting is a module constant, so the package version
+pins each one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
@@ -51,7 +53,8 @@ _MSQ_FLOOR = 1e-30  # mean square of a frame without energy
 # 32-bit PCM sample lifts the frame centred on it some 90 dB above this
 _FLOOR_DB = 10.0 * math.log10(_MSQ_FLOOR / DB_REF_PRESSURE**2) + 1e-6
 
-# the one frame grid of the intensity contour, timing and spectral slope
+# the one frame grid of the intensity contour, timing and spectral slope;
+# CPP reads the same frame length at its own step
 FRAME_LEN = 0.040  # s, Hann window
 HOP = 0.010  # s
 
@@ -60,33 +63,31 @@ HOP = 0.010  # s
 # pitch
 
 
-@dataclass(frozen=True)
-class PitchParams:
-    """Autocorrelation pitch settings; costs follow common analysis defaults."""
-
-    floor: float = 75.0
-    ceiling: float = 600.0
-    time_step: float = 0.010
-    periods_per_window: float = 3.0
-    max_candidates: int = 15
-    silence_threshold: float = 0.03
-    voicing_threshold: float = 0.45
-    octave_cost: float = 0.01
-    octave_jump_cost: float = 0.35
-    voiced_unvoiced_cost: float = 0.14
-
-    def __post_init__(self) -> None:
-        if not 0 < self.floor < self.ceiling:
-            raise ValueError("need 0 < floor < ceiling")
+# autocorrelation pitch settings, after common analysis defaults
+PITCH_STEP = 0.010  # s between frame centres
+PITCH_PERIODS_PER_WINDOW = 3.0  # periods of the floor per effective window
+PITCH_CANDIDATES = 15  # per frame, the unvoiced candidate included
+PITCH_SILENCE_THRESHOLD = 0.03  # frame peak against the recording's peak
+PITCH_VOICING_THRESHOLD = 0.45
+PITCH_OCTAVE_COST = 0.01  # strength bonus per octave above the floor
+PITCH_OCTAVE_JUMP_COST = 0.35  # per octave moved between frames
+PITCH_VOICED_UNVOICED_COST = 0.14
+# the range of the exploratory pass, in Hz
+EXPLORE_FLOOR = 50.0
+EXPLORE_CEILING = 600.0
 
 
 @dataclass(frozen=True)
 class PitchTrack:
-    """Frame times and fundamental frequency; f0 is 0 on unvoiced frames."""
+    """Frame times and fundamental frequency; f0 is 0 on unvoiced frames.
+
+    ``floor`` and ``ceiling`` are the search range in Hz the track was made with.
+    """
 
     times: np.ndarray
     f0: np.ndarray
-    params_used: PitchParams
+    floor: float
+    ceiling: float
 
     @property
     def voiced(self) -> np.ndarray:
@@ -98,7 +99,7 @@ class PitchTrack:
 
     def slice(self, tmin: float, tmax: float) -> "PitchTrack":
         keep = span(self.times, tmin, tmax)
-        return PitchTrack(self.times[keep], self.f0[keep], self.params_used)
+        return PitchTrack(self.times[keep], self.f0[keep], self.floor, self.ceiling)
 
     def voiced_at_many(self, ts: np.ndarray) -> np.ndarray:
         """Voicing state of the nearest frame (within half a step) per query time."""
@@ -110,20 +111,22 @@ class PitchTrack:
         right = np.clip(right, 0, len(self.times) - 1)
         pick_right = np.abs(self.times[right] - ts) < np.abs(self.times[left] - ts)
         nearest = np.where(pick_right, right, left)
-        close = np.abs(self.times[nearest] - ts) <= 0.5 * self.params_used.time_step + 1e-9
+        close = np.abs(self.times[nearest] - ts) <= 0.5 * PITCH_STEP + 1e-9
         return close & (self.f0[nearest] > 0)
 
 
-def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
-    """Single-pass autocorrelation pitch analysis over a canonical buffer."""
+def pitch_track(buf: AudioBuffer, floor: float, ceiling: float) -> PitchTrack:
+    """Single-pass autocorrelation pitch analysis over a canonical buffer, searching floor-ceiling Hz."""
+    if not 0 < floor < ceiling:
+        raise ValueError("need 0 < floor < ceiling")
     x = buf.signal
     rate = buf.sample_rate
-    win_n = int(round(2.0 * params.periods_per_window / params.floor * rate))  # gaussian: physical = 2x effective
-    step_n = max(1, int(round(params.time_step * rate)))
+    win_n = int(round(2.0 * PITCH_PERIODS_PER_WINDOW / floor * rate))  # gaussian: physical = 2x effective
+    step_n = max(1, int(round(PITCH_STEP * rate)))
     centers = frame_centers(len(x), win_n, step_n)
 
-    lag_min = max(2, int(math.floor(rate / params.ceiling)))
-    lag_max = min(win_n // 2 - 2, int(math.ceil(rate / params.floor)))
+    lag_min = max(2, int(math.floor(rate / ceiling)))
+    lag_max = min(win_n // 2 - 2, int(math.ceil(rate / floor)))
     if lag_max <= lag_min + 1:
         raise ValueError("pitch range too narrow for this sample rate")
     lag_ext = min(win_n - 2, lag_max + 32)  # headroom for sinc interpolation
@@ -134,30 +137,32 @@ def pitch_track(buf: AudioBuffer, params: PitchParams) -> PitchTrack:
     global_peak = float(np.max(np.abs(x))) if len(x) else 0.0
 
     n_frames = len(centers)
-    n_cand = params.max_candidates
-    freqs_mat = np.zeros((n_frames, n_cand))
-    strengths_mat = np.full((n_frames, n_cand), -np.inf)
+    freqs_mat = np.zeros((n_frames, PITCH_CANDIDATES))
+    strengths_mat = np.full((n_frames, PITCH_CANDIDATES), -np.inf)
     for rows, frames in frame_chunks(x, centers, win_n, spectrum_bytes(nfft)):
         local_peaks = np.max(np.abs(frames), axis=1)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         r, dead = normalized_autocorrelation(frames, nfft, rw)
         _chunk_candidates(
-            r, dead, local_peaks, global_peak, rate, params, lag_min, lag_max, freqs_mat[rows], strengths_mat[rows]
+            r, dead, local_peaks, global_peak, rate, floor, ceiling, lag_min, lag_max,
+            freqs_mat[rows], strengths_mat[rows],
         )
 
-    path = _best_path(freqs_mat, strengths_mat, params)
+    path = _best_path(freqs_mat, strengths_mat)
     f0 = freqs_mat[np.arange(n_frames), path]
-    return PitchTrack(centers / rate, f0, params)
+    return PitchTrack(centers / rate, f0, floor, ceiling)
 
 
-def _chunk_candidates(r, dead, local_peaks, global_peak, rate, params, lag_min, lag_max, freqs_out, strengths_out):
+def _chunk_candidates(
+    r, dead, local_peaks, global_peak, rate, floor, ceiling, lag_min, lag_max, freqs_out, strengths_out
+):
     """Fill per-frame candidate frequencies/strengths for one frame chunk.
 
     Column 0 is the unvoiced candidate; voiced candidates are local maxima
     of the compensated autocorrelation, the strongest few refined by
     band-limited interpolation and the rest by a parabola.
     """
-    vt, st = params.voicing_threshold, params.silence_threshold
+    vt, st = PITCH_VOICING_THRESHOLD, PITCH_SILENCE_THRESHOLD
     rel = np.where(dead | (global_peak <= 0), 0.0, local_peaks / max(global_peak, 1e-30))
     freqs_out[:, 0] = 0.0
     strengths_out[:, 0] = vt + np.maximum(0.0, 2.0 - rel / (st / (1.0 + vt)))
@@ -176,7 +181,7 @@ def _chunk_candidates(r, dead, local_peaks, global_peak, rate, params, lag_min, 
     ks = ks[order]
     _uniq, starts, counts = np.unique(rows, return_index=True, return_counts=True)
     rank = np.arange(len(rows)) - np.repeat(starts, counts)
-    keep = rank < params.max_candidates - 1
+    keep = rank < PITCH_CANDIDATES - 1
     rows, ks, rank = rows[keep], ks[keep], rank[keep]
 
     lags = ks.astype(np.float64)
@@ -193,13 +198,13 @@ def _chunk_candidates(r, dead, local_peaks, global_peak, rate, params, lag_min, 
         delta, vals[coarse] = parabolic_refine(neighbours, np.ones_like(c_ks), 0.5)
         lags[coarse] = c_ks + delta
 
-    lag_s = np.clip(lags / rate, 1.0 / params.ceiling, 1.0 / params.floor)
+    lag_s = np.clip(lags / rate, 1.0 / ceiling, 1.0 / floor)
     vals = np.minimum(vals, 1.0)
     freqs_out[rows, rank + 1] = 1.0 / lag_s
-    strengths_out[rows, rank + 1] = vals - params.octave_cost * np.log2(params.floor * lag_s)
+    strengths_out[rows, rank + 1] = vals - PITCH_OCTAVE_COST * np.log2(floor * lag_s)
 
 
-def _best_path(freqs: np.ndarray, strengths: np.ndarray, params: PitchParams) -> np.ndarray:
+def _best_path(freqs: np.ndarray, strengths: np.ndarray) -> np.ndarray:
     """Dynamic-programming candidate choice maximizing strength minus transition costs.
 
     Between adjacent frames, unvoiced-to-unvoiced is free, a voicing flip
@@ -224,8 +229,8 @@ def _best_path(freqs: np.ndarray, strengths: np.ndarray, params: PitchParams) ->
         costs = safe[cur][:, None, :] / safe[prev][:, :, None]
         np.log2(costs, out=costs)
         np.abs(costs, out=costs)
-        costs *= params.octave_jump_cost
-        np.copyto(costs, params.voiced_unvoiced_cost, where=pv != cv)
+        costs *= PITCH_OCTAVE_JUMP_COST
+        np.copyto(costs, PITCH_VOICED_UNVOICED_COST, where=pv != cv)
         for i, cost in enumerate(costs, start):
             total = score[:, None] - cost
             back[i] = np.argmax(total, axis=0)
@@ -237,21 +242,19 @@ def _best_path(freqs: np.ndarray, strengths: np.ndarray, params: PitchParams) ->
     return path
 
 
-def pitch_track_two_pass(buf: AudioBuffer, explore: PitchParams | None = None) -> PitchTrack:
+def pitch_track_two_pass(buf: AudioBuffer) -> PitchTrack:
     """Two-pass pitch analysis with a speaker-adapted range.
 
-    Pass 1 explores 50-600 Hz; pass 2 re-runs with floor = 0.75 x Q1 and
-    ceiling = 1.5 x Q3 of the voiced pass-1 estimates.  The returned track
-    records the adapted range in ``params_used``.
+    Pass 1 explores ``EXPLORE_FLOOR``-``EXPLORE_CEILING`` Hz; pass 2 re-runs
+    with floor = 0.75 x Q1 and ceiling = 1.5 x Q3 of the voiced pass-1
+    estimates.  The returned track carries the adapted range.
     """
-    explore = explore or PitchParams(floor=50.0, ceiling=600.0)
-    first = pitch_track(buf, explore)
+    first = pitch_track(buf, EXPLORE_FLOOR, EXPLORE_CEILING)
     voiced = first.voiced_f0
     if voiced.size == 0:
         raise NoVoicedFrames("exploratory pass found no voicing")
     q1, q3 = np.quantile(voiced, [0.25, 0.75])
-    adapted = replace(explore, floor=0.75 * float(q1), ceiling=1.5 * float(q3))
-    return pitch_track(buf, adapted)
+    return pitch_track(buf, 0.75 * float(q1), 1.5 * float(q3))
 
 
 def pitch_stats(track: PitchTrack) -> tuple[float, float]:
@@ -340,7 +343,7 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarr
     """
     x = buf.signal
     rate = buf.sample_rate
-    floor = track.params_used.floor
+    floor = track.floor
     win_n = int(round(2.0 * _HNR_PERIODS_PER_WINDOW / floor * rate))
     window = gaussian_window(win_n)
     half = win_n // 2
@@ -412,9 +415,7 @@ def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> fl
 # spectral slope
 
 
-@dataclass(frozen=True)
-class SlopeParams:
-    band: tuple[float, float] = (50.0, 5000.0)
+SLOPE_BAND = (50.0, 5000.0)  # Hz, the range the line is fitted over
 
 
 def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,14 +438,14 @@ def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarra
     return times[keep], freqs, power
 
 
-def slope_from_spectrum(freqs: np.ndarray, power: np.ndarray, band: tuple[float, float]) -> float:
-    """Energy-weighted straight-line fit of level (dB) on log2 frequency.
+def slope_from_spectrum(freqs: np.ndarray, power: np.ndarray) -> float:
+    """Energy-weighted straight-line fit of level (dB) on log2 frequency over ``SLOPE_BAND``.
 
     The weights are the bin powers, so near-empty bins between harmonics do
     not drag the fit.  Requires energy in at least two octave bands of the
     fit range, otherwise the regression is degenerate.
     """
-    lo, hi = band
+    lo, hi = SLOPE_BAND
     keep = (freqs >= lo) & (freqs <= hi) & (freqs > 0)
     f = freqs[keep]
     p = power[keep]
@@ -469,51 +470,49 @@ def slope_from_spectrum(freqs: np.ndarray, power: np.ndarray, band: tuple[float,
     return cov / var
 
 
-def spectral_slope(
-    spectra: tuple[np.ndarray, np.ndarray, np.ndarray], band: tuple[float, float], tmin: float, tmax: float
-) -> float:
+def spectral_slope(spectra: tuple[np.ndarray, np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
     """Slope of the long-term average spectrum of the voiced frames in [tmin, tmax], dB/octave.
 
     ``spectra`` is the recording's ``voiced_frame_spectra``; the line is
-    fitted over ``band`` (Hz).
+    fitted over ``SLOPE_BAND``.
     """
     times, freqs, power = spectra
     power = power[span(times, tmin, tmax)]
     if power.shape[0] == 0:
         raise NoVoicedFrames("no voiced frames for the long-term spectrum")
     ltas = power.mean(axis=0)
-    return slope_from_spectrum(freqs, ltas, band)
+    return slope_from_spectrum(freqs, ltas)
 
 
 # ---------------------------------------------------------------------------
 # cepstral peak prominence
 
 
-@dataclass(frozen=True)
-class CppParams:
-    """Smoothed cepstral-peak settings (40 ms frames, 2 ms steps)."""
+PRE_EMPHASIS_FROM = 50.0  # Hz, before CPP and formant analysis
 
-    frame_len: float = 0.040
-    step: float = 0.002
-    pre_emphasis_from: float = 50.0
-    search_floor_hz: float = 60.0
-    search_ceiling_hz: float = 330.0
-    smooth_time: float = 0.020
-    smooth_quefrency: float = 0.0005
-    trend_min_quefrency: float = 0.001
-    silence_threshold: float = 0.03
+# smoothed cepstral-peak settings; CPP frames are the 40 ms Hann frames of
+# ``FRAME_LEN``, every ``CPP_STEP``
+CPP_STEP = 0.002  # s
+# the peak is searched between the periods of these two frequencies
+CPP_SEARCH_FLOOR = 60.0  # Hz
+CPP_SEARCH_CEILING = 330.0  # Hz
+CPP_SMOOTH_TIME = 0.020  # s, moving average over frames
+CPP_SMOOTH_QUEFRENCY = 0.0005  # s, moving average over quefrency
+CPP_TREND_MIN_QUEFRENCY = 0.001  # s, where the trend-line fit starts
+CPP_SILENCE_THRESHOLD = 0.03  # frame peak against the recording's peak
 
 
-def pre_emphasize(x: np.ndarray, from_hz: float, rate: int) -> np.ndarray:
-    alpha = math.exp(-2.0 * math.pi * from_hz / rate)
-    y = x.astype(np.float64).copy()
-    y[1:] -= alpha * y[:-1]
+def pre_emphasize(x: np.ndarray, rate: int) -> np.ndarray:
+    """First-difference pre-emphasis from ``PRE_EMPHASIS_FROM`` Hz, in one float64 copy of ``x``."""
+    alpha = math.exp(-2.0 * math.pi * PRE_EMPHASIS_FROM / rate)
+    y = np.empty(len(x))
+    y[:1] = x[:1]
+    np.multiply(x[:-1], -alpha, out=y[1:])
+    y[1:] += x[1:]
     return y
 
 
-def cpp_track(
-    buf: AudioBuffer, params: CppParams = CppParams()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame cepstral peak prominence.
 
     Returns (times, cpp values, included mask); the mask is False on frames
@@ -523,23 +522,24 @@ def cpp_track(
     """
     x = buf.signal
     rate = buf.sample_rate
-    win_n = int(round(params.frame_len * rate))
-    step_n = max(1, int(round(params.step * rate)))
+    win_n = int(round(FRAME_LEN * rate))
+    step_n = max(1, int(round(CPP_STEP * rate)))
     centers = frame_centers(len(x), win_n, step_n)
     n_frames = len(centers)
     # the silence gate: each frame's peak magnitude against the recording's
     # (an all-zero recording passes every frame here, but has no live frame)
     magnitude = np.abs(x)
-    loud = maximum_filter1d(magnitude, win_n)[centers] >= params.silence_threshold * magnitude.max()
-    emphasized = pre_emphasize(x, params.pre_emphasis_from, rate)
+    loud = maximum_filter1d(magnitude, win_n)[centers] >= CPP_SILENCE_THRESHOLD * magnitude.max()
+    del magnitude
+    emphasized = pre_emphasize(x, rate)
     w = np.hanning(win_n)
 
     nfft = next_pow2(2 * win_n)
-    t_size = max(1, int(round(params.smooth_time / params.step)))
-    q_size = max(1, int(round(params.smooth_quefrency * rate)))
-    k_lo = max(2, int(math.ceil(rate / params.search_ceiling_hz)))
-    k_hi = min(nfft // 2 - 1, int(math.floor(rate / params.search_floor_hz)))
-    k_trend = max(1, int(round(params.trend_min_quefrency * rate)))
+    t_size = max(1, int(round(CPP_SMOOTH_TIME / CPP_STEP)))
+    q_size = max(1, int(round(CPP_SMOOTH_QUEFRENCY * rate)))
+    k_lo = max(2, int(math.ceil(rate / CPP_SEARCH_CEILING)))
+    k_hi = min(nfft // 2 - 1, int(math.floor(rate / CPP_SEARCH_FLOOR)))
+    k_trend = max(1, int(round(CPP_TREND_MIN_QUEFRENCY * rate)))
     quefrencies = np.arange(nfft // 2 + 1) / rate
     x_trend = quefrencies[k_trend:]
 

@@ -26,10 +26,9 @@ from .alignment import (
     vowel_level_features,
 )
 from .analysis import A_FEATURES, Analysis, fill
-from .articulation import FormantParams
+from .articulation import FORMANT_CEILING
 from .audio_io import read_wav, to_canonical
 from .errors import AlignmentMissing, RepSpeechError, SignalTooShort, error_code
-from .phonation import CppParams, PitchParams, SlopeParams
 from .timing import NO_CONTOUR, TimingParams, timing_features
 
 RATE_FEATURES = ("speaking_rate", "articulation_rate", "pause_rate")
@@ -39,11 +38,10 @@ LEVEL_FEATURES = {"S": S_FEATURES, "a": A_FEATURES}
 
 @dataclass(frozen=True)
 class PipelineParams:
-    pitch_explore: PitchParams = field(default_factory=lambda: PitchParams(floor=50.0, ceiling=600.0))
+    """The settings ``repspeech extract`` exposes as flags; every other setting is a module constant."""
+
     timing: TimingParams = field(default_factory=TimingParams)
-    formant: FormantParams = field(default_factory=FormantParams)
-    cpp: CppParams = field(default_factory=CppParams)
-    slope: SlopeParams = field(default_factory=SlopeParams)
+    formant_ceiling: float = FORMANT_CEILING
     vowel_labels: frozenset[str] = DEFAULT_VOWEL_LABELS
     min_vowel_duration: float = DEFAULT_MIN_VOWEL_DURATION
     phone_tier: str = "phones"
@@ -70,24 +68,15 @@ class FeatureRecord:
 
 
 def _provenance(params: PipelineParams, analysis: Analysis | None) -> dict:
-    snap = {
-        "version": __version__,
-        "pitch_explore": asdict(params.pitch_explore),
-        "timing": asdict(params.timing),
-        "formant": asdict(params.formant),
-        "cpp": asdict(params.cpp),
-        "slope": asdict(params.slope),
-        "vowel_labels": sorted(params.vowel_labels),
-        "min_vowel_duration": params.min_vowel_duration,
-        "phone_tier": params.phone_tier,
-    }
+    """The version, every setting of ``params`` and, once pitch was tracked, its adapted range."""
+    snap = {"version": __version__, **asdict(params), "vowel_labels": sorted(params.vowel_labels)}
     if analysis is None:  # the recording could not be read
         return snap
     try:
-        adapted = analysis.pitch().params_used
+        pitch = analysis.pitch()
     except RepSpeechError:
         return snap
-    snap["pitch_adapted"] = {"floor": adapted.floor, "ceiling": adapted.ceiling}
+    snap["pitch_adapted"] = {"floor": pitch.floor, "ceiling": pitch.ceiling}
     return snap
 
 
@@ -116,7 +105,7 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
                           dict.fromkeys(LEVEL_FEATURES[level], code), None, _provenance(params, None))
             for level in levels
         ]
-    analysis = Analysis(buf, params.pitch_explore, params.formant, params.cpp, params.slope)
+    analysis = Analysis(buf, params.formant_ceiling)
 
     records = []
     if "S" in levels:

@@ -25,7 +25,6 @@ class TimingParams:
     silence_threshold_db: float = -25.0
     min_dip_db: float = 2.0
     min_pause_s: float = 0.30
-    require_voicing: bool = True
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,9 @@ def count_syllable_nuclei(
     A nucleus is a contour peak above the silence threshold separated from
     its neighbors by dips of at least the minimum depth on both sides;
     consecutive maxima without such a valley between them merge into one
-    nucleus.  When voicing is required, the peak must fall on a voiced
-    pitch frame; a peak outside the pitch track's span is read at its
-    first or last frame.  ``contour`` is the intensity track of ``buf``.
+    nucleus.  The peak must fall on a voiced pitch frame; a peak outside
+    the pitch track's span is read at its first or last frame, and without
+    a track no peak counts.  ``contour`` is the intensity track of ``buf``.
     """
     if not np.any(buf.signal) or len(contour.level_db) == 0:
         return 0
@@ -156,8 +155,6 @@ def count_syllable_nuclei(
             accepted.append(int(k))
         elif level[k] > level[prev]:
             accepted[-1] = int(k)
-    if not params.require_voicing:
-        return len(accepted)
     if track is None or len(track.times) == 0:
         return 0
     # intensity frames are shorter than pitch frames, so the contour starts

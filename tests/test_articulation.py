@@ -6,7 +6,7 @@ import pytest
 from repspeech.articulation import formant_track, spectral_moments
 from repspeech.audio_io import AudioBuffer
 from repspeech.errors import NoVoicedFrames, SilentSignal
-from repspeech.phonation import PitchParams, pitch_track, pitch_track_two_pass
+from repspeech.phonation import pitch_track, pitch_track_two_pass
 from repspeech.synth import synth_formant_voice, synth_noise, synth_silence
 
 RATE = 16000
@@ -33,7 +33,7 @@ def test_recovers_close_vowel_resonators():
 
 def test_unvoiced_noise_has_no_formant_frames():
     buf = synth_noise(1.0, rms=0.1, seed=0)
-    track = pitch_track(buf, PitchParams(floor=50, ceiling=600))
+    track = pitch_track(buf, 50.0, 600.0)
     assert track.voiced_f0.size == 0
     with pytest.raises(NoVoicedFrames):
         formant_track(buf, track)

@@ -1,6 +1,7 @@
 """Command-line workflow: subcommands, exit codes, output formats."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from helpers import make_wav_bytes
 
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.audio_io import read_wav, write_wav
-from repspeech.cli import main
+from repspeech.cli import _build_parser, _pipeline_params, main
 from repspeech.synth import synth_formant_voice
 
 
@@ -340,3 +341,39 @@ def test_undecodable_config_exits_2(recording, tmp_path, capsys):
     cfg.write_text("{bad")
     assert main(["--config", str(cfg), "vowels", tg]) == 2
     assert error_line(capsys).startswith("error: JSONDecodeError:")
+
+
+# each ``extract`` flag that tunes the analysis, with a value unlike its default
+TUNING_FLAGS = (
+    ("--silence-threshold-db", "-30"),
+    ("--min-pause", "0.5"),
+    ("--min-dip", "3"),
+    ("--formant-ceiling", "5000"),
+    ("--vowel-labels", "AO1,AA1"),
+    ("--min-vowel-duration", "0.08"),
+    ("--phone-tier", "segments"),
+)
+
+
+def _setting_leaves(argv: list[str]) -> dict:
+    """Every leaf of ``asdict(PipelineParams)`` as ``extract`` builds it from ``argv``, keyed by path."""
+    args = _build_parser()[0].parse_args(["extract", "x.wav", *argv])
+
+    def leaves(value, path):
+        if isinstance(value, dict):
+            return {k: v for key, sub in value.items() for k, v in leaves(sub, (*path, key)).items()}
+        return {path: value}
+
+    return leaves(dataclasses.asdict(_pipeline_params(args)), ())
+
+
+def test_every_pipeline_setting_has_one_extract_flag():
+    base = _setting_leaves([])
+    covered = set()
+    for flag, value in TUNING_FLAGS:
+        leaves = _setting_leaves([flag, value])
+        assert leaves.keys() == base.keys()
+        changed = {path for path in base if leaves[path] != base[path]}
+        assert len(changed) == 1, (flag, changed)
+        covered |= changed
+    assert covered == set(base)

@@ -7,9 +7,11 @@ from repspeech.audio_io import AudioBuffer
 from repspeech.dsp import chunk_rows
 from repspeech.errors import InsufficientBandwidth, NoVoicedFrames, SilentSignal
 from repspeech.phonation import (
-    PitchParams,
+    PITCH_CANDIDATES,
+    PITCH_OCTAVE_JUMP_COST,
+    PITCH_VOICED_UNVOICED_COST,
+    PRE_EMPHASIS_FROM,
     PitchTrack,
-    SlopeParams,
     _best_path,
     cpp_mean,
     cpp_track,
@@ -19,6 +21,7 @@ from repspeech.phonation import (
     intensity_track,
     pitch_stats,
     pitch_track_two_pass,
+    pre_emphasize,
     spectral_slope,
     voiced_frame_spectra,
 )
@@ -39,7 +42,7 @@ def test_two_pass_floor_adapts_below_default(synth_cache):
     track = synth_cache.track(85)
     mean, _sd = pitch_stats(track)
     assert mean == pytest.approx(85.0, abs=1.0)
-    assert track.params_used.floor < 75.0
+    assert track.floor < 75.0
 
 
 def test_silence_has_no_voicing():
@@ -50,14 +53,14 @@ def test_silence_has_no_voicing():
 def test_track_respects_adapted_range(synth_cache):
     track = synth_cache.track(120)
     voiced = track.voiced_f0
-    assert np.all(voiced >= track.params_used.floor)
-    assert np.all(voiced <= track.params_used.ceiling)
+    assert np.all(voiced >= track.floor)
+    assert np.all(voiced <= track.ceiling)
 
 
 def _track(values):
     f0 = np.asarray(values, dtype=float)
     times = np.arange(len(f0)) * 0.01
-    return PitchTrack(times, f0, PitchParams(floor=50, ceiling=600))
+    return PitchTrack(times, f0, 50.0, 600.0)
 
 
 def test_pitch_stats_constant():
@@ -107,16 +110,16 @@ def test_pitch_gain_invariant(synth_cache):
     np.testing.assert_allclose(track2.f0, track.f0, atol=0.1)
 
 
-def best_path_reference(freqs, strengths, params):
+def best_path_reference(freqs, strengths):
     """The Viterbi path with the transition costs built one frame pair at a time."""
     n = freqs.shape[0]
     score = strengths[0].copy()
     back = np.zeros((n, freqs.shape[1]), dtype=np.int64)
     for i in range(1, n):
         pv, cv = freqs[i - 1] > 0, freqs[i] > 0
-        cost = np.where(pv[:, None] != cv[None, :], params.voiced_unvoiced_cost, 0.0)
+        cost = np.where(pv[:, None] != cv[None, :], PITCH_VOICED_UNVOICED_COST, 0.0)
         safe_prev, safe_cur = np.where(pv, freqs[i - 1], 1.0), np.where(cv, freqs[i], 1.0)
-        jumps = params.octave_jump_cost * np.abs(np.log2(safe_cur[None, :] / safe_prev[:, None]))
+        jumps = PITCH_OCTAVE_JUMP_COST * np.abs(np.log2(safe_cur[None, :] / safe_prev[:, None]))
         total = score[:, None] - np.where(pv[:, None] & cv[None, :], jumps, cost)
         back[i] = np.argmax(total, axis=0)
         score = total[back[i], np.arange(total.shape[1])] + strengths[i]
@@ -129,8 +132,7 @@ def best_path_reference(freqs, strengths, params):
 
 def test_best_path_equals_per_frame_recursion():
     rng = np.random.default_rng(3)
-    params = PitchParams()
-    n_cand = params.max_candidates
+    n_cand = PITCH_CANDIDATES
     n = 2 * chunk_rows(8 * n_cand * n_cand) + 37  # three blocks of frame-pair costs
     freqs = rng.uniform(75.0, 600.0, (n, n_cand))
     strengths = rng.uniform(0.0, 1.0, (n, n_cand))
@@ -140,7 +142,7 @@ def test_best_path_equals_per_frame_recursion():
     empty = np.arange(n_cand)[None, :] > n_voiced[:, None]
     freqs[empty] = 0.0
     strengths[empty] = -np.inf
-    np.testing.assert_array_equal(_best_path(freqs, strengths, params), best_path_reference(freqs, strengths, params))
+    np.testing.assert_array_equal(_best_path(freqs, strengths), best_path_reference(freqs, strengths))
 
 
 # -- intensity --------------------------------------------------------------------
@@ -202,7 +204,7 @@ def test_hnr_monotone_in_noise(synth_cache):
 
 def test_flat_envelope_slope(synth_cache):
     buf = synth_cache.pulse(200)
-    slope = spectral_slope(voiced_frame_spectra(buf, synth_cache.track(200)), SlopeParams().band, 0.0, buf.duration)
+    slope = spectral_slope(voiced_frame_spectra(buf, synth_cache.track(200)), 0.0, buf.duration)
     assert slope == pytest.approx(0.0, abs=1.0)
 
 
@@ -220,14 +222,14 @@ def test_tilted_envelope_slope():
     buf = tilted_pulse_train(db_per_octave=-6.0)
     track = pitch_track_two_pass(buf)
     spectra = voiced_frame_spectra(buf, track)
-    assert spectral_slope(spectra, SlopeParams().band, 0.0, buf.duration) == pytest.approx(-6.0, abs=1.0)
+    assert spectral_slope(spectra, 0.0, buf.duration) == pytest.approx(-6.0, abs=1.0)
 
 
 def test_pure_sine_slope_degenerate():
     buf = full_scale_sine(duration=2.0, freq=1000.0, amp=0.3)
     track = pitch_track_two_pass(buf)
     with pytest.raises(InsufficientBandwidth):
-        spectral_slope(voiced_frame_spectra(buf, track), SlopeParams().band, 0.0, buf.duration)
+        spectral_slope(voiced_frame_spectra(buf, track), 0.0, buf.duration)
 
 
 # -- cepstral peak prominence ------------------------------------------------------------
@@ -249,3 +251,14 @@ def test_cpp_orders_pulse_above_noise(synth_cache):
 def test_cpp_silence():
     with pytest.raises(SilentSignal):
         cpp_mean(cpp_track(synth_silence(1.0)), 0.0, 1.0)
+
+
+def test_pre_emphasis_is_a_first_difference():
+    rng = np.random.default_rng(5)
+    for rate in (16000, 11025):
+        alpha = np.exp(-2.0 * np.pi * PRE_EMPHASIS_FROM / rate)
+        for x in (np.zeros(0), np.array([0.25]), rng.standard_normal(4001)):
+            expected = np.r_[x[:1], x[1:] - alpha * x[:-1]]
+            y = pre_emphasize(x, rate)
+            assert y.dtype == np.float64
+            assert y.tobytes() == expected.tobytes()

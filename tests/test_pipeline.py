@@ -2,21 +2,26 @@
 
 import dataclasses
 import importlib
+import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repspeech import __version__
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.audio_io import AudioBuffer, write_wav
 from repspeech.pipeline import (
     A_FEATURES,
     ExtractionRequest,
+    PipelineParams,
     S_FEATURES,
     extract_recording,
     record_to_row,
 )
-from repspeech.synth import synth_formant_voice, synth_pulse_train
+from repspeech.synth import SynthSpec, synth_formant_voice, synth_pattern, synth_pulse_train
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +189,13 @@ def test_no_target_vowels_marks_features_absent(voice_recording, tmp_path):
 
 def test_provenance_snapshot(voice_recording):
     wav, tg = voice_recording
-    rec = extract_recording(ExtractionRequest(wav, tg, ("S",)))[0]
-    prov = rec.provenance
-    for key in ("pitch_explore", "timing", "formant", "cpp", "slope", "pitch_adapted"):
-        assert key in prov
-    assert prov["pitch_adapted"]["floor"] < prov["pitch_adapted"]["ceiling"]
+    params = PipelineParams(formant_ceiling=5000.0, vowel_labels=frozenset({"AO1", "AA1"}))
+    rec = extract_recording(ExtractionRequest(wav, tg, ("S",), params))[0]
+    adapted = rec.provenance["pitch_adapted"]
+    assert 0 < adapted["floor"] < adapted["ceiling"]
+    settings = {**dataclasses.asdict(params), "vowel_labels": ["AA1", "AO1"]}
+    assert rec.provenance == {"version": __version__, **settings, "pitch_adapted": adapted}
+    json.dumps(rec.provenance)  # the snapshot is plain data
 
 
 def test_row_flattening(voice_recording):
@@ -199,3 +206,38 @@ def test_row_flattening(voice_recording):
     assert [k for k in S_FEATURES if s_row[k] is not None] == list(S_FEATURES)
     assert [k for k in S_FEATURES if a_row[k] is not None] == list(A_FEATURES)
     assert a_row["n_vowel_instances"] == 2
+
+
+@st.composite
+def synth_patterns(draw):
+    """Random mixes of silence, noise, pulse-train and formant-voice segments, 0.05-1.5 s in all."""
+    total = draw(st.floats(0.05, 1.5))
+    shares = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    segments = []
+    for share in shares:
+        kind = draw(st.sampled_from(("silence", "noise", "pulse_train", "formant_voice")))
+        formants = draw(st.lists(st.tuples(st.floats(200.0, 3500.0), st.floats(40.0, 300.0)), max_size=3))
+        segments.append(
+            SynthSpec(
+                kind,
+                total * share / sum(shares),
+                f0=draw(st.floats(60.0, 450.0)),
+                formants=tuple(formants) if kind == "formant_voice" else (),
+                amplitude=draw(st.floats(0.001, 0.9)),
+                seed=draw(st.integers(0, 3)),
+            )
+        )
+    return segments, draw(st.floats(1e-4, 4.0))  # a gain above 1 clips
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(synth_patterns())
+def test_any_pattern_gives_finite_or_coded_features(tmp_path_factory, case):
+    segments, gain = case
+    buf = synth_pattern(segments).buffer
+    wav = tmp_path_factory.mktemp("prop") / "p.wav"
+    write_wav(AudioBuffer.mono(np.clip(buf.signal * gain, -1.0, 1.0), buf.sample_rate), wav)
+    (rec,) = extract_recording(ExtractionRequest(str(wav), None, ("S",)))
+    for key in S_FEATURES:
+        value = rec.features[key]
+        assert (value is not None and np.isfinite(value)) or key in rec.errors, (key, value, rec.errors)

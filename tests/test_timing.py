@@ -5,7 +5,7 @@ import pytest
 
 from repspeech.audio_io import AudioBuffer
 from repspeech.errors import ZeroDuration, ZeroPhonationTime
-from repspeech.phonation import HOP, PitchParams, PitchTrack, intensity_track, pitch_track_two_pass
+from repspeech.phonation import HOP, PitchTrack, intensity_track, pitch_track_two_pass
 from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
 from repspeech.timing import (
     NO_CONTOUR,
@@ -113,7 +113,7 @@ def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
     read_back = to_canonical(read_wav(path))
     for b in (buf, read_back):
         assert count_syllable_nuclei(b, intensity_track(b), pitch_track_two_pass(b)) == 1
-    empty = PitchTrack(np.zeros(0), np.zeros(0), PitchParams())
+    empty = PitchTrack(np.zeros(0), np.zeros(0), 75.0, 600.0)
     assert count_syllable_nuclei(read_back, intensity_track(read_back), empty) == 0
 
 
@@ -126,11 +126,11 @@ def test_unvoiced_peaks_rejected():
     pat = synth_pattern(
         [SynthSpec("noise", 0.3, amplitude=0.2), SynthSpec("silence", 0.5), SynthSpec("noise", 0.3, amplitude=0.2, seed=1)]
     )
-    params = TimingParams(require_voicing=True)
     contour = intensity_track(pat.buffer)
-    assert count_syllable_nuclei(pat.buffer, contour, None, params) == 0
-    relaxed = TimingParams(require_voicing=False)
-    assert count_syllable_nuclei(pat.buffer, contour, None, relaxed) == 2
+    assert count_syllable_nuclei(pat.buffer, contour, None) == 0
+    # both bursts are nuclei by level alone: a track voiced throughout keeps them
+    all_voiced = PitchTrack(contour.times, np.full(len(contour.times), 100.0), 75.0, 600.0)
+    assert count_syllable_nuclei(pat.buffer, contour, all_voiced) == 2
 
 
 def test_constructed_rates():
