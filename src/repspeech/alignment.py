@@ -25,6 +25,7 @@ from .errors import (
 
 DEFAULT_VOWEL_LABELS = frozenset({"AA", "AA0", "AA1", "AA2"})
 DEFAULT_MIN_VOWEL_DURATION = 0.050
+DEFAULT_PHONE_TIER = "phones"
 _BOUNDARY_SLACK = 1e-6
 
 
@@ -253,14 +254,16 @@ def serialize_textgrid(grid: TierSet) -> str:
 
 def find_target_vowels(
     grid: TierSet,
-    target_labels: frozenset[str] | set[str] = DEFAULT_VOWEL_LABELS,
-    min_duration: float = DEFAULT_MIN_VOWEL_DURATION,
-    tier_name: str = "phones",
+    target_labels: frozenset[str] | set[str],
+    min_duration: float,
+    tier_name: str,
 ) -> list[VowelInterval]:
-    """Select phone-tier intervals whose label matches and which last long enough.
+    """Select the intervals of tier ``tier_name`` whose label is a target and which last long enough.
 
     Intervals come back in time order; the duration filter keeps anything
-    at least ``min_duration`` long (a hair of float slack is allowed).
+    at least ``min_duration`` long (a hair of float slack is allowed).  The
+    ``DEFAULT_*`` constants above are the selection that both ``repspeech
+    vowels`` and ``repspeech extract --level a`` make unless told otherwise.
     """
     tier = grid.tier(tier_name)
     if tier is None:

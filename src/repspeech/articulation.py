@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, resample
-from .dsp import frame_centers, frame_chunks, gaussian_window, lpc_burg, span
+from .dsp import chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, span
 from .errors import NoVoicedFrames, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
@@ -63,19 +63,21 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_
     centers = frame_centers(len(y), win_n, step_n)
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
-    times, lowest = [], []
-    for rows, frames in frame_chunks(y, voiced, win_n, 8 * win_n):
+    def resonances(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        frames = gather_frames(y, voiced[rows], win_n)
         frames -= frames.mean(axis=1, keepdims=True)
         frames *= window
         live = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
-        times.append(voiced[rows][live] / analysis_rate)
-        lowest.append(_lowest_resonances(lpc_burg(frames[live], 2 * N_FORMANTS), analysis_rate, ceiling))
-    if not any(len(t) for t in times):
+        lowest = _lowest_resonances(lpc_burg(frames[live], 2 * N_FORMANTS), analysis_rate, ceiling)
+        return voiced[rows][live] / analysis_rate, lowest
+
+    parts = chunk_map(len(voiced), 8 * win_n, resonances)
+    if not any(len(t) for t, _ in parts):
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
-    lowest = np.concatenate(lowest)
+    times, lowest = (np.concatenate(a) for a in zip(*parts))
     valid = np.isfinite(lowest[:, 1])
     lowest[~valid] = 0.0
-    return FormantTrack(np.concatenate(times), lowest[:, 0], lowest[:, 1], valid)
+    return FormantTrack(times, lowest[:, 0], lowest[:, 1], valid)
 
 
 def _lowest_resonances(coeffs: np.ndarray, rate: float, ceiling: float) -> np.ndarray:

@@ -22,7 +22,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .alignment import find_target_vowels, read_textgrid
+from .alignment import (
+    DEFAULT_MIN_VOWEL_DURATION,
+    DEFAULT_PHONE_TIER,
+    DEFAULT_VOWEL_LABELS,
+    find_target_vowels,
+    read_textgrid,
+)
 from .audio_io import read_wav, to_canonical, write_wav
 from .errors import RepSpeechError
 from .pipeline import (
@@ -75,7 +81,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--textgrid-dir", help="directory of <name>.TextGrid files")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker processes, one recording each at a time")
     p.add_argument("--vowel-labels", help="comma-separated phone labels")
     p.add_argument("--min-vowel-duration", type=float)
     p.add_argument("--phone-tier", default=None)
@@ -87,8 +93,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p = sub.add_parser("vowels", help="list selected vowel instances from a TextGrid")
     p.add_argument("textgrid")
     p.add_argument("--labels", help="comma-separated phone labels")
-    p.add_argument("--min-duration", type=float, default=0.050)
-    p.add_argument("--tier", default="phones")
+    p.add_argument("--min-duration", type=float, default=DEFAULT_MIN_VOWEL_DURATION)
+    p.add_argument("--tier", default=DEFAULT_PHONE_TIER)
 
     p = sub.add_parser("summarize", help="normative median (q1, q3) table from a feature CSV")
     p.add_argument("features_csv")
@@ -181,6 +187,8 @@ def _cmd_extract(args) -> int:
     unknown = [level for level in levels if level not in LEVEL_FEATURES]
     if unknown:
         raise RepSpeechError(f"unknown extraction level {unknown[0]!r}; choose from {', '.join(LEVEL_FEATURES)}")
+    if args.threads < 1:
+        raise RepSpeechError(f"--threads must be at least 1, got {args.threads}")
     params = _pipeline_params(args)
     requests = []
     for path in sorted(args.inputs):
@@ -218,12 +226,8 @@ def _csv_text(rows: list[dict]) -> str:
 
 
 def _cmd_vowels(args) -> int:
-    labels = frozenset(args.labels.split(",")) if args.labels else None
-    grid = read_textgrid(args.textgrid)
-    kwargs = {"min_duration": args.min_duration, "tier_name": args.tier}
-    if labels:
-        kwargs["target_labels"] = labels
-    vowels = find_target_vowels(grid, **kwargs)
+    labels = frozenset(args.labels.split(",")) if args.labels else DEFAULT_VOWEL_LABELS
+    vowels = find_target_vowels(read_textgrid(args.textgrid), labels, args.min_duration, args.tier)
     for v in vowels:
         print(f"{v.start:.3f}\t{v.end:.3f}\t{v.label}")
     print(f"{len(vowels)} instances", file=sys.stderr)

@@ -1,19 +1,32 @@
 """The batched numerical kernels that the feature extractors run.
 
 Each operation has one kernel here, and each kernel works on many frames
-at once, one frame per row: framing (frame centres, frame gathering in
-chunks of ``CHUNK_BYTES``), span selection over frame times, the gaussian
-analysis window, power spectra, window-compensated normalized
-autocorrelation, dB cepstra, Burg linear prediction, parabolic and
-tapered-sinc peak refinement, and robust trend lines.  Everything is a
-pure function over numpy arrays; the feature modules compose them into
-the extractors.
+at once, one frame per row: framing (frame centres, frame gathering),
+span selection over frame times, the gaussian analysis window, power
+spectra, window-compensated normalized autocorrelation, dB cepstra, Burg
+linear prediction, parabolic and tapered-sinc peak refinement, and robust
+trend lines.  Every kernel is a pure function over numpy arrays; the
+feature modules compose them into the extractors.
+
+``chunk_map`` is the one frame loop.  It splits a track's frames into
+chunks whose widest per-row array fills ``CHUNK_BYTES`` and runs the
+chunks on every usable core: the calling thread and one helper thread per
+other core each take the next chunk in turn.  numpy, scipy.fft,
+scipy.ndimage and BLAS release the GIL on these arrays, so the threads
+run in parallel.  The chunks do not depend on the number of threads, so
+neither do the results, bit for bit.  A process started by
+``multiprocessing`` (an ``extract --threads N`` pool worker) runs its
+chunks in a plain loop.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, TypeVar
 
 import numpy as np
 import scipy.fft
@@ -25,6 +38,8 @@ from .errors import OrderTooHigh, SignalTooShort
 # cache and its memory flat with duration, whatever the row width.  2 MiB
 # (one core's L2 on the benchmark host) ran fastest of 1 to 16 MiB there.
 CHUNK_BYTES = 2 << 20
+
+T = TypeVar("T")
 
 
 def next_pow2(n: int) -> int:
@@ -75,19 +90,78 @@ def spectrum_bytes(nfft: int) -> int:
     return 16 * (nfft // 2 + 1)
 
 
-def frame_chunks(
-    x: np.ndarray, centers: np.ndarray, win_n: int, row_bytes: int
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, frames) over ``centers`` in order, ``chunk_rows(row_bytes)`` frames at a time.
+def chunk_map(n: int, row_bytes: int, body: Callable[[slice], T]) -> list[T]:
+    """``[body(rows) for rows in chunks]`` over the ``chunk_rows(row_bytes)``-row slices of range(n), on all cores.
 
-    ``rows`` is the slice of ``centers`` a chunk covers, and ``frames`` its
-    ``gather_frames`` rows; ``row_bytes`` is the widest per-row array the
-    caller derives from a frame, so memory stays bounded whatever the length.
+    ``row_bytes`` is the widest per-row array ``body`` derives from a row, so
+    memory stays bounded whatever the length, and ``body`` gathers its own
+    frames.  The calling thread takes chunks in turn with the helper
+    threads of ``_helpers``, and the results come back in chunk order.
+    Chunks are the same whatever the number of threads and each is computed
+    by one thread, so the result does not depend on the core count as long
+    as each ``body`` writes only its own rows.  A ``body`` that raises stops
+    the threads from taking new chunks, and the error of the earliest
+    failing chunk is raised, as in a plain loop.
     """
     step = chunk_rows(row_bytes)
-    for start in range(0, len(centers), step):
-        rows = slice(start, start + step)
-        yield rows, gather_frames(x, centers[rows], win_n)
+    chunks = [slice(a, min(n, a + step)) for a in range(0, n, step)]
+    pool, n_helpers = _helpers() if len(chunks) > 1 else (None, 0)
+    if pool is None:
+        return [body(rows) for rows in chunks]
+    results: list = [None] * len(chunks)
+    errors: list[tuple[int, BaseException]] = []
+    order = iter(range(len(chunks)))
+    taking = threading.Lock()
+
+    def work() -> None:
+        # every chunk taken is run, so the earliest failing chunk, taken
+        # before any later one, is always among the errors
+        while not errors:
+            with taking:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = body(chunks[i])
+            except BaseException as exc:  # re-raised by the caller
+                errors.append((i, exc))
+
+    helpers = [pool.submit(work) for _ in range(min(n_helpers, len(chunks) - 1))]
+    work()
+    for helper in helpers:
+        if not helper.cancel():  # a helper that never started is dropped; wait for the rest
+            helper.result()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, helpers, executor)
+_pool_lock = threading.Lock()
+
+
+def _helpers() -> tuple[ThreadPoolExecutor | None, int]:
+    """The process's chunk helpers and their number: one thread per usable core besides the caller's.
+
+    A process started by ``multiprocessing`` has none: a process pool
+    already puts one process on each core.  The executor is made on first
+    use and made again after a fork, whose child has none of its threads.
+    """
+    global _pool
+    n = usable_cores() - 1 if multiprocessing.parent_process() is None else 0
+    if n < 1:
+        return None, 0
+    with _pool_lock:
+        if _pool is None or _pool[:2] != (os.getpid(), n):
+            if _pool is not None and _pool[0] == os.getpid():
+                _pool[2].shutdown(wait=False)
+            _pool = (os.getpid(), n, ThreadPoolExecutor(n, thread_name_prefix="repspeech-chunk"))
+        return _pool[2], n
 
 
 def span(times: np.ndarray, t0: float, t1: float) -> slice:

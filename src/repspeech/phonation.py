@@ -9,14 +9,18 @@ speaker's quartiles, which avoids the false high readings that a fixed
 wide ceiling produces.
 
 Framing, span selection, windows, spectra, autocorrelation, cepstra, peak
-refinement and trend lines are the batched kernels of ``dsp``; each track
-runs them over chunks of frames whose widest per-row array fills
-``dsp.CHUNK_BYTES``, so a track's working memory stays a few tens of MB
-whatever the recording's length.  The intensity contour, the timing
-detectors that read it and the voiced spectra share one grid: 40 ms Hann
-frames every 10 ms (``FRAME_LEN``, ``HOP``); CPP takes the same frames every
-2 ms.  Every analysis setting is a module constant, so the package version
-pins each one.
+refinement and trend lines are the batched kernels of ``dsp``.  Each
+track runs them in ``dsp.chunk_map`` over chunks of frames whose widest
+per-row array fills ``dsp.CHUNK_BYTES``, so a track's working memory stays
+a few tens of MB whatever the recording's length, and the chunks run on
+every usable core with results that do not depend on the core count.
+Only the pitch path (``_best_path``) stays a sequential loop over its
+chunks, because each frame's score depends on the one before.
+
+The intensity contour, the timing detectors that read it and the voiced
+spectra share one grid: 40 ms Hann frames every 10 ms (``FRAME_LEN``,
+``HOP``); CPP takes the same frames every 2 ms.  Every analysis setting is
+a module constant, so the package version pins each one.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .audio_io import AudioBuffer
 from .dsp import (
+    chunk_map,
     chunk_rows,
     frame_centers,
-    frame_chunks,
     gather_frames,
     gaussian_window,
     log_db_cepstrogram,
@@ -139,7 +143,9 @@ def pitch_track(buf: AudioBuffer, floor: float, ceiling: float) -> PitchTrack:
     n_frames = len(centers)
     freqs_mat = np.zeros((n_frames, PITCH_CANDIDATES))
     strengths_mat = np.full((n_frames, PITCH_CANDIDATES), -np.inf)
-    for rows, frames in frame_chunks(x, centers, win_n, spectrum_bytes(nfft)):
+
+    def candidates(rows: slice) -> None:
+        frames = gather_frames(x, centers[rows], win_n)
         local_peaks = np.max(np.abs(frames), axis=1)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         r, dead = normalized_autocorrelation(frames, nfft, rw)
@@ -147,6 +153,8 @@ def pitch_track(buf: AudioBuffer, floor: float, ceiling: float) -> PitchTrack:
             r, dead, local_peaks, global_peak, rate, floor, ceiling, lag_min, lag_max,
             freqs_mat[rows], strengths_mat[rows],
         )
+
+    chunk_map(n_frames, spectrum_bytes(nfft), candidates)
 
     path = _best_path(freqs_mat, strengths_mat)
     f0 = freqs_mat[np.arange(n_frames), path]
@@ -296,9 +304,12 @@ def intensity_track(buf: AudioBuffer) -> IntensityTrack:
     w = np.hanning(win_n)
     wsum = float(np.sum(w))
     level = np.empty(len(centers))
-    for rows, frames in frame_chunks(x, centers, win_n, 8 * win_n):
-        msq = (frames**2 @ w) / wsum
+
+    def levels(rows: slice) -> None:
+        msq = (gather_frames(x, centers[rows], win_n) ** 2 @ w) / wsum
         level[rows] = 10.0 * np.log10(np.maximum(msq, _MSQ_FLOOR) / DB_REF_PRESSURE**2)
+
+    chunk_map(len(centers), 8 * win_n, levels)
     return IntensityTrack(centers / buf.sample_rate, level)
 
 
@@ -375,13 +386,14 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarr
         & (periods + 2 < max_lag)
     )
     idx = np.flatnonzero(usable)
-    times_out, values_out = [], []
-    for rows, frames in frame_chunks(x, centers[idx], win_n, spectrum_bytes(nfft)):
+
+    def harmonicity(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         sel = idx[rows]
+        frames = gather_frames(x, centers[sel], win_n)
         frames = (frames - frames.mean(axis=1, keepdims=True)) * window
         live = np.any(frames, axis=1)
         if not np.any(live):
-            continue
+            return np.zeros(0), np.zeros(0)
         sel = sel[live]
         frames = frames[live]
         power = power_spectra(frames, nfft) * fold
@@ -395,11 +407,13 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarr
         r[:, good] = (rx[:, good] / rx0[good]) / (rw[:, good] / rw0)
         _delta, val = parabolic_refine(r.T, np.argmax(r, axis=0), 1.0)
         val = np.clip(val[good], 1e-6, 1.0 - 1e-6)
-        times_out.append(track.times[sel][good])
-        values_out.append(10.0 * np.log10(val / (1.0 - val)))
-    if not times_out:
+        return track.times[sel][good], 10.0 * np.log10(val / (1.0 - val))
+
+    parts = chunk_map(len(idx), spectrum_bytes(nfft), harmonicity)
+    if not parts:
         return np.zeros(0), np.zeros(0)
-    return np.concatenate(times_out), np.concatenate(values_out)
+    times, values = zip(*parts)
+    return np.concatenate(times), np.concatenate(values)
 
 
 def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
@@ -431,9 +445,11 @@ def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarra
     w = np.hanning(win_n)
     kept = centers[keep]
     power = np.empty((len(kept), nfft // 2 + 1))
-    for rows, frames in frame_chunks(x, kept, win_n, spectrum_bytes(nfft)):
-        frames *= w
-        power[rows] = power_spectra(frames, nfft)
+
+    def spectra(rows: slice) -> None:
+        power[rows] = power_spectra(gather_frames(x, kept[rows], win_n) * w, nfft)
+
+    chunk_map(len(kept), spectrum_bytes(nfft), spectra)
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate)
     return times[keep], freqs, power
 
@@ -552,18 +568,14 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     before = t_size // 2
     after = t_size - 1 - before
 
-    def power_cepstra(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        frames = gather_frames(emphasized, centers[rows], win_n) * w
+    def prominences(rows: slice) -> None:
+        a, b = rows.start, rows.stop
+        padded = np.clip(np.arange(a - before, b + after), 0, n_frames - 1)
+        frames = gather_frames(emphasized, centers[padded], win_n) * w
         live = np.any(frames, axis=1)
-        pc = np.zeros((len(rows), nfft // 2 + 1))
+        pc = np.zeros((len(padded), nfft // 2 + 1))
         if np.any(live):
             pc[live] = log_db_cepstrogram(frames[live], nfft) ** 2
-        return pc, live
-
-    step = chunk_rows(spectrum_bytes(nfft))
-    for a in range(0, n_frames, step):
-        b = min(n_frames, a + step)
-        pc, live = power_cepstra(np.clip(np.arange(a - before, b + after), 0, n_frames - 1))
         smoothed = pc[: b - a].copy()
         for j in range(1, t_size):
             smoothed += pc[j : j + b - a]
@@ -574,7 +586,7 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         use = loud[a:b] & block_live
         included[a:b] = use
         if not np.any(use):
-            continue
+            return
         floors = np.maximum(block[use].max(axis=1, keepdims=True), 1e-30) * 1e-12
         level = 10.0 * np.log10(np.maximum(block[use], floors))
 
@@ -585,6 +597,8 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
         slope, intercept = trend_lines(level[:, k_trend:], x_trend)
         values[np.flatnonzero(use) + a] = peak_val - (intercept + slope * q_star)
+
+    chunk_map(n_frames, spectrum_bytes(nfft), prominences)
     return centers / rate, values, included
 
 

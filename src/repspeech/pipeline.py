@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .alignment import (
     DEFAULT_MIN_VOWEL_DURATION,
+    DEFAULT_PHONE_TIER,
     DEFAULT_VOWEL_LABELS,
     find_target_vowels,
     read_textgrid,
@@ -44,7 +45,7 @@ class PipelineParams:
     formant_ceiling: float = FORMANT_CEILING
     vowel_labels: frozenset[str] = DEFAULT_VOWEL_LABELS
     min_vowel_duration: float = DEFAULT_MIN_VOWEL_DURATION
-    phone_tier: str = "phones"
+    phone_tier: str = DEFAULT_PHONE_TIER
 
 
 @dataclass(frozen=True)

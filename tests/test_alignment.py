@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repspeech.alignment import (
+    DEFAULT_MIN_VOWEL_DURATION,
+    DEFAULT_PHONE_TIER,
+    DEFAULT_VOWEL_LABELS,
     Interval,
     Tier,
     TierSet,
@@ -157,14 +160,14 @@ def test_selection_filters():
             Interval(0.22, 0.27, "AA"),   # exactly 50 ms: kept
         ]
     )
-    hits = find_target_vowels(grid)
+    hits = find_target_vowels(grid, DEFAULT_VOWEL_LABELS, DEFAULT_MIN_VOWEL_DURATION, DEFAULT_PHONE_TIER)
     assert [(v.label, round(v.duration, 3)) for v in hits] == [("AA1", 0.08), ("AA", 0.05)]
 
 
 def test_missing_phone_tier():
     grid = TierSet(0.0, 1.0, (Tier("words", 0.0, 1.0, (Interval(0.0, 1.0, "hi"),)),))
     with pytest.raises(MissingPhoneTier):
-        find_target_vowels(grid)
+        find_target_vowels(grid, DEFAULT_VOWEL_LABELS, DEFAULT_MIN_VOWEL_DURATION, DEFAULT_PHONE_TIER)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -183,9 +186,10 @@ def test_selection_monotone(phones, min_dur):
         intervals.append(Interval(start, start + dur, label))
         start += dur
     grid = grid_with(intervals)
-    base = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur)}
-    wider_labels = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1", "AE"}, min_dur)}
-    lower_min = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur / 2)}
+    tier = DEFAULT_PHONE_TIER
+    base = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur, tier)}
+    wider_labels = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1", "AE"}, min_dur, tier)}
+    lower_min = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur / 2, tier)}
     assert base <= wider_labels
     assert base <= lower_min
 

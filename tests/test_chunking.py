@@ -1,13 +1,19 @@
-"""Chunked frame loops: tracks do not depend on the chunk budget, and memory stays flat with duration."""
+"""Chunked frame loops: tracks depend on neither the chunk budget nor the core count, and memory stays flat."""
 
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repspeech import dsp
 from repspeech.articulation import formant_track
-from repspeech.audio_io import AudioBuffer
+from repspeech.audio_io import AudioBuffer, write_wav
+from repspeech.cli import main
+from repspeech.pipeline import ExtractionRequest, extract_recording
 from repspeech.phonation import cpp_track, hnr_track, intensity_track, pitch_track_two_pass, voiced_frame_spectra
 from repspeech.synth import SynthSpec, synth_pattern
 
@@ -33,8 +39,8 @@ def all_tracks(buf):
     }
 
 
-def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):
-    buf = synth_pattern(
+def mixed_pattern() -> AudioBuffer:
+    return synth_pattern(
         [
             SynthSpec("silence", 0.2),
             SynthSpec("formant_voice", 0.7, f0=110.0, formants=VOWEL),
@@ -44,6 +50,10 @@ def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):
         ],
         RATE,
     ).buffer
+
+
+def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):
+    buf = mixed_pattern()
     monkeypatch.setattr(dsp, "CHUNK_BYTES", 40_000)  # 1-2 spectrum rows, 22 frame pairs per chunk
     small = all_tracks(buf)
     assert dsp.chunk_rows(dsp.spectrum_bytes(2048)) == 2
@@ -68,6 +78,96 @@ def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):
     np.testing.assert_allclose(small["hnr"][1], whole["hnr"][1], rtol=0, atol=1e-8)
     assert_same_bytes(small["intensity"].times, whole["intensity"].times)
     np.testing.assert_allclose(small["intensity"].level_db, whole["intensity"].level_db, rtol=1e-12, atol=0)
+
+
+def test_tracks_do_not_depend_on_the_core_count(monkeypatch):
+    buf = mixed_pattern()
+    chunk_threads = set()
+    gather = dsp.gather_frames
+
+    def recording_gather(*args):
+        chunk_threads.add(threading.get_ident())
+        return gather(*args)
+
+    for name in ("repspeech.phonation.gather_frames", "repspeech.articulation.gather_frames"):
+        monkeypatch.setattr(name, recording_gather)
+    monkeypatch.setattr(dsp, "CHUNK_BYTES", 40_000)  # hundreds of chunks to interleave
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 1)
+    serial = all_tracks(buf)
+    assert chunk_threads == {threading.get_ident()}
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 4)  # three helpers, even on one core
+    threaded = all_tracks(buf)
+    assert 1 < len(chunk_threads) <= 4
+
+    assert_same_bytes(serial["pitch"].times, threaded["pitch"].times)
+    assert_same_bytes(serial["pitch"].f0, threaded["pitch"].f0)
+    assert_same_bytes(serial["intensity"].times, threaded["intensity"].times)
+    assert_same_bytes(serial["intensity"].level_db, threaded["intensity"].level_db)
+    for name in ("hnr", "spectra", "cpp"):
+        assert len(serial[name]) == len(threaded[name])
+        for a, b in zip(serial[name], threaded[name]):
+            assert_same_bytes(a, b)
+    for name in ("times", "f1", "f2", "valid"):
+        assert_same_bytes(getattr(serial["formants"], name), getattr(threaded["formants"], name))
+
+
+def test_chunk_map_under_contention(monkeypatch):
+    """Eight threads and a short switch interval: each chunk runs once, in order, and the earliest error wins."""
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 8)
+    ran = []
+
+    def body(rows):
+        ran.append(rows.start)
+        if rows.start >= 40 and rows.start % 7 == 5:
+            raise ValueError(rows.start)
+        return rows.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # one row per chunk: each row is wider than the whole budget
+        assert dsp.chunk_map(5000, dsp.CHUNK_BYTES + 1, lambda rows: rows.start) == list(range(5000))
+        for _ in range(20):
+            ran.clear()
+            with pytest.raises(ValueError, match="^40$"):
+                dsp.chunk_map(5000, dsp.CHUNK_BYTES + 1, body)
+            assert len(ran) == len(set(ran)) and set(range(41)) <= set(ran)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def chunk_threads_in_this_process() -> tuple[int, int, set[str], bool]:
+    """Threads alive before and after a many-chunk map, the threads that ran its chunks, and whether it made a pool."""
+    before = threading.active_count()
+    names = dsp.chunk_map(1000, dsp.CHUNK_BYTES, lambda rows: threading.current_thread().name)
+    made_pool = dsp._pool is not None and dsp._pool[0] == os.getpid()
+    return before, threading.active_count(), set(names), made_pool
+
+
+def test_process_pool_after_helpers_runs_chunks_serially(monkeypatch, tmp_path):
+    wavs = []
+    for i, f0 in enumerate((110.0, 160.0)):
+        path = tmp_path / f"P0{i}_condenser_D1_S1_Vowel.wav"
+        buf = synth_pattern([SynthSpec("formant_voice", 1.0, f0=f0, formants=VOWEL), SynthSpec("silence", 0.2)], RATE)
+        write_wav(buf.buffer, path)
+        wavs.append(str(path))
+    monkeypatch.setattr(dsp, "CHUNK_BYTES", 40_000)
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 1)
+    serial = tmp_path / "serial.csv"
+    assert main(["extract", *wavs, "-o", str(serial)]) == 0
+
+    # helpers running in this process, then a pool of two workers (forked, where that is the default)
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    extract_recording(ExtractionRequest(wavs[0]))
+    assert any(t.name.startswith("repspeech-chunk") for t in threading.enumerate())
+    pooled = tmp_path / "pooled.csv"
+    assert main(["extract", *wavs, "--threads", "2", "-o", str(pooled)]) == 0
+    assert pooled.read_text() == serial.read_text()
+    assert len(serial.read_text().splitlines()) == 3
+
+    with ProcessPoolExecutor(1) as pool:
+        before, after, names, made_pool = pool.submit(chunk_threads_in_this_process).result(timeout=60)
+    assert (after, names, made_pool) == (before, {"MainThread"}, False)
 
 
 def tiled_voice(seconds: int) -> AudioBuffer:

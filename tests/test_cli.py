@@ -335,6 +335,15 @@ def test_extract_unknown_level_exits_2(recording, capsys):
     assert error_line(capsys).startswith("error: RepSpeechError: unknown extraction level 'X'")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_extract_threads_below_one_exits_2(recording, tmp_path, capsys, threads):
+    _, wav, _ = recording
+    out = tmp_path / "never.csv"
+    assert main(["extract", wav, "--threads", threads, "-o", str(out)]) == 2
+    assert error_line(capsys) == f"error: RepSpeechError: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
 def test_undecodable_config_exits_2(recording, tmp_path, capsys):
     _, _, tg = recording
     cfg = tmp_path / "bad.json"

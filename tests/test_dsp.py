@@ -5,8 +5,8 @@ import pytest
 
 from repspeech.dsp import (
     CHUNK_BYTES,
+    chunk_map,
     frame_centers,
-    frame_chunks,
     gather_frames,
     gaussian_window,
     log_db_cepstrogram,
@@ -76,16 +76,13 @@ def test_frames_are_windowed():
 
 
 def test_chunks_cover_every_frame_in_order():
-    x = np.random.default_rng(0).standard_normal(4999 * 16 + 64)
-    centers = frame_centers(len(x), 64, 16)
-    assert len(centers) == 5000
+    n = 5000
     # a budget of 2,048 rows, and a row wider than the whole budget
-    for row_bytes, sizes in ((CHUNK_BYTES // 2048, [2048, 2048, 904]), (CHUNK_BYTES + 1, [1] * 5000)):
-        chunks = list(frame_chunks(x, centers, 64, row_bytes))
-        assert [len(frames) for _rows, frames in chunks] == sizes
-        assert np.array_equal(np.concatenate([np.arange(5000)[rows] for rows, _ in chunks]), np.arange(5000))
-        for rows, frames in chunks:
-            np.testing.assert_array_equal(frames, gather_frames(x, centers[rows], 64))
+    for row_bytes, sizes in ((CHUNK_BYTES // 2048, [2048, 2048, 904]), (CHUNK_BYTES + 1, [1] * n)):
+        chunks = chunk_map(n, row_bytes, lambda rows: rows)
+        assert [rows.stop - rows.start for rows in chunks] == sizes
+        assert np.array_equal(np.concatenate([np.arange(n)[rows] for rows in chunks]), np.arange(n))
+    assert chunk_map(0, 8, lambda rows: rows) == []
 
 
 # -- span selection ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repspeech
 
-MAX_SETTABLE = 35
+MAX_SETTABLE = 32
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
