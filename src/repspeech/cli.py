@@ -81,7 +81,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--textgrid-dir", help="directory of <name>.TextGrid files")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes, one recording each at a time")
+    p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per input")
     p.add_argument("--vowel-labels", help="comma-separated phone labels")
     p.add_argument("--min-vowel-duration", type=float)
     p.add_argument("--phone-tier", default=None)
@@ -136,7 +136,10 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise RepSpeechError(f"config file {path} must hold a JSON object of flag defaults")
+    return config
 
 
 def _write_out(text: str, output: str | None) -> None:
@@ -189,6 +192,8 @@ def _cmd_extract(args) -> int:
         raise RepSpeechError(f"unknown extraction level {unknown[0]!r}; choose from {', '.join(LEVEL_FEATURES)}")
     if args.threads < 1:
         raise RepSpeechError(f"--threads must be at least 1, got {args.threads}")
+    if args.textgrid and (len(args.inputs) > 1 or args.textgrid_dir):
+        raise RepSpeechError("--textgrid aligns a single input and excludes --textgrid-dir")
     params = _pipeline_params(args)
     requests = []
     for path in sorted(args.inputs):
@@ -197,8 +202,9 @@ def _cmd_extract(args) -> int:
             candidate = Path(args.textgrid_dir) / (Path(path).stem + ".TextGrid")
             textgrid = str(candidate) if candidate.exists() else None
         requests.append(ExtractionRequest(path, textgrid, levels, params))
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, len(requests))  # a fork pool starts all its workers at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows_nested = list(pool.map(_extract_one, requests))
     else:
         rows_nested = [_extract_one(req) for req in requests]

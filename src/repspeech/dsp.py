@@ -10,11 +10,12 @@ feature modules compose them into the extractors.
 
 ``chunk_map`` is the one frame loop.  It splits a track's frames into
 chunks whose widest per-row array fills ``CHUNK_BYTES`` and runs the
-chunks on every usable core: the calling thread and one helper thread per
-other core each take the next chunk in turn.  numpy, scipy.fft,
-scipy.ndimage and BLAS release the GIL on these arrays, so the threads
-run in parallel.  The chunks do not depend on the number of threads, so
-neither do the results, bit for bit.  A process started by
+chunks on every usable core: each call starts one helper thread per other
+core, the calling thread runs every chunk no helper has taken yet, and
+the helpers are gone when the call returns, so no thread outlives it.
+numpy, scipy.fft, scipy.ndimage and BLAS release the GIL on these arrays,
+so the threads run in parallel.  The chunks do not depend on the number
+of threads, so neither do the results, bit for bit.  A process started by
 ``multiprocessing`` (an ``extract --threads N`` pool worker) runs its
 chunks in a plain loop.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
@@ -95,73 +95,45 @@ def chunk_map(n: int, row_bytes: int, body: Callable[[slice], T]) -> list[T]:
 
     ``row_bytes`` is the widest per-row array ``body`` derives from a row, so
     memory stays bounded whatever the length, and ``body`` gathers its own
-    frames.  The calling thread takes chunks in turn with the helper
-    threads of ``_helpers``, and the results come back in chunk order.
+    frames.  Each call starts up to one helper thread per other usable core
+    and stops them before it returns.  Every chunk is queued for the
+    helpers; the calling thread walks the queue in order and runs each chunk
+    no helper has taken yet, then collects the results in chunk order.
     Chunks are the same whatever the number of threads and each is computed
     by one thread, so the result does not depend on the core count as long
-    as each ``body`` writes only its own rows.  A ``body`` that raises stops
-    the threads from taking new chunks, and the error of the earliest
-    failing chunk is raised, as in a plain loop.
+    as each ``body`` writes only its own rows.  The error of the earliest
+    failing chunk is raised, as in a plain loop; once the calling thread
+    meets a failure or an interrupt, no further chunk starts.
     """
     step = chunk_rows(row_bytes)
     chunks = [slice(a, min(n, a + step)) for a in range(0, n, step)]
-    pool, n_helpers = _helpers() if len(chunks) > 1 else (None, 0)
-    if pool is None:
+    # a process started by multiprocessing gets no helpers: its pool already puts one process on each core
+    helpers = min(usable_cores() - 1, len(chunks) - 1) if multiprocessing.parent_process() is None else 0
+    if helpers < 1:
         return [body(rows) for rows in chunks]
-    results: list = [None] * len(chunks)
-    errors: list[tuple[int, BaseException]] = []
-    order = iter(range(len(chunks)))
-    taking = threading.Lock()
-
-    def work() -> None:
-        # every chunk taken is run, so the earliest failing chunk, taken
-        # before any later one, is always among the errors
-        while not errors:
-            with taking:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = body(chunks[i])
-            except BaseException as exc:  # re-raised by the caller
-                errors.append((i, exc))
-
-    helpers = [pool.submit(work) for _ in range(min(n_helpers, len(chunks) - 1))]
-    work()
-    for helper in helpers:
-        if not helper.cancel():  # a helper that never started is dropped; wait for the rest
-            helper.result()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return results
+    pool = ThreadPoolExecutor(helpers, thread_name_prefix="repspeech-chunk")
+    try:
+        futures = [pool.submit(body, rows) for rows in chunks]
+        mine: dict[int, T] = {}  # results of the chunks run by this thread
+        for i, future in enumerate(futures):
+            if future.cancel():  # no helper has taken it: run it here
+                try:
+                    mine[i] = body(chunks[i])
+                except BaseException:
+                    # every earlier chunk ran here or on a helper: wait for those, and raise the earliest error
+                    pool.shutdown(cancel_futures=True)
+                    for earlier in futures[:i]:
+                        if not earlier.cancelled():
+                            earlier.result()
+                    raise
+        return [mine[i] if i in mine else future.result() for i, future in enumerate(futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def usable_cores() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
-
-
-_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, helpers, executor)
-_pool_lock = threading.Lock()
-
-
-def _helpers() -> tuple[ThreadPoolExecutor | None, int]:
-    """The process's chunk helpers and their number: one thread per usable core besides the caller's.
-
-    A process started by ``multiprocessing`` has none: a process pool
-    already puts one process on each core.  The executor is made on first
-    use and made again after a fork, whose child has none of its threads.
-    """
-    global _pool
-    n = usable_cores() - 1 if multiprocessing.parent_process() is None else 0
-    if n < 1:
-        return None, 0
-    with _pool_lock:
-        if _pool is None or _pool[:2] != (os.getpid(), n):
-            if _pool is not None and _pool[0] == os.getpid():
-                _pool[2].shutdown(wait=False)
-            _pool = (os.getpid(), n, ThreadPoolExecutor(n, thread_name_prefix="repspeech-chunk"))
-        return _pool[2], n
 
 
 def span(times: np.ndarray, t0: float, t1: float) -> slice:

@@ -13,7 +13,8 @@ refinement and trend lines are the batched kernels of ``dsp``.  Each
 track runs them in ``dsp.chunk_map`` over chunks of frames whose widest
 per-row array fills ``dsp.CHUNK_BYTES``, so a track's working memory stays
 a few tens of MB whatever the recording's length, and the chunks run on
-every usable core with results that do not depend on the core count.
+every usable core, on helper threads that live for one ``chunk_map`` call,
+with results that do not depend on the core count.
 Only the pitch path (``_best_path``) stays a sequential loop over its
 chunks, because each frame's score depends on the one before.
 

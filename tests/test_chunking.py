@@ -1,8 +1,8 @@
 """Chunked frame loops: tracks depend on neither the chunk budget nor the core count, and memory stays flat."""
 
-import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -86,7 +86,7 @@ def test_tracks_do_not_depend_on_the_core_count(monkeypatch):
     gather = dsp.gather_frames
 
     def recording_gather(*args):
-        chunk_threads.add(threading.get_ident())
+        chunk_threads.add(threading.current_thread().name)  # each call starts fresh threads, named the same
         return gather(*args)
 
     for name in ("repspeech.phonation.gather_frames", "repspeech.articulation.gather_frames"):
@@ -94,7 +94,7 @@ def test_tracks_do_not_depend_on_the_core_count(monkeypatch):
     monkeypatch.setattr(dsp, "CHUNK_BYTES", 40_000)  # hundreds of chunks to interleave
     monkeypatch.setattr(dsp, "usable_cores", lambda: 1)
     serial = all_tracks(buf)
-    assert chunk_threads == {threading.get_ident()}
+    assert chunk_threads == {threading.current_thread().name}
     monkeypatch.setattr(dsp, "usable_cores", lambda: 4)  # three helpers, even on one core
     threaded = all_tracks(buf)
     assert 1 < len(chunk_threads) <= 4
@@ -136,12 +136,41 @@ def test_chunk_map_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def chunk_threads_in_this_process() -> tuple[int, int, set[str], bool]:
-    """Threads alive before and after a many-chunk map, the threads that ran its chunks, and whether it made a pool."""
+def chunk_helpers_alive() -> bool:
+    return any(t.name.startswith("repspeech-chunk") for t in threading.enumerate())
+
+
+def test_no_helper_outlives_chunk_map(monkeypatch):
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 4)
+    names = dsp.chunk_map(200, dsp.CHUNK_BYTES + 1, lambda rows: threading.current_thread().name)
+    assert "MainThread" in names and len(set(names)) > 1
+    assert not chunk_helpers_alive()
+
+    ran = []
+
+    def body(rows):
+        if threading.current_thread().name == "MainThread":
+            raise RuntimeError(rows.start)
+        ran.append(rows.start)
+        time.sleep(0.002)
+
+    with pytest.raises(RuntimeError) as failed:
+        dsp.chunk_map(1000, dsp.CHUNK_BYTES + 1, body)
+    assert not chunk_helpers_alive()
+    # the first chunk this thread ran failed, so of the chunks after it only
+    # the few the three helpers took before the queue was dropped ran
+    (first_failure,) = failed.value.args
+    assert set(range(first_failure)) <= set(ran) and len(ran) < first_failure + 30
+    finished = len(ran)
+    time.sleep(0.05)
+    assert len(ran) == finished
+
+
+def chunk_threads_in_this_process() -> tuple[int, int, set[str]]:
+    """Threads alive before and after a many-chunk map, and the threads that ran its chunks."""
     before = threading.active_count()
     names = dsp.chunk_map(1000, dsp.CHUNK_BYTES, lambda rows: threading.current_thread().name)
-    made_pool = dsp._pool is not None and dsp._pool[0] == os.getpid()
-    return before, threading.active_count(), set(names), made_pool
+    return before, threading.active_count(), set(names)
 
 
 def test_process_pool_after_helpers_runs_chunks_serially(monkeypatch, tmp_path):
@@ -156,18 +185,18 @@ def test_process_pool_after_helpers_runs_chunks_serially(monkeypatch, tmp_path):
     serial = tmp_path / "serial.csv"
     assert main(["extract", *wavs, "-o", str(serial)]) == 0
 
-    # helpers running in this process, then a pool of two workers (forked, where that is the default)
+    # chunks run on helpers in this process, then a pool of two workers (forked, where that is the default)
     monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
     extract_recording(ExtractionRequest(wavs[0]))
-    assert any(t.name.startswith("repspeech-chunk") for t in threading.enumerate())
+    assert not chunk_helpers_alive()
     pooled = tmp_path / "pooled.csv"
     assert main(["extract", *wavs, "--threads", "2", "-o", str(pooled)]) == 0
     assert pooled.read_text() == serial.read_text()
     assert len(serial.read_text().splitlines()) == 3
 
     with ProcessPoolExecutor(1) as pool:
-        before, after, names, made_pool = pool.submit(chunk_threads_in_this_process).result(timeout=60)
-    assert (after, names, made_pool) == (before, {"MainThread"}, False)
+        before, after, names = pool.submit(chunk_threads_in_this_process).result(timeout=60)
+    assert (after, names) == (before, {"MainThread"})
 
 
 def tiled_voice(seconds: int) -> AudioBuffer:

@@ -179,12 +179,16 @@ def test_operational_error_json(tmp_path, capsys):
 
 
 def test_threads_do_not_change_output(recording, tmp_path):
-    d, wav, tg = recording
+    d, wav, _ = recording
+    other = tmp_path / "other.wav"  # two inputs, so --threads 2 starts a pool
+    write_wav(synth_formant_voice(150, ((700, 80), (1200, 90)), 1.0), other)
     single = tmp_path / "one.csv"
     multi = tmp_path / "two.csv"
-    assert main(["extract", "--level", "S,a", wav, "--textgrid", tg, "-o", str(single)]) == 0
-    assert main(["extract", "--level", "S,a", wav, "--textgrid", tg, "-o", str(multi), "--threads", "2"]) == 0
+    inputs = ["--level", "S,a", wav, str(other), "--textgrid-dir", str(d)]
+    assert main(["extract", *inputs, "-o", str(single)]) == 0
+    assert main(["extract", *inputs, "-o", str(multi), "--threads", "2"]) == 0
     assert single.read_text() == multi.read_text()
+    assert len(single.read_text().splitlines()) == 5
 
 
 def test_config_file_supplies_defaults(recording, tmp_path, capsys):
@@ -229,14 +233,14 @@ def test_vowels_unreadable_textgrid_exits_2(tmp_path, capsys, name, content, cod
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_unreadable_wav_does_not_stop_the_batch(recording, tmp_path, threads):
-    _, wav, tg = recording
+    d, wav, _ = recording
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not a RIFF file at all")
     floats = tmp_path / "floats.wav"
     floats.write_bytes(make_wav_bytes([[0, 1, 2, 3]], 16000, bits=32, format_code=3))
     out = tmp_path / "f.csv"
     inputs = [wav, str(bad), str(floats), str(tmp_path / "absent.wav")]
-    assert main(["extract", "--level", "S,a", *inputs, "--textgrid", tg, "--threads", threads, "-o", str(out)]) == 0
+    assert main(["extract", "--level", "S,a", *inputs, "--textgrid-dir", str(d), "--threads", threads, "-o", str(out)]) == 0
     rows = {(r["recording"], r["level"]): r for r in csv.DictReader(out.open())}
     assert len(rows) == 8
     assert rows[(Path(wav).stem, "S")]["errors"] == "" and rows[(Path(wav).stem, "a")]["errors"] == ""
@@ -350,6 +354,55 @@ def test_undecodable_config_exits_2(recording, tmp_path, capsys):
     cfg.write_text("{bad")
     assert main(["--config", str(cfg), "vowels", tg]) == 2
     assert error_line(capsys).startswith("error: JSONDecodeError:")
+
+
+@pytest.mark.parametrize("content", ["[1]", '"x"', "3"])
+def test_non_object_config_exits_2(recording, tmp_path, capsys, content):
+    _, _, tg = recording
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["--config", str(cfg), "vowels", tg]) == 2
+    assert error_line(capsys) == f"error: RepSpeechError: config file {cfg} must hold a JSON object of flag defaults\n"
+
+
+@pytest.mark.parametrize("alignment", ["two_inputs", "with_dir"])
+def test_textgrid_for_one_input_only(recording, tmp_path, capsys, alignment):
+    d, wav, tg = recording
+    other = tmp_path / "other.wav"
+    write_wav(synth_formant_voice(150, ((700, 80), (1200, 90)), 0.5), other)
+    inputs = [wav, str(other)] if alignment == "two_inputs" else [wav, "--textgrid-dir", str(d)]
+    out = tmp_path / "never.csv"
+    assert main(["extract", "--level", "S,a", *inputs, "--textgrid", tg, "-o", str(out)]) == 2
+    assert error_line(capsys) == "error: RepSpeechError: --textgrid aligns a single input and excludes --textgrid-dir\n"
+    assert not out.exists()
+
+
+def test_pool_has_no_more_workers_than_inputs(recording, tmp_path, monkeypatch):
+    _, wav, _ = recording
+    other = tmp_path / "other.wav"
+    write_wav(synth_formant_voice(150, ((700, 80), (1200, 90)), 0.5), other)
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ``ProcessPoolExecutor``: records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("repspeech.cli.ProcessPoolExecutor", RecordingPool)
+    assert main(["extract", wav, "--threads", "4", "-o", str(tmp_path / "one.csv")]) == 0
+    assert sizes == []  # one input runs in this process
+    assert main(["extract", wav, str(other), "--threads", "4", "-o", str(tmp_path / "two.csv")]) == 0
+    assert sizes == [2]
 
 
 # each ``extract`` flag that tunes the analysis, with a value unlike its default

@@ -234,10 +234,18 @@ def synth_patterns(draw):
 @given(synth_patterns())
 def test_any_pattern_gives_finite_or_coded_features(tmp_path_factory, case):
     segments, gain = case
-    buf = synth_pattern(segments).buffer
-    wav = tmp_path_factory.mktemp("prop") / "p.wav"
+    pattern = synth_pattern(segments)
+    buf = pattern.buffer
+    d = tmp_path_factory.mktemp("prop")
+    wav = d / "p.wav"
     write_wav(AudioBuffer.mono(np.clip(buf.signal * gain, -1.0, 1.0), buf.sample_rate), wav)
-    (rec,) = extract_recording(ExtractionRequest(str(wav), None, ("S",)))
-    for key in S_FEATURES:
-        value = rec.features[key]
-        assert (value is not None and np.isfinite(value)) or key in rec.errors, (key, value, rec.errors)
+    # every segment aligned as an open vowel, so level a measures each one long enough to select
+    vowels = tuple(Interval(e.start, e.end, "AA1") for e in pattern.events)
+    tg = d / "p.TextGrid"
+    tg.write_text(serialize_textgrid(TierSet(0.0, buf.duration, (Tier("phones", 0.0, buf.duration, vowels),))))
+    records = extract_recording(ExtractionRequest(str(wav), str(tg), ("S", "a")))
+    assert [rec.level for rec in records] == ["S", "a"]
+    for rec, keys in zip(records, (S_FEATURES, A_FEATURES)):
+        for key in keys:
+            value = rec.features[key]
+            assert (value is not None and np.isfinite(value)) or key in rec.errors, (rec.level, key, value, rec.errors)
