@@ -102,23 +102,26 @@ class Analysis:
         """Every A_FEATURES value over [t0, t1], and the error code of each one left unmeasured.
 
         Each value is a reduction of a shared track over the span; spectral
-        moments are taken on the span's own samples.
+        moments are taken on the span's own samples.  The moments run first:
+        over a whole recording their one long rfft is the largest transient
+        of an extraction, and before any track is computed it lands on an
+        empty heap.
         """
         features: dict[str, float | None] = dict.fromkeys(A_FEATURES)
         errors: dict[str, str] = {}
 
         reductions = (
+            (("spectral_gravity", "spectral_deviation"), lambda: _moments(self.buf.slice(t0, t1))),
             (("intensity_mean",), lambda: [phonation.intensity_mean(self.intensity(), t0, t1)]),
             (("pitch_mean", "pitch_sd"), lambda: phonation.pitch_stats(self.pitch().slice(t0, t1))),
             (("hnr_mean",), lambda: [phonation.hnr_mean(self.hnr(), t0, t1)]),
             (("spectral_slope",), lambda: [phonation.spectral_slope(self.spectra(), t0, t1)]),
             (("cpp_mean",), lambda: [phonation.cpp_mean(self.cpp(), t0, t1)]),
             (("f1_mean", "f2_mean"), lambda: self._formant_means(t0, t1)),
-            (("spectral_gravity", "spectral_deviation"), lambda: _moments(self.buf.slice(t0, t1))),
         )
         for keys, compute in reductions:
             fill(features, errors, keys, compute)
-        return features, errors
+        return features, {k: errors[k] for k in A_FEATURES if k in errors}  # in record order
 
 
 def _moments(segment: AudioBuffer) -> tuple[float, float]:

@@ -120,8 +120,8 @@ def spectral_moments(segment: AudioBuffer) -> SpectralMoments:
     if len(x) == 0 or not np.any(x):
         raise SilentSignal("cannot take moments of a silent segment")
     x = x - x.mean()
-    w = np.hanning(len(x))
-    power = np.abs(np.fft.rfft(x * w)) ** 2
+    x *= np.hanning(len(x))  # in place, so the rfft runs with one signal-length array alive
+    power = np.abs(np.fft.rfft(x)) ** 2
     total = float(np.sum(power))
     if total <= 0.0:
         raise SilentSignal("segment carries no spectral energy")

@@ -5,7 +5,10 @@ at once, one frame per row: framing (frame centres, frame gathering),
 span selection over frame times, the gaussian analysis window, power
 spectra, window-compensated normalized autocorrelation, dB cepstra, Burg
 linear prediction, parabolic and tapered-sinc peak refinement, and robust
-trend lines.  Every kernel is a pure function over numpy arrays; the
+trend lines.  Two kernels work on one signal: the local maxima of a
+contour, and polyphase resampling.  Both give scipy's ``find_peaks`` and
+``resample_poly`` results bit for bit, so extraction never loads scipy's
+signal package.  Every kernel is a pure function over numpy arrays; the
 feature modules compose them into the extractors.
 
 ``chunk_map`` is the one frame loop.  It splits a track's frames into
@@ -30,6 +33,8 @@ from typing import Callable, TypeVar
 
 import numpy as np
 import scipy.fft
+import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OrderTooHigh, SignalTooShort
 
@@ -74,10 +79,10 @@ def frame_centers(n: int, win_n: int, step_n: int) -> np.ndarray:
 
 
 def gather_frames(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
-    """The ``win_n``-sample frames of x around ``centers``, one per row."""
-    half = win_n // 2
-    idx = centers[:, None] - half + np.arange(win_n)[None, :]
-    return x[idx]
+    """The ``win_n``-sample frames of x around ``centers``, one per row, as a C-contiguous copy the caller may write."""
+    if len(centers) == 0:  # also when x is shorter than one frame, where no window view exists
+        return np.empty((0, win_n), dtype=x.dtype)
+    return sliding_window_view(x, win_n)[centers - win_n // 2]
 
 
 def chunk_rows(row_bytes: int) -> int:
@@ -139,6 +144,98 @@ def usable_cores() -> int:
 def span(times: np.ndarray, t0: float, t1: float) -> slice:
     """The frames of ascending ``times`` that lie in [t0, t1], as a slice (empty when none do)."""
     return slice(int(np.searchsorted(times, t0, "left")), int(np.searchsorted(times, t1, "right")))
+
+
+def local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of x, the ones scipy's ``find_peaks`` finds.
+
+    A maximum is a run of equal samples entered by a strict rise and left
+    by a strict fall, so a run that touches either end of x is none; a
+    plateau's index is its midpoint, ``(first + last) // 2``.
+    """
+    if len(x) < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    level = x[starts]
+    lasts = np.append(starts[1:], len(x)) - 1
+    peak = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    return (starts[peak] + lasts[peak]) // 2
+
+
+# the lowpass filter of ``resample_poly``: a Kaiser-windowed sinc of
+# RESAMPLE_HALF_LENGTH x max(up, down) taps a side, cut at 1 / max(up, down)
+# of the Nyquist frequency; beta 8.0 gives ~81 dB of stopband attenuation,
+# past the 60 dB that keeps resampling aliases below feature-relevant levels
+RESAMPLE_KAISER_BETA = 8.0
+RESAMPLE_HALF_LENGTH = 10  # taps a side, per unit of max(up, down)
+
+
+@functools.cache
+def _resample_taps(up: int, down: int) -> np.ndarray:
+    """The filter of ``resample_poly``, unit gain at DC, times ``up``, in scipy's ``firwin`` arithmetic step by step."""
+    max_rate = max(up, down)
+    numtaps = 2 * RESAMPLE_HALF_LENGTH * max_rate + 1
+    cutoff = 1.0 / max_rate
+    m = np.arange(numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    alpha = (numtaps - 1) / 2.0
+    ramp = 1 - ((np.arange(numtaps, dtype=np.float64) - alpha) / alpha) ** 2.0
+    h *= scipy.special.i0(RESAMPLE_KAISER_BETA * np.sqrt(ramp)) / scipy.special.i0(np.float64(RESAMPLE_KAISER_BETA))
+    h /= np.sum(h)
+    h *= up
+    h.flags.writeable = False  # shared by every call with these rates
+    return h
+
+
+def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Float64 x resampled by ``up / down`` (coprime, not both 1), bit for bit as
+    scipy's ``resample_poly(x, up, down, window=("kaiser", RESAMPLE_KAISER_BETA))``.
+
+    With h the filter, output o is the sum of ``x[s] * h[half + o * down -
+    s * up]`` over the samples s the filter reaches, oldest first, added one
+    tap at a time to +0.0 as scipy's ``upfirdn`` adds them.  Outputs come in
+    cycles of ``up``, each with the same taps at offsets ``down`` samples
+    apart, so the taps and sample offsets of one chunk of cycles serve every
+    chunk: per tap, a chunk takes one gather, one multiply and one add.
+    Samples past either end of x and taps past either end of h count as
+    zeros, which leave every sum as it is (x must be finite).
+    """
+    h = _resample_taps(up, down)
+    half = (len(h) - 1) // 2
+    n_out = -(-len(x) * up // down)
+    n_cycles = -(-n_out // up)
+    # the samples in reach of each phase r of cycle 0, oldest to newest, padded in front to one count
+    reach = half + np.arange(up) * down
+    newest = reach // up
+    taps = int(np.max(newest + (2 * half - reach) // up)) + 1
+    offsets = newest[None, :] - (taps - 1) + np.arange(taps)[:, None]  # (taps, up)
+    tap = reach[None, :] - offsets * up  # the tap of h each of those samples meets
+    coefs = np.where(tap < len(h), h[np.minimum(tap, len(h) - 1)], 0.0)
+
+    per_cycle = 16 * taps * up  # the offsets and coefficients a chunk holds per cycle
+    cycles = min(chunk_rows(per_cycle), n_cycles)
+    lo = int(offsets.min())
+    # cycle p of a chunk reads the samples of cycle 0 p * down further on; from the chunk's first sample in reach
+    rel = (offsets[:, None, :] + down * np.arange(cycles)[None, :, None] - lo).reshape(taps, cycles * up)
+    coefs = np.tile(coefs, cycles)
+    front = max(0, -lo)
+    back = max(0, (n_cycles - 1) * down + int(offsets.max()) + 1 - len(x))
+    padded = np.concatenate([np.zeros(front), x, np.zeros(back)])
+    out = np.empty(n_cycles * up)
+
+    def filtered(rows: slice) -> None:
+        n = (rows.stop - rows.start) * up
+        acc = out[rows.start * up : rows.stop * up]
+        acc[:] = 0.0
+        seg = padded[rows.start * down + lo + front :]
+        term = np.empty(n)
+        for j in range(taps):
+            np.take(seg, rel[j, :n], out=term, mode="clip")  # in range by construction; "raise" would buffer out
+            term *= coefs[j, :n]
+            acc += term
+
+    chunk_map(n_cycles, per_cycle, filtered)
+    return out[:n_out]
 
 
 def power_spectra(frames: np.ndarray, nfft: int) -> np.ndarray:

@@ -571,25 +571,36 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     def prominences(rows: slice) -> None:
         a, b = rows.start, rows.stop
+        m = b - a
         padded = np.clip(np.arange(a - before, b + after), 0, n_frames - 1)
-        frames = gather_frames(emphasized, centers[padded], win_n) * w
+        frames = gather_frames(emphasized, centers[padded], win_n)
+        frames *= w
         live = np.any(frames, axis=1)
-        pc = np.zeros((len(padded), nfft // 2 + 1))
-        if np.any(live):
-            pc[live] = log_db_cepstrogram(frames[live], nfft) ** 2
-        smoothed = pc[: b - a].copy()
-        for j in range(1, t_size):
-            smoothed += pc[j : j + b - a]
+        if live.all():  # nearly every chunk: no row to leave out
+            pc = log_db_cepstrogram(frames, nfft)
+        else:
+            pc = np.zeros((len(padded), nfft // 2 + 1))
+            if np.any(live):
+                pc[live] = log_db_cepstrogram(frames[live], nfft)
+        np.square(pc, out=pc)
+        smoothed = pc[0:m] + pc[1 : 1 + m]
+        for j in range(2, t_size):
+            smoothed += pc[j : j + m]
         smoothed /= t_size
         block = uniform_filter1d(smoothed, size=q_size, axis=1, mode="nearest")
-        block_live = live[before : before + b - a]
 
-        use = loud[a:b] & block_live
+        use = loud[a:b] & live[before : before + m]
         included[a:b] = use
-        if not np.any(use):
+        if use.all():
+            level, out = block, slice(a, b)
+        elif np.any(use):
+            level, out = block[use], np.flatnonzero(use) + a
+        else:
             return
-        floors = np.maximum(block[use].max(axis=1, keepdims=True), 1e-30) * 1e-12
-        level = 10.0 * np.log10(np.maximum(block[use], floors))
+        floors = np.maximum(level.max(axis=1, keepdims=True), 1e-30) * 1e-12
+        np.maximum(level, floors, out=level)
+        np.log10(level, out=level)
+        level *= 10.0
 
         band = level[:, k_lo : k_hi + 1]
         mi = np.argmax(band, axis=1) + k_lo
@@ -597,7 +608,7 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q_star = (mi + delta) / rate
 
         slope, intercept = trend_lines(level[:, k_trend:], x_trend)
-        values[np.flatnonzero(use) + a] = peak_val - (intercept + slope * q_star)
+        values[out] = peak_val - (intercept + slope * q_star)
 
     chunk_map(n_frames, spectrum_bytes(nfft), prominences)
     return centers / rate, values, included

@@ -134,8 +134,9 @@ def _extract_suprasegmental(name: str, analysis: Analysis, params: PipelineParam
     features: dict[str, float | None] = dict.fromkeys(S_FEATURES)
     features["duration"] = duration
     errors: dict[str, str] = {}
-    fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params.timing))
+    # the span reductions first, so the whole-recording spectral moments run before any track exists
     span_values, span_errors = analysis.span_features(0.0, duration)
+    fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params.timing))
     features.update(span_values)
     errors.update(span_errors)
     return FeatureRecord(name, "S", features, errors, None, _provenance(params, analysis))

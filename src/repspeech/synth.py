@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
 from .errors import BadF0, BadResonator, SilentSignal
@@ -135,6 +134,9 @@ def synth_formant_voice(
     n = int(round(duration * rate))
     x = _pulse_train_raw(f0, n, rate)
     for freq, bw in formants:
+        # imported here: synth generates test load, and the extraction path never loads lfilter's package
+        from scipy.signal import lfilter
+
         r = math.exp(-math.pi * bw / rate)
         theta = 2.0 * math.pi * freq / rate
         x = lfilter([1.0], [1.0, -2.0 * r * math.cos(theta), r * r], x)

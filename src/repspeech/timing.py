@@ -5,7 +5,10 @@ Both detectors read one intensity contour of the recording, on the shared
 (``NO_CONTOUR`` when the recording is shorter than one frame).  Silence is anything more than
 the threshold below the loudest frame; internal silent runs of at least
 the minimum pause length count as pauses, and syllable nuclei are
-intensity peaks flanked by dips that coincide with voiced frames.
+intensity peaks flanked by dips that coincide with voiced frames.  The
+candidate peaks are the contour's local maxima (``dsp.local_maxima``, the
+maxima scipy's ``find_peaks`` finds, plateau midpoints included) that
+clear the silence threshold.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .audio_io import AudioBuffer
+from .dsp import local_maxima
 from .errors import ZeroDuration, ZeroPhonationTime
 from .phonation import HOP, IntensityTrack, PitchTrack
 
@@ -138,8 +141,8 @@ def count_syllable_nuclei(
     threshold = peak_db + params.silence_threshold_db
     # pad with a deep floor so plateaus touching the signal edges still count
     padded = np.concatenate([[-1e30], level, [-1e30]])
-    candidates, _ = find_peaks(padded, height=threshold)
-    candidates = candidates - 1
+    candidates = local_maxima(padded)
+    candidates = candidates[padded[candidates] >= threshold] - 1
 
     # merge candidates that lack a valley of min_dip_db between them; the
     # prominence shortcut breaks on exactly equal-height maxima, which

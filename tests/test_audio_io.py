@@ -1,9 +1,11 @@
 """WAV container decoding, canonicalization, and encoding."""
 
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from helpers import make_wav_bytes
 
@@ -189,3 +191,18 @@ def test_resample_preserves_duration(rate_in):
     x = np.zeros(rate_in)  # exactly 1 s
     y = resample(x, rate_in, 16000)
     assert abs(len(y) - 16000) <= 1
+
+
+@pytest.mark.parametrize(
+    "rate_in, rate_out",
+    [(44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000), (11025, 16000), (96000, 16000), (16000, 11000)],
+)
+def test_resample_is_scipys_resample_poly_bit_for_bit(rate_in, rate_out):
+    frac = Fraction(rate_out, rate_in)
+    rng = np.random.default_rng(rate_in)
+    lengths = (1, 2, 3, 4, 5, rate_in // 3, rate_in // 3 + 1, 2 * rate_in + 1, 6 * rate_in - 1, 6 * rate_in)
+    for n in lengths:
+        for x in (rng.uniform(-1.0, 1.0, n), np.zeros(n), -np.zeros(n)):
+            expected = resample_poly(x, frac.numerator, frac.denominator, window=("kaiser", 8.0))
+            got = resample(x, rate_in, rate_out)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), n

@@ -3,16 +3,25 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import make_wav_bytes
 
+import repspeech
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
-from repspeech.audio_io import read_wav, write_wav
+from repspeech.audio_io import AudioBuffer, read_wav, write_wav
 from repspeech.cli import _build_parser, _pipeline_params, main
 from repspeech.synth import synth_formant_voice
+
+
+def read_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +44,7 @@ def test_extract_csv_two_rows(recording, tmp_path):
     out = tmp_path / "features.csv"
     code = main(["extract", "--level", "S,a", wav, "--textgrid", tg, "-o", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert [r["level"] for r in rows] == ["S", "a"]
     s_row, a_row = rows
     s_filled = [k for k, v in s_row.items() if v not in ("", None)]
@@ -49,7 +58,7 @@ def test_extract_with_textgrid_dir(recording, tmp_path):
     out = tmp_path / "f.csv"
     code = main(["extract", "--level", "S,a", wav, "--textgrid-dir", str(d), "-o", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert [r["level"] for r in rows] == ["S", "a"]
     assert rows[1]["n_vowel_instances"] == "2"
 
@@ -61,7 +70,7 @@ def test_missing_textgrid_does_not_stop_the_batch(recording, tmp_path):
     out = tmp_path / "f.csv"
     code = main(["extract", "--level", "S,a", wav, str(other), "--textgrid-dir", str(d), "-o", str(out)])
     assert code == 0
-    rows = {(r["recording"], r["level"]): r for r in csv.DictReader(out.open())}
+    rows = {(r["recording"], r["level"]): r for r in read_rows(out)}
     assert len(rows) == 4
     assert rows[(Path(wav).stem, "a")]["n_vowel_instances"] == "2"
     assert rows[("pattern", "S")]["errors"] == ""
@@ -215,7 +224,7 @@ def test_unreadable_textgrid_gives_coded_a_row(recording, tmp_path, name, conten
         tg.write_bytes(content)
     out = tmp_path / "f.csv"
     assert main(["extract", "--level", "S,a", wav, "--textgrid", str(tg), "-o", str(out)]) == 0
-    s_row, a_row = csv.DictReader(out.open())
+    s_row, a_row = read_rows(out)
     assert s_row["errors"] == ""
     errors = json.loads(a_row["errors"])
     assert len(errors) == 10 and set(errors.values()) == {code}
@@ -241,7 +250,7 @@ def test_unreadable_wav_does_not_stop_the_batch(recording, tmp_path, threads):
     out = tmp_path / "f.csv"
     inputs = [wav, str(bad), str(floats), str(tmp_path / "absent.wav")]
     assert main(["extract", "--level", "S,a", *inputs, "--textgrid-dir", str(d), "--threads", threads, "-o", str(out)]) == 0
-    rows = {(r["recording"], r["level"]): r for r in csv.DictReader(out.open())}
+    rows = {(r["recording"], r["level"]): r for r in read_rows(out)}
     assert len(rows) == 8
     assert rows[(Path(wav).stem, "S")]["errors"] == "" and rows[(Path(wav).stem, "a")]["errors"] == ""
     for stem, code in (("bad", "MalformedRiff"), ("floats", "UnsupportedEncoding"), ("absent", "IoFailure")):
@@ -439,3 +448,31 @@ def test_every_pipeline_setting_has_one_extract_flag():
         assert len(changed) == 1, (flag, changed)
         covered |= changed
     assert covered == set(base)
+
+
+def test_extraction_never_imports_scipy_signal(tmp_path):
+    # scipy.signal costs every extraction process ~48 MB and ~0.9 s, and each pool worker again
+    voice = synth_formant_voice(110, ((700, 80), (1200, 90)), 1.5, rate=44100)
+    stereo = tmp_path / "stereo44k.wav"
+    write_wav(AudioBuffer(np.stack([voice.signal, 0.5 * voice.signal]), 44100), stereo)
+    mono = tmp_path / "mono16k.wav"
+    write_wav(synth_formant_voice(110, ((700, 80), (1200, 90)), 1.5), mono)
+    out = tmp_path / "f.csv"
+    script = (
+        "import sys\n"
+        "import repspeech.cli, repspeech.pipeline\n"
+        "assert repspeech.cli.main(['extract', '--level', 'S', *sys.argv[1:3], '-o', sys.argv[3]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))\n"
+    )
+    src = str(Path(repspeech.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(stereo), str(mono), str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    rows = read_rows(out)
+    # both files were resampled (44.1k to 16k, and 16k to 11k for the formants) and measured
+    assert sorted(r["recording"] for r in rows) == ["mono16k", "stereo44k"]
+    assert all(r["f1_mean"] and r["errors"] == "" for r in rows)

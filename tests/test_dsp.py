@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from repspeech.dsp import (
     CHUNK_BYTES,
@@ -9,6 +12,7 @@ from repspeech.dsp import (
     frame_centers,
     gather_frames,
     gaussian_window,
+    local_maxima,
     log_db_cepstrogram,
     lpc_burg,
     next_pow2,
@@ -75,6 +79,20 @@ def test_frames_are_windowed():
         np.testing.assert_array_equal(frame, x[c - 400 : c + 400] * np.hanning(800))
 
 
+def test_gather_frames_equals_the_index_form():
+    x = np.random.default_rng(3).normal(size=2880)
+    win_n = 640
+    centers = frame_centers(len(x), win_n, 160)
+    assert centers[0] == win_n // 2 and centers[-1] + win_n // 2 == len(x)  # first and last frames touch the ends
+    for c in (centers, centers[::-1], centers[[0]], centers[[-1]], np.zeros(0, dtype=int)):
+        frames = gather_frames(x, c, win_n)
+        expected = x[c[:, None] - win_n // 2 + np.arange(win_n)[None, :]]
+        assert frames.shape == expected.shape and frames.tobytes() == expected.tobytes()
+        assert frames.flags.c_contiguous and frames.flags.writeable and not np.shares_memory(frames, x)
+    # no frame fits in a signal shorter than the window, but asking for none is not an error
+    assert gather_frames(x[:100], np.zeros(0, dtype=int), win_n).shape == (0, win_n)
+
+
 def test_chunks_cover_every_frame_in_order():
     n = 5000
     # a budget of 2,048 rows, and a row wider than the whole budget
@@ -86,6 +104,22 @@ def test_chunks_cover_every_frame_in_order():
 
 
 # -- span selection ----------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-3, 3), max_size=40),
+    st.integers(-3, 3),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(-3, 3),
+)
+def test_local_maxima_are_the_peaks_find_peaks_finds(values, edge, lead, trail, height):
+    # quantized values make plateaus common, and edge runs make plateaus that touch an end
+    x = 0.5 * np.array([edge] * lead + values + [edge] * trail, dtype=float)
+    peaks = local_maxima(x)
+    np.testing.assert_array_equal(peaks, find_peaks(x)[0])
+    np.testing.assert_array_equal(peaks[x[peaks] >= 0.5 * height], find_peaks(x, height=0.5 * height)[0])
 
 
 def test_span_selects_what_the_bounds_mask_selects():
