@@ -5,8 +5,8 @@ The canonical format used throughout the pipeline is single-channel,
 encoding quantizes back with at most one least-significant-bit error.
 Resampling to the canonical rate, and to the formant analysis rate, is the
 polyphase Kaiser-windowed sinc of ``dsp.resample_poly``, which gives
-scipy's ``resample_poly`` output bit for bit without loading scipy's
-signal package (about 48 MB and 0.9 s per process).
+scipy's ``resample_poly`` output bit for bit on numpy alone, without
+scipy's imports in the process.
 """
 
 from __future__ import annotations

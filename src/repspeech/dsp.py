@@ -3,37 +3,39 @@
 Each operation has one kernel here, and each kernel works on many frames
 at once, one frame per row: framing (frame centres, frame gathering),
 span selection over frame times, the gaussian analysis window, power
-spectra, window-compensated normalized autocorrelation, dB cepstra, Burg
-linear prediction, parabolic and tapered-sinc peak refinement, and robust
-trend lines.  Two kernels work on one signal: the local maxima of a
-contour, and polyphase resampling.  Both give scipy's ``find_peaks`` and
-``resample_poly`` results bit for bit, so extraction never loads scipy's
-signal package.  Every kernel is a pure function over numpy arrays; the
-feature modules compose them into the extractors.
+spectra, window-compensated normalized autocorrelation, dB cepstra,
+moving averages along rows, peak magnitudes of frames, Burg linear
+prediction, parabolic and tapered-sinc peak refinement, and robust trend
+lines.  Two kernels work on one signal: the local maxima of a
+contour, and polyphase resampling.  Every kernel is a pure function over
+numpy arrays; the feature modules compose them into the extractors.
+Extraction loads no scipy module: where a kernel stands in for a scipy
+function (``find_peaks``, ``resample_poly`` and its ``special.i0``, the
+DCT-I of ``fft.dct``, ``ndimage``'s moving average and moving maximum),
+it gives scipy's result bit for bit.
 
 ``chunk_map`` is the one frame loop.  It splits a track's frames into
 chunks whose widest per-row array fills ``CHUNK_BYTES`` and runs the
 chunks on every usable core: each call starts one helper thread per other
 core, the calling thread runs every chunk no helper has taken yet, and
 the helpers are gone when the call returns, so no thread outlives it.
-numpy, scipy.fft, scipy.ndimage and BLAS release the GIL on these arrays,
-so the threads run in parallel.  The chunks do not depend on the number
-of threads, so neither do the results, bit for bit.  A process started by
-``multiprocessing`` (an ``extract --threads N`` pool worker) runs its
-chunks in a plain loop.
+numpy's array operations, its pocketfft and BLAS release the GIL on these
+arrays, so the threads run in parallel.  The chunks do not depend on the
+number of threads, so neither do the results, bit for bit.  A process
+started by ``multiprocessing`` (an ``extract --threads N`` pool worker)
+runs its chunks in a plain loop.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
-import scipy.fft
-import scipy.special
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OrderTooHigh, SignalTooShort
@@ -170,6 +172,36 @@ RESAMPLE_KAISER_BETA = 8.0
 RESAMPLE_HALF_LENGTH = 10  # taps a side, per unit of max(up, down)
 
 
+# exp(-x) I0(x) on [0, 8] as the Chebyshev series in x / 2 - 2 of Cephes'
+# ``i0``, which scipy.special.i0 evaluates
+_I0_CHEBYSHEV = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16, 1.715391285555133e-15,
+    -1.1685332877993451e-14, 7.676185498604936e-14, -4.856446783111929e-13, 2.95505266312964e-12,
+    -1.726826291441556e-11, 9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07, 1.1173875391201037e-06,
+    -4.4167383584587505e-06, 1.6448448070728896e-05, -5.754195010082104e-05, 0.00018850288509584165,
+    -0.0005763755745385824, 0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764, 0.17162090152220877,
+    -0.3046826723431984, 0.6767952744094761,
+)
+
+
+def _bessel_i0(x: np.ndarray) -> np.ndarray:
+    """The modified Bessel function I0 of each 0 <= x <= 8 (1-D), bit for bit as ``scipy.special.i0``.
+
+    Cephes' recurrence sums the series one coefficient at a time, and the
+    result is scaled by libm's exp, as Cephes scales it: numpy's own
+    vectorized exp rounds some arguments the other way.
+    """
+    y = x / 2.0 - 2.0
+    b0, b1, b2 = _I0_CHEBYSHEV[0], 0.0, 0.0
+    for c in _I0_CHEBYSHEV[1:]:
+        b2 = b1
+        b1 = b0
+        b0 = y * b1 - b2 + c
+    return np.array([math.exp(v) for v in x.tolist()]) * (0.5 * (b0 - b2))
+
+
 @functools.cache
 def _resample_taps(up: int, down: int) -> np.ndarray:
     """The filter of ``resample_poly``, unit gain at DC, times ``up``, in scipy's ``firwin`` arithmetic step by step."""
@@ -180,7 +212,7 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     h = cutoff * np.sinc(cutoff * m)
     alpha = (numtaps - 1) / 2.0
     ramp = 1 - ((np.arange(numtaps, dtype=np.float64) - alpha) / alpha) ** 2.0
-    h *= scipy.special.i0(RESAMPLE_KAISER_BETA * np.sqrt(ramp)) / scipy.special.i0(np.float64(RESAMPLE_KAISER_BETA))
+    h *= _bessel_i0(RESAMPLE_KAISER_BETA * np.sqrt(ramp)) / _bessel_i0(np.array([RESAMPLE_KAISER_BETA]))
     h /= np.sum(h)
     h *= up
     h.flags.writeable = False  # shared by every call with these rates
@@ -267,17 +299,91 @@ def normalized_autocorrelation(frames: np.ndarray, nfft: int, rw: np.ndarray) ->
     return np.clip(ac / r0[:, None] / rw[None, :], -1.0, 1.0), dead
 
 
+# rows of even extensions ``log_db_cepstrogram`` transforms at once.  16
+# rows of a 2048-point extension and its spectrum take 0.5 MiB, so each
+# chunk thread's transforms stay in its core's L2; with two chunk threads,
+# 16 rows ran faster than 32 and than a whole 127-row chunk.
+_CEPSTRUM_ROWS = 16
+
+
 def log_db_cepstrogram(frames: np.ndarray, fft_size: int) -> np.ndarray:
     """Batched real cepstra (rows = frames) of dB log-power spectra, quefrencies 0 to fft_size / 2.
 
     The dB spectrum of a real frame is real and even, so its inverse
-    transform is the type-I cosine transform of the one-sided half.
+    transform is the type-I cosine transform of the one-sided half: the
+    real part of the rfft of the half's even extension.  That is how
+    pocketfft, which numpy and scipy.fft share, computes a DCT-I, so the
+    cepstra are ``scipy.fft.dct(level_db, type=1) / fft_size`` bit for bit.
+    The extensions are made and transformed ``_CEPSTRUM_ROWS`` rows at a
+    time, so they and their spectra stay in a core's cache.
     """
     power = power_spectra(frames, fft_size)
+    half = fft_size // 2 + 1
     floors = power.max(axis=1, keepdims=True) * 1e-12
     floors = np.maximum(floors, np.finfo(float).tiny)
-    level_db = 10.0 * np.log10(np.maximum(power, floors))
-    return scipy.fft.dct(level_db, type=1, axis=1, overwrite_x=True) / fft_size
+    level_db = np.maximum(power, floors, out=power)
+    np.log10(level_db, out=level_db)
+    level_db *= 10.0
+    cepstra = np.empty_like(level_db)
+    even = np.empty((min(len(level_db), _CEPSTRUM_ROWS), fft_size))
+    for a in range(0, len(level_db), _CEPSTRUM_ROWS):
+        rows = level_db[a : a + _CEPSTRUM_ROWS]
+        ext = even[: len(rows)]
+        ext[:, :half] = rows
+        ext[:, half:] = rows[:, -2:0:-1]
+        np.divide(np.fft.rfft(ext, axis=1).real, fft_size, out=cepstra[a : a + _CEPSTRUM_ROWS])
+    return cepstra
+
+
+def moving_average(x: np.ndarray, size: int) -> np.ndarray:
+    """The running mean of ``size`` samples along each row of 2-D x, its end samples repeated past either end.
+
+    Output j averages the samples from ``j - size // 2`` on, bit for bit as
+    scipy's ``uniform_filter1d(x, size, axis=1, mode="nearest")``: the
+    first window is summed from 0.0 one sample at a time, each next sum is
+    the last plus (entering sample - leaving sample), and each sum is
+    divided by ``size``.  The running sums are a cumsum, which numpy runs
+    one row at a time, each add waiting on the one before, with the GIL
+    held.  So rows go in pairs, as the real and imaginary lanes of one
+    complex row: a complex add is one float64 add per lane, and a pair
+    costs about what one row would.
+    """
+    rows, n = x.shape
+    left = size // 2
+    pairs = -(-rows // 2)
+    ext = np.empty((pairs, n + size - 1, 2))  # row 2p in lane 0 of pair p, row 2p + 1 in lane 1
+    ext[:, left : left + n, 0] = x[0::2]
+    ext[: rows // 2, left : left + n, 1] = x[1::2]
+    ext[rows // 2 :, left : left + n, 1] = 0.0  # the lane of no row, when rows is odd
+    ext[:, :left] = ext[:, left : left + 1]
+    ext[:, left + n :] = ext[:, left + n - 1 : left + n]
+    sums = np.empty((pairs, n, 2))
+    sums[:, 0] = 0.0
+    for j in range(size):
+        sums[:, 0] += ext[:, j]
+    np.subtract(ext[:, size:], ext[:, : n - 1], out=sums[:, 1:])
+    lanes = sums.view(np.complex128)[..., 0]
+    np.cumsum(lanes, axis=1, out=lanes)
+    out = np.empty((rows, n))
+    np.divide(sums[:, :, 0], size, out=out[0::2])
+    np.divide(sums[: rows // 2, :, 1], size, out=out[1::2])
+    return out
+
+
+def frame_peaks(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
+    """The largest magnitude of x in each whole ``win_n``-sample frame around evenly spaced ``centers``.
+
+    The frames are those of ``gather_frames``, read through a strided
+    window view, so none is copied.
+    """
+    if len(centers) == 0:
+        return np.zeros(0)
+    step = int(centers[1] - centers[0]) if len(centers) > 1 else 1
+    first = int(centers[0]) - win_n // 2
+    frames = sliding_window_view(x, win_n)[first : first + step * (len(centers) - 1) + 1 : step]
+    peaks = frames.max(axis=1)
+    np.maximum(peaks, -frames.min(axis=1), out=peaks)
+    return peaks
 
 
 def lpc_burg(frames: np.ndarray, order: int) -> np.ndarray:

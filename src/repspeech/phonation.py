@@ -8,13 +8,14 @@ public entry point runs it twice, adapting the search range to the
 speaker's quartiles, which avoids the false high readings that a fixed
 wide ceiling produces.
 
-Framing, span selection, windows, spectra, autocorrelation, cepstra, peak
-refinement and trend lines are the batched kernels of ``dsp``.  Each
-track runs them in ``dsp.chunk_map`` over chunks of frames whose widest
-per-row array fills ``dsp.CHUNK_BYTES``, so a track's working memory stays
-a few tens of MB whatever the recording's length, and the chunks run on
-every usable core, on helper threads that live for one ``chunk_map`` call,
-with results that do not depend on the core count.
+Framing, span selection, windows, spectra, autocorrelation, cepstra,
+moving averages, frame peaks, peak refinement and trend lines are the
+batched kernels of ``dsp``.  Each track runs them in ``dsp.chunk_map``
+over chunks of frames whose widest per-row array fills ``dsp.CHUNK_BYTES``,
+so a track's working memory stays a few tens of MB whatever the
+recording's length, and the chunks run on every usable core, on helper
+threads that live for one ``chunk_map`` call, with results that do not
+depend on the core count.
 Only the pitch path (``_best_path``) stays a sequential loop over its
 chunks, because each frame's score depends on the one before.
 
@@ -30,16 +31,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .audio_io import AudioBuffer
 from .dsp import (
     chunk_map,
     chunk_rows,
     frame_centers,
+    frame_peaks,
     gather_frames,
     gaussian_window,
     log_db_cepstrogram,
+    moving_average,
     next_pow2,
     normalized_autocorrelation,
     parabolic_refine,
@@ -545,9 +547,7 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_frames = len(centers)
     # the silence gate: each frame's peak magnitude against the recording's
     # (an all-zero recording passes every frame here, but has no live frame)
-    magnitude = np.abs(x)
-    loud = maximum_filter1d(magnitude, win_n)[centers] >= CPP_SILENCE_THRESHOLD * magnitude.max()
-    del magnitude
+    silence = CPP_SILENCE_THRESHOLD * max(x.max(), -x.min())
     emphasized = pre_emphasize(x, rate)
     w = np.hanning(win_n)
 
@@ -587,9 +587,11 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for j in range(2, t_size):
             smoothed += pc[j : j + m]
         smoothed /= t_size
-        block = uniform_filter1d(smoothed, size=q_size, axis=1, mode="nearest")
+        del pc
+        block = moving_average(smoothed, q_size)
+        del smoothed
 
-        use = loud[a:b] & live[before : before + m]
+        use = (frame_peaks(x, centers[rows], win_n) >= silence) & live[before : before + m]
         included[a:b] = use
         if use.all():
             level, out = block, slice(a, b)

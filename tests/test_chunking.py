@@ -221,11 +221,11 @@ def traced_peak(track, buf):
 # Memory a track may hold for the whole recording: float64 copies of the
 # signal, and arrays with one entry (or one row of candidates) per frame.
 # Pitch keeps |x| for the global peak and 15 candidates x 5 arrays of
-# 8 bytes per frame; CPP keeps |x| and the pre-emphasized signal (plus its
-# transient copy) and a few values per frame.
+# 8 bytes per frame; CPP keeps the pre-emphasized signal and a few values
+# per frame (its silence gate reads x itself, one chunk at a time).
 @pytest.mark.parametrize(
     "track, signal_copies, frame_bytes",
-    [(pitch_track_two_pass, 1, 15 * 5 * 8), (cpp_track, 3, 64)],
+    [(pitch_track_two_pass, 1, 15 * 5 * 8), (cpp_track, 1, 64)],
     ids=["pitch_track_two_pass", "cpp_track"],
 )
 def test_track_memory_is_flat_with_duration(track, signal_copies, frame_bytes):

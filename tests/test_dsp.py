@@ -1,20 +1,30 @@
 """Batched numerical kernels: framing, spans, spectra, autocorrelation, Burg, cepstra, peaks, lines."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import find_peaks
+from scipy.ndimage import maximum_filter1d, uniform_filter1d
+from scipy.signal import find_peaks, firwin
 
 from repspeech.dsp import (
     CHUNK_BYTES,
+    RESAMPLE_KAISER_BETA,
+    _bessel_i0,
+    _resample_taps,
     chunk_map,
     frame_centers,
+    frame_peaks,
     gather_frames,
     gaussian_window,
     local_maxima,
     log_db_cepstrogram,
     lpc_burg,
+    moving_average,
     next_pow2,
     normalized_autocorrelation,
     parabolic_refine,
@@ -28,6 +38,11 @@ from repspeech.errors import OrderTooHigh, SignalTooShort
 from repspeech.synth import synth_pulse_train
 
 RATE = 16000
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def pulse_frames(f0=200.0, length=0.060):
@@ -101,6 +116,18 @@ def test_chunks_cover_every_frame_in_order():
         assert [rows.stop - rows.start for rows in chunks] == sizes
         assert np.array_equal(np.concatenate([np.arange(n)[rows] for rows in chunks]), np.arange(n))
     assert chunk_map(0, 8, lambda rows: rows) == []
+
+
+def test_frame_peaks_are_the_maximum_filter_at_the_centres():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(9000) * np.repeat(10.0 ** rng.uniform(-4, 0, 9), 1000)
+    x[4000:4700] = 0.0
+    for win_n, step_n in ((640, 32), (640, 640), (7, 1), (1, 3)):
+        centers = frame_centers(len(x), win_n, step_n)
+        expected = maximum_filter1d(np.abs(x), win_n)[centers]
+        np.testing.assert_array_equal(frame_peaks(x, centers, win_n), expected)
+        for rows in (slice(0, 1), slice(5, 9), slice(len(centers) - 3, len(centers)), slice(4, 4)):
+            np.testing.assert_array_equal(frame_peaks(x, centers[rows], win_n), expected[rows])
 
 
 # -- span selection ----------------------------------------------------------------
@@ -299,6 +326,55 @@ def test_cepstrum_matches_inverse_fft():
     ceps = log_db_cepstrogram(frames, 2048)
     peaks = np.abs(expected).max(axis=1, keepdims=True)
     assert np.all(np.abs(ceps - expected) <= 1e-12 * peaks)
+
+
+@pytest.mark.parametrize("fft_size", [2048, 512])
+def test_cepstrum_is_scipys_type_one_dct_bit_for_bit(fft_size):
+    n = 3 * fft_size // 8
+    rng = np.random.default_rng(fft_size)
+    noise = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-6, 0, (40, 1))
+    pulses = synth_pulse_train(200.0, 0.2, rate=RATE).signal[: 3 * n].reshape(3, n)
+    frames = np.vstack([noise, pulses, np.zeros((1, n))]) * np.hanning(n)
+    power = power_spectra(frames, fft_size)
+    floors = np.maximum(power.max(axis=1, keepdims=True) * 1e-12, np.finfo(float).tiny)
+    level_db = 10.0 * np.log10(np.maximum(power, floors))
+    assert_same_bits(log_db_cepstrogram(frames, fft_size), scipy.fft.dct(level_db, type=1, axis=1) / fft_size)
+
+
+@pytest.mark.parametrize("size", range(1, 12))
+def test_moving_average_is_scipys_uniform_filter_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for n in (1, 2, 3, 5, 8, 13, 1025):
+        x = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8, 8, (6, 1))
+        x[5] = -0.0  # a sum from 0.0 is +0.0, not -0.0
+        assert_same_bits(moving_average(x, size), uniform_filter1d(x, size, axis=1, mode="nearest"))
+
+
+# the (up, down) of every resampling extraction does: 8-96 kHz input to the
+# canonical 16 kHz, and 16 kHz to twice every formant ceiling from 3000 to
+# 8000 Hz in 50 Hz steps
+RESAMPLE_RATIOS = sorted(
+    {Fraction(16000, r) for r in (8000, 11025, 12000, 22050, 24000, 32000, 44100, 48000, 88200, 96000)}
+    | {Fraction(2 * ceiling, 16000) for ceiling in range(3000, 8001, 50)}
+    - {Fraction(1)}
+)
+
+
+def test_resample_taps_are_scipys_kaiser_firwin_bit_for_bit():
+    assert len(RESAMPLE_RATIOS) == 109
+    for ratio in RESAMPLE_RATIOS:
+        up, down = ratio.numerator, ratio.denominator
+        numtaps = 20 * max(up, down) + 1
+        alpha = (numtaps - 1) / 2.0
+        beta = RESAMPLE_KAISER_BETA * np.sqrt(1 - ((np.arange(numtaps, dtype=np.float64) - alpha) / alpha) ** 2.0)
+        assert_same_bits(_bessel_i0(beta), scipy.special.i0(beta))
+        expected = firwin(numtaps, 1.0 / max(up, down), window=("kaiser", RESAMPLE_KAISER_BETA)) * up
+        assert_same_bits(_resample_taps(up, down), expected)
+
+
+def test_bessel_i0_is_scipys_on_its_whole_range():
+    x = np.concatenate([np.linspace(0.0, 8.0, 100_001), np.random.default_rng(0).uniform(0.0, 8.0, 100_000)])
+    assert_same_bits(_bessel_i0(x), scipy.special.i0(x))
 
 
 # -- peak refinement and lines ------------------------------------------------------

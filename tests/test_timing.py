@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repspeech.audio_io import AudioBuffer
+from repspeech.audio_io import AudioBuffer, read_wav, to_canonical, write_wav
 from repspeech.errors import ZeroDuration, ZeroPhonationTime
 from repspeech.phonation import HOP, PitchTrack, intensity_track, pitch_track_two_pass
 from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
@@ -105,8 +107,6 @@ def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
     Quantization moves the contour maximum to the first intensity frame,
     which lies before the first pitch frame.
     """
-    from repspeech.audio_io import read_wav, to_canonical, write_wav
-
     buf = synth_pulse_train(150.0, 2.0)
     path = tmp_path / "edge.wav"
     write_wav(buf, path)
@@ -200,6 +200,57 @@ def test_counts_gain_invariant():
     r1 = detect_speech_regions(pat.buffer, contour)
     r2 = detect_speech_regions(scaled, scaled_contour)
     assert [s.kind for s in r1] == [s.kind for s in r2]
+
+
+@st.composite
+def burst_patterns(draw):
+    """Voiced bursts, with or without silence at either end; their pause count; and a gain.
+
+    Gaps stay clear of the 0.30 s pause threshold (the detector reads a gap
+    about 30 ms short), and bursts of one pattern lie within 13 dB of each
+    other, well above the -25 dB silence threshold, so no count sits on a
+    threshold that quantization could tip.
+    """
+    edge = st.one_of(st.just(0.0), st.floats(0.05, 0.5))
+    segments = [SynthSpec("silence", draw(edge))]
+    n_bursts = draw(st.integers(1, 4))
+    pauses = 0
+    for i in range(n_bursts):
+        kind = draw(st.sampled_from(["pulse_train", "formant_voice"]))
+        segments.append(
+            SynthSpec(
+                kind,
+                draw(st.floats(0.15, 0.6)),
+                f0=draw(st.floats(90.0, 250.0)),
+                formants=((700.0, 80.0), (1200.0, 90.0)) if kind == "formant_voice" else (),
+                amplitude=draw(st.floats(0.2, 0.9)),
+            )
+        )
+        if i < n_bursts - 1:
+            gap = draw(st.one_of(st.floats(0.06, 0.26), st.floats(0.38, 0.5)))
+            pauses += gap > 0.3
+            segments.append(SynthSpec("silence", gap))
+    segments.append(SynthSpec("silence", draw(edge)))
+    return [s for s in segments if s.duration > 0], pauses, draw(st.floats(1e-3, 1.0))
+
+
+def pause_and_nucleus_counts(buf):
+    contour = intensity_track(buf)
+    pauses = sum(s.kind == "pause" for s in detect_speech_regions(buf, contour))
+    return pauses, count_syllable_nuclei(buf, contour, pitch_track_two_pass(buf))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(burst_patterns())
+def test_counts_survive_the_wav_round_trip_and_gain(tmp_path_factory, case):
+    segments, pauses, gain = case
+    buf = synth_pattern(segments).buffer
+    path = tmp_path_factory.mktemp("counts") / "pattern.wav"
+    write_wav(buf, path)
+    counts = pause_and_nucleus_counts(buf)
+    assert counts[0] == pauses
+    assert pause_and_nucleus_counts(to_canonical(read_wav(path))) == counts
+    assert pause_and_nucleus_counts(AudioBuffer.mono(buf.signal * gain, buf.sample_rate)) == counts
 
 
 def test_empty_buffer():
