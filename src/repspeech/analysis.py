@@ -103,9 +103,9 @@ class Analysis:
 
         Each value is a reduction of a shared track over the span; spectral
         moments are taken on the span's own samples.  The moments run first:
-        over a whole recording their one long rfft is the largest transient
-        of an extraction, and before any track is computed it lands on an
-        empty heap.
+        over a whole recording their spectrum is a large transient of an
+        extraction, and before any track is computed it lands on an empty
+        heap.
         """
         features: dict[str, float | None] = dict.fromkeys(A_FEATURES)
         errors: dict[str, str] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, resample
-from .dsp import chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, span
+from .dsp import chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, signal_power_spectrum, span
 from .errors import NoVoicedFrames, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
@@ -120,8 +120,8 @@ def spectral_moments(segment: AudioBuffer) -> SpectralMoments:
     if len(x) == 0 or not np.any(x):
         raise SilentSignal("cannot take moments of a silent segment")
     x = x - x.mean()
-    x *= np.hanning(len(x))  # in place, so the rfft runs with one signal-length array alive
-    power = np.abs(np.fft.rfft(x)) ** 2
+    x *= np.hanning(len(x))  # in place, so the transform runs with one signal-length array alive
+    power = signal_power_spectrum(x)
     total = float(np.sum(power))
     if total <= 0.0:
         raise SilentSignal("segment carries no spectral energy")

@@ -187,6 +187,8 @@ def _extract_one(req: ExtractionRequest):
 
 def _cmd_extract(args) -> int:
     levels = tuple(s.strip() for s in args.level.split(",") if s.strip())
+    if not levels:
+        raise RepSpeechError(f"--level names no extraction level; choose from {', '.join(LEVEL_FEATURES)}")
     unknown = [level for level in levels if level not in LEVEL_FEATURES]
     if unknown:
         raise RepSpeechError(f"unknown extraction level {unknown[0]!r}; choose from {', '.join(LEVEL_FEATURES)}")
@@ -194,6 +196,8 @@ def _cmd_extract(args) -> int:
         raise RepSpeechError(f"--threads must be at least 1, got {args.threads}")
     if args.textgrid and (len(args.inputs) > 1 or args.textgrid_dir):
         raise RepSpeechError("--textgrid aligns a single input and excludes --textgrid-dir")
+    if args.textgrid_dir and not Path(args.textgrid_dir).is_dir():
+        raise RepSpeechError(f"--textgrid-dir {args.textgrid_dir} is not a directory")
     params = _pipeline_params(args)
     requests = []
     for path in sorted(args.inputs):

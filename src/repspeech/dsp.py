@@ -6,8 +6,9 @@ span selection over frame times, the gaussian analysis window, power
 spectra, window-compensated normalized autocorrelation, dB cepstra,
 moving averages along rows, peak magnitudes of frames, Burg linear
 prediction, parabolic and tapered-sinc peak refinement, and robust trend
-lines.  Two kernels work on one signal: the local maxima of a
-contour, and polyphase resampling.  Every kernel is a pure function over
+lines.  Three kernels work on one signal: the local maxima of a
+contour, polyphase resampling, and the power spectrum of a whole signal
+(``signal_power_spectrum``).  Every kernel is a pure function over
 numpy arrays; the feature modules compose them into the extractors.
 Extraction loads no scipy module: where a kernel stands in for a scipy
 function (``find_peaks``, ``resample_poly`` and its ``special.i0``, the
@@ -273,6 +274,65 @@ def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
 def power_spectra(frames: np.ndarray, nfft: int) -> np.ndarray:
     """Squared rfft magnitudes of each row, zero-padded to ``nfft``."""
     return np.abs(np.fft.rfft(frames, nfft, axis=1)) ** 2
+
+
+def _largest_prime_factor(n: int) -> int:
+    """The largest prime factor of n >= 1 (n itself when n is prime, 1 when n is 1)."""
+    p, f = 1, 2
+    while f * f <= n:
+        while n % f == 0:
+            p, n = f, n // f
+        f += 1 if f == 2 else 2
+    return max(p, n)
+
+
+def signal_power_spectrum(x: np.ndarray) -> np.ndarray:
+    """|DFT_N(x)|^2 of one real signal at its own length N, bins 0 to N // 2.
+
+    pocketfft takes a long signal whose largest prime factor p exceeds
+    sqrt(N) down its Bluestein path, which pads to about 2N complex
+    samples: ~130 MB of peak RSS for a 56 s recording.  When p < N, such a
+    length is split into N = m * p with m < p, and no transform is longer
+    than p:
+
+    1. the p-point rffts of the m phases ``x[r::m]``, in one numpy call:
+       numpy builds a pocketfft plan per call, so chunks on k cores would
+       hold k Bluestein plans and buffer sets at once;
+    2. each column k times its twiddles exp(-2 pi i r k / N), where r * k
+       < N is an exact int64 product, and built per chunk of columns;
+    3. the m-point ffts over r, in place, which put bin p * k1 + k in row
+       k1 of column k.
+
+    Hermitian symmetry gives every bin from the columns k <= p // 2: bin
+    N - (p * k1 + k) has the same power.  Steps 2 and 3 run through
+    ``chunk_map``, whose chunks do not depend on the core count, and
+    neither does the result.  It differs from the single rfft's power by
+    rounding only (about 1e-15 of the spectrum's maximum).  Every other
+    length, primes included, is ``np.abs(np.fft.rfft(x)) ** 2`` bit for bit.
+    """
+    n = len(x)
+    p = _largest_prime_factor(n)
+    if p * p <= n or p >= n:  # no large factor, a prime, or no sample
+        return np.abs(np.fft.rfft(x)) ** 2
+    m = n // p
+    half = p // 2 + 1  # p is odd
+    phases = x.reshape(p, m).T  # row r is x[r::m]
+    spectra = np.empty((m, half), dtype=np.complex128)
+    np.fft.rfft(phases, axis=1, out=spectra)
+    power = np.empty((m, p))  # row k1, column k: bin p * k1 + k
+    r = np.arange(m)
+
+    def combine(cols: slice) -> None:
+        k = np.arange(cols.start, cols.stop)[:, None]
+        block = spectra[:, cols].T * np.exp(1j * ((k * r) * (-2.0 * math.pi / n)))
+        np.fft.fft(block, axis=1, out=block)
+        mag = np.abs(block.T) ** 2
+        power[:, cols] = mag
+        first = max(cols.start, 1)  # column 0 is its own mirror
+        power[::-1, p - first : p - cols.stop : -1] = mag[:, first - cols.start :]
+
+    chunk_map(half, 16 * m, combine)
+    return power.reshape(-1)[: n // 2 + 1]
 
 
 def window_autocorr(window: np.ndarray, nfft: int, max_lag: int) -> np.ndarray:

@@ -1,8 +1,15 @@
 """Formant recovery and spectral moments."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repspeech
 from repspeech.articulation import formant_track, spectral_moments
 from repspeech.audio_io import AudioBuffer
 from repspeech.errors import NoVoicedFrames, SilentSignal
@@ -116,6 +123,46 @@ def test_moments_match_direct_sum_oracle():
     deviation = np.sqrt(spread / total)
     assert m.gravity == pytest.approx(gravity, rel=1e-9)
     assert m.deviation == pytest.approx(deviation, rel=1e-9)
+
+
+def rfft_moments(buf):
+    x = buf.signal - buf.signal.mean()
+    power = np.abs(np.fft.rfft(x * np.hanning(len(x)))) ** 2
+    freqs = np.fft.rfftfreq(len(x), 1 / buf.sample_rate)
+    gravity = np.sum(freqs * power) / np.sum(power)
+    return gravity, math.sqrt(np.sum((freqs - gravity) ** 2 * power) / np.sum(power))
+
+
+@pytest.mark.parametrize("n", [5 * 65537, 2 * 4099])
+def test_moments_of_split_lengths_match_the_single_rfft(n):
+    # a largest prime factor above sqrt(n) takes the two-factor transform
+    buf = AudioBuffer(np.random.default_rng(n).uniform(-0.5, 0.5, n), RATE)
+    m = spectral_moments(buf)
+    gravity, deviation = rfft_moments(buf)
+    assert m.gravity == pytest.approx(gravity, rel=1e-14)
+    assert m.deviation == pytest.approx(deviation, rel=1e-14)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_moments_of_a_long_bluestein_length_stay_small_in_memory():
+    # 890,915 = 5 x 178,183 samples: one rfft of this length raises VmHWM by ~130 MB
+    script = (
+        "import numpy as np\n"
+        "from repspeech.articulation import spectral_moments\n"
+        "from repspeech.audio_io import AudioBuffer\n"
+        "def hwm_mb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM')) / 1024\n"
+        "buf = AudioBuffer(np.random.default_rng(7).uniform(-0.5, 0.5, 890915), 16000)\n"
+        "before = hwm_mb()\n"
+        "spectral_moments(buf)\n"
+        "print(hwm_mb() - before)\n"
+    )
+    src = str(Path(repspeech.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 80.0
 
 
 def test_silent_segment():

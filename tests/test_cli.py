@@ -348,6 +348,30 @@ def test_extract_unknown_level_exits_2(recording, capsys):
     assert error_line(capsys).startswith("error: RepSpeechError: unknown extraction level 'X'")
 
 
+def no_extraction(*_args):
+    raise AssertionError("extraction ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("level", [",", "", " , "])
+def test_extract_empty_level_exits_2_before_any_work(recording, tmp_path, capsys, monkeypatch, level):
+    _, wav, _ = recording
+    monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
+    out = tmp_path / "never.csv"
+    assert main(["extract", "--level", level, wav, "-o", str(out)]) == 2
+    assert error_line(capsys) == "error: RepSpeechError: --level names no extraction level; choose from S, a\n"
+    assert not out.exists()
+
+
+def test_extract_missing_textgrid_dir_exits_2_before_any_work(recording, tmp_path, capsys, monkeypatch):
+    _, wav, _ = recording
+    monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
+    missing = tmp_path / "no_such_dir"
+    out = tmp_path / "never.csv"
+    assert main(["extract", "--level", "S,a", wav, "--textgrid-dir", str(missing), "-o", str(out)]) == 2
+    assert error_line(capsys) == f"error: RepSpeechError: --textgrid-dir {missing} is not a directory\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_extract_threads_below_one_exits_2(recording, tmp_path, capsys, threads):
     _, wav, _ = recording

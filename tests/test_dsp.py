@@ -15,6 +15,7 @@ from repspeech.dsp import (
     CHUNK_BYTES,
     RESAMPLE_KAISER_BETA,
     _bessel_i0,
+    _largest_prime_factor,
     _resample_taps,
     chunk_map,
     frame_centers,
@@ -29,6 +30,7 @@ from repspeech.dsp import (
     normalized_autocorrelation,
     parabolic_refine,
     power_spectra,
+    signal_power_spectrum,
     sinc_refine,
     span,
     trend_lines,
@@ -191,6 +193,61 @@ def test_fft_linearity():
     combined = np.fft.rfft(a * x + b * y)
     separate = a * np.fft.rfft(x) + b * np.fft.rfft(y)
     np.testing.assert_allclose(combined, separate, rtol=1e-6, atol=1e-9)
+
+
+# -- power spectrum of a whole signal ------------------------------------------------
+
+
+def splits(n):
+    p = _largest_prime_factor(n)
+    return n < p * p and p < n
+
+
+def assert_is_rfft_power(x):
+    """The single rfft's bits where the length does not split; within 1e-13 of the spectrum's maximum where it does."""
+    expected = np.abs(np.fft.rfft(x)) ** 2
+    got = signal_power_spectrum(x)
+    if splits(len(x)):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * expected.max()
+    else:
+        assert_same_bits(got, expected)
+
+
+def test_largest_prime_factor_by_trial_division():
+    for n in range(1, 600):
+        factors = [f for f in range(2, n + 1) if n % f == 0 and all(f % d for d in range(2, f))]
+        assert _largest_prime_factor(n) == max(factors, default=1)
+
+
+@pytest.mark.parametrize(
+    "n, split",
+    [
+        # no prime factor above the square root, and primes, which have no split
+        *((n, False) for n in (1, 2, 3, 4, 49, 75600, 1_024_000, 7, 4099, 65537)),
+        *((n, True) for n in (2 * 4099, 5 * 65537, 19 * 4999, 1000 * 1009, 6)),
+    ],
+)
+def test_power_spectrum_is_the_rfft_power(n, split):
+    assert splits(n) == split
+    assert_is_rfft_power(np.random.default_rng(n).standard_normal(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6000), st.integers(0, 2**32 - 1))
+def test_power_spectrum_is_the_rfft_power_at_every_length(n, seed):
+    assert_is_rfft_power(np.random.default_rng(seed).standard_normal(n))
+
+
+# both lengths take several chunks of columns: few long phases, and many short ones
+@pytest.mark.parametrize("n", [5 * 65537, 1000 * 1009])
+def test_power_spectrum_bits_do_not_depend_on_the_core_count(n, monkeypatch):
+    x = np.random.default_rng(n).standard_normal(n)
+    spectra = []
+    for cores in (1, 2):
+        monkeypatch.setattr("repspeech.dsp.usable_cores", lambda: cores)
+        spectra.append(signal_power_spectrum(x))
+    assert_same_bits(spectra[0], spectra[1])
 
 
 # -- autocorrelation -------------------------------------------------------------
