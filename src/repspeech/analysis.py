@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 # tracks are computed through their module attributes, so a wrapper
 # installed on a module (a tracer, a test's call counter) sees every call
 from . import articulation, phonation
-from .articulation import FORMANT_CEILING, FormantTrack
+from .articulation import FormantTrack
 from .audio_io import AudioBuffer
 from .errors import NoMeasurableInstances, RepSpeechError, error_code
 from .phonation import IntensityTrack, PitchTrack
@@ -55,7 +55,7 @@ def fill(
 class Analysis:
     """The analysis tracks of one canonical recording, each computed on first use."""
 
-    def __init__(self, buf: AudioBuffer, formant_ceiling: float = FORMANT_CEILING):
+    def __init__(self, buf: AudioBuffer, formant_ceiling: float):
         self.buf = buf
         self.formant_ceiling = formant_ceiling
         self._tracks: dict[object, object] = {}

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, resample
-from .dsp import chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, signal_power_spectrum, span
+from .dsp import (
+    center_and_window, chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, signal_power_spectrum, span
+)
 from .errors import NoVoicedFrames, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
@@ -23,6 +25,7 @@ N_FORMANTS = 5  # resonances below the ceiling; two prediction coefficients each
 FORMANT_WINDOW = 0.025  # s, effective gaussian window (physical = 2x)
 FORMANT_STEP = 0.010  # s
 FORMANT_MAX_BANDWIDTH = 700.0  # Hz; broad spurious poles are not resonances
+FORMANT_MARGIN = 50.0  # Hz; resonances are taken from this far above 0 Hz to this far below the ceiling
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,7 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
     def resonances(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        frames = gather_frames(y, voiced[rows], win_n)
-        frames -= frames.mean(axis=1, keepdims=True)
-        frames *= window
+        frames = center_and_window(gather_frames(y, voiced[rows], win_n), window)
         live = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
         lowest = _lowest_resonances(lpc_burg(frames[live], 2 * N_FORMANTS), analysis_rate, ceiling)
         return voiced[rows][live] / analysis_rate, lowest
@@ -96,8 +97,8 @@ def _lowest_resonances(coeffs: np.ndarray, rate: float, ceiling: float) -> np.nd
     bandwidths = -np.log(np.maximum(np.abs(roots), 1e-12)) * rate / math.pi
     keep = (
         (np.imag(roots) > 0)
-        & (freqs > 50.0)
-        & (freqs < ceiling - 50.0)
+        & (freqs > FORMANT_MARGIN)
+        & (freqs < ceiling - FORMANT_MARGIN)
         & (bandwidths < FORMANT_MAX_BANDWIDTH)
     )
     return np.sort(np.where(keep, freqs, np.inf), axis=1)[:, :2]

@@ -18,17 +18,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .alignment import (
-    DEFAULT_MIN_VOWEL_DURATION,
-    DEFAULT_PHONE_TIER,
-    DEFAULT_VOWEL_LABELS,
-    find_target_vowels,
-    read_textgrid,
-)
+from .alignment import find_target_vowels, read_textgrid
 from .audio_io import read_wav, to_canonical, write_wav
 from .errors import RepSpeechError
 from .pipeline import (
@@ -52,7 +46,8 @@ from .protocol import (
     validate_schedule,
 )
 from .reporting import emit_table, summarize_features
-from .synth import SynthSpec, render_segment, synth_pattern
+from .synth import KINDS, SynthSpec, render_segment, synth_pattern
+from .timing import TimingParams
 
 CONFIG_ENV = "REPSPEECH_CONFIG"
 
@@ -62,6 +57,10 @@ EXIT_ERROR = 2
 
 CSV_COLUMNS = ["recording", "level", *S_FEATURES, "n_vowel_instances", "errors"]
 
+# the dest of each ``extract`` flag that sets a TimingParams field, and that field; every other
+# analysis flag's dest is the name of the PipelineParams field it sets
+TIMING_FLAGS = {"silence_threshold_db": "silence_threshold_db", "min_pause": "min_pause_s", "min_dip": "min_dip_db"}
+
 
 def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="repspeech", description=__doc__)
@@ -69,12 +68,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     parser.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
     parser.add_argument("--config", help="JSON config file providing flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the vowel selection of ``extract --level a`` and of ``vowels``: one set of flags, one config key each
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--vowel-labels", "--labels", type=_labels, help="comma-separated phone labels")
+    selection.add_argument("--min-vowel-duration", "--min-duration", type=float, help="seconds")
+    selection.add_argument("--phone-tier", "--tier", help="name of the phone tier")
 
     p = sub.add_parser("canonicalize", help="convert audio to mono 16 kHz 16-bit")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("extract", help="extract the exemplar feature set")
+    p = sub.add_parser("extract", parents=[selection], help="extract the exemplar feature set")
     p.add_argument("inputs", nargs="+", help="WAV files")
     p.add_argument("--level", default="S", help="comma-separated subset of S,a")
     p.add_argument("--textgrid", help="alignment for a single input")
@@ -82,19 +86,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per input")
-    p.add_argument("--vowel-labels", help="comma-separated phone labels")
-    p.add_argument("--min-vowel-duration", type=float)
-    p.add_argument("--phone-tier", default=None)
     p.add_argument("--silence-threshold-db", type=float)
     p.add_argument("--min-pause", type=float)
     p.add_argument("--min-dip", type=float)
     p.add_argument("--formant-ceiling", type=float)
 
-    p = sub.add_parser("vowels", help="list selected vowel instances from a TextGrid")
+    p = sub.add_parser("vowels", parents=[selection], help="list selected vowel instances from a TextGrid")
     p.add_argument("textgrid")
-    p.add_argument("--labels", help="comma-separated phone labels")
-    p.add_argument("--min-duration", type=float, default=DEFAULT_MIN_VOWEL_DURATION)
-    p.add_argument("--tier", default=DEFAULT_PHONE_TIER)
 
     p = sub.add_parser("summarize", help="normative median (q1, q3) table from a feature CSV")
     p.add_argument("features_csv")
@@ -111,7 +109,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--template", action="store_true", help="print a template and exit")
 
     p = sub.add_parser("synth", help="generate a test signal with a ground-truth sidecar")
-    p.add_argument("--kind", choices=("pulse_train", "formant_voice", "tone", "noise", "silence"))
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--f0", type=float)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=0.3)
@@ -121,6 +119,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("-o", "--output", required=True, help="output WAV path")
     subparsers = list(sub.choices.values())
     return parser, subparsers
+
+
+def _labels(raw: str) -> frozenset[str]:
+    return frozenset(raw.split(","))
 
 
 def _emit_error(exc: Exception, as_json: bool) -> None:
@@ -161,24 +163,10 @@ def _cmd_canonicalize(args) -> int:
 
 
 def _pipeline_params(args) -> PipelineParams:
-    params = PipelineParams()
-    timing = params.timing
-    if args.silence_threshold_db is not None:
-        timing = replace(timing, silence_threshold_db=args.silence_threshold_db)
-    if args.min_pause is not None:
-        timing = replace(timing, min_pause_s=args.min_pause)
-    if args.min_dip is not None:
-        timing = replace(timing, min_dip_db=args.min_dip)
-    updates = {"timing": timing}
-    if args.formant_ceiling is not None:
-        updates["formant_ceiling"] = args.formant_ceiling
-    if args.vowel_labels:
-        updates["vowel_labels"] = frozenset(args.vowel_labels.split(","))
-    if args.min_vowel_duration is not None:
-        updates["min_vowel_duration"] = args.min_vowel_duration
-    if args.phone_tier:
-        updates["phone_tier"] = args.phone_tier
-    return replace(params, **updates)
+    """The settings of the analysis flags in ``args``; a setting whose flag is unset, or absent, keeps its default."""
+    given = {dest: value for dest, value in vars(args).items() if value is not None}
+    timing = TimingParams(**{name: given[dest] for dest, name in TIMING_FLAGS.items() if dest in given})
+    return PipelineParams(timing, **{f.name: given[f.name] for f in fields(PipelineParams) if f.name in given})
 
 
 def _extract_one(req: ExtractionRequest):
@@ -236,8 +224,9 @@ def _csv_text(rows: list[dict]) -> str:
 
 
 def _cmd_vowels(args) -> int:
-    labels = frozenset(args.labels.split(",")) if args.labels else DEFAULT_VOWEL_LABELS
-    vowels = find_target_vowels(read_textgrid(args.textgrid), labels, args.min_duration, args.tier)
+    params = _pipeline_params(args)  # the selection ``extract --level a`` makes with the same flags
+    grid = read_textgrid(args.textgrid)
+    vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
     for v in vowels:
         print(f"{v.start:.3f}\t{v.end:.3f}\t{v.label}")
     print(f"{len(vowels)} instances", file=sys.stderr)
@@ -292,16 +281,20 @@ def _cmd_validate(args) -> int:
 def _parse_formants(raw: str | None) -> tuple[tuple[float, float], ...]:
     if not raw:
         return ()
-    pairs = []
-    for item in raw.split(","):
-        freq, bw = item.split(":")
-        pairs.append((float(freq), float(bw)))
-    return tuple(pairs)
+    try:
+        return tuple((float(freq), float(bw)) for freq, bw in (item.split(":") for item in raw.split(",")))
+    except ValueError:
+        raise RepSpeechError(f"--formants takes freq:bw pairs, comma separated, got {raw!r}") from None
 
 
 def _cmd_synth(args) -> int:
     if args.pattern:
         specs_raw = json.loads(Path(args.pattern).read_text(encoding="utf-8"))
+        if not (isinstance(specs_raw, list) and specs_raw and all(isinstance(s, dict) for s in specs_raw)):
+            raise RepSpeechError("a pattern is a non-empty JSON list of segment objects")
+        for i, s in enumerate(specs_raw):
+            if not {"kind", "duration"} <= s.keys():
+                raise RepSpeechError(f"pattern segment {i} needs a kind and a duration")
         specs = [
             SynthSpec(
                 kind=s["kind"],
@@ -360,6 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, _ = parser.parse_known_args(argv)  # --config and --json, before the config is read
         config = _load_config(args.config)
+        flags = {a.dest for p in (parser, *subparsers) for a in p._actions if a.option_strings}
+        unknown = sorted(set(config) - flags)
+        if unknown:
+            raise RepSpeechError(f"config key {unknown[0]!r} names no flag")
         if config:
             parser.set_defaults(**config)
             for sp in subparsers:

@@ -2,12 +2,13 @@
 
 Each operation has one kernel here, and each kernel works on many frames
 at once, one frame per row: framing (frame centres, frame gathering),
-span selection over frame times, the gaussian analysis window, power
-spectra, window-compensated normalized autocorrelation, dB cepstra,
-moving averages along rows, peak magnitudes of frames, Burg linear
-prediction, parabolic and tapered-sinc peak refinement, and robust trend
-lines.  Three kernels work on one signal: the local maxima of a
-contour, polyphase resampling, and the power spectrum of a whole signal
+span selection over frame times, the gaussian analysis window, in-place
+mean removal and windowing of frames, power spectra, window-compensated
+normalized autocorrelation, dB cepstra, moving averages along rows, peak
+magnitudes of frames, Burg linear prediction, parabolic and tapered-sinc
+peak refinement, and robust trend lines.  Four kernels work on one
+signal: the runs of equal values and the local maxima of a contour,
+polyphase resampling, and the power spectrum of a whole signal
 (``signal_power_spectrum``).  Every kernel is a pure function over
 numpy arrays; the feature modules compose them into the extractors.
 Extraction loads no scipy module: where a kernel stands in for a scipy
@@ -149,6 +150,13 @@ def span(times: np.ndarray, t0: float, t1: float) -> slice:
     return slice(int(np.searchsorted(times, t0, "left")), int(np.searchsorted(times, t1, "right")))
 
 
+def runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of equal values of 1-D x, in order, as (first index, last index + 1) of each."""
+    n = len(x)
+    bounds = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1, [n])) if n else np.zeros(1, np.intp)
+    return bounds[:-1], bounds[1:]
+
+
 def local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices of the local maxima of x, the ones scipy's ``find_peaks`` finds.
 
@@ -158,11 +166,10 @@ def local_maxima(x: np.ndarray) -> np.ndarray:
     """
     if len(x) < 3:
         return np.zeros(0, dtype=np.intp)
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    starts, stops = runs(x)
     level = x[starts]
-    lasts = np.append(starts[1:], len(x)) - 1
     peak = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-    return (starts[peak] + lasts[peak]) // 2
+    return (starts[peak] + stops[peak] - 1) // 2
 
 
 # the lowpass filter of ``resample_poly``: a Kaiser-windowed sinc of
@@ -428,6 +435,13 @@ def moving_average(x: np.ndarray, size: int) -> np.ndarray:
     np.divide(sums[:, :, 0], size, out=out[0::2])
     np.divide(sums[: rows // 2, :, 1], size, out=out[1::2])
     return out
+
+
+def center_and_window(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """``frames`` with each row's mean subtracted, times ``window``, computed in place and returned."""
+    frames -= frames.mean(axis=1, keepdims=True)
+    frames *= window
+    return frames
 
 
 def frame_peaks(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:

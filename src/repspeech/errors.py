@@ -28,6 +28,12 @@ class IoFailure(RepSpeechError):
     """Underlying file system operation failed."""
 
 
+# -- settings ----------------------------------------------------------------
+
+class BadSetting(RepSpeechError):
+    """An analysis setting lies outside the values it can take."""
+
+
 # -- signal-level preconditions ----------------------------------------------
 
 class SignalTooShort(RepSpeechError):

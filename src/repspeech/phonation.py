@@ -34,6 +34,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .dsp import (
+    center_and_window,
     chunk_map,
     chunk_rows,
     frame_centers,
@@ -141,19 +142,17 @@ def pitch_track(buf: AudioBuffer, floor: float, ceiling: float) -> PitchTrack:
     window = gaussian_window(win_n)
     nfft = next_pow2(win_n + lag_ext + 1)
     rw = window_autocorr(window, nfft, lag_ext)
-    global_peak = float(np.max(np.abs(x))) if len(x) else 0.0
+    global_peak = float(max(x.max(), -x.min()))  # x holds at least one frame
 
     n_frames = len(centers)
     freqs_mat = np.zeros((n_frames, PITCH_CANDIDATES))
     strengths_mat = np.full((n_frames, PITCH_CANDIDATES), -np.inf)
 
     def candidates(rows: slice) -> None:
-        frames = gather_frames(x, centers[rows], win_n)
-        local_peaks = np.max(np.abs(frames), axis=1)
-        frames = (frames - frames.mean(axis=1, keepdims=True)) * window
+        frames = center_and_window(gather_frames(x, centers[rows], win_n), window)
         r, dead = normalized_autocorrelation(frames, nfft, rw)
         _chunk_candidates(
-            r, dead, local_peaks, global_peak, rate, floor, ceiling, lag_min, lag_max,
+            r, dead, frame_peaks(x, centers[rows], win_n), global_peak, rate, floor, ceiling, lag_min, lag_max,
             freqs_mat[rows], strengths_mat[rows],
         )
 
@@ -392,8 +391,7 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarr
 
     def harmonicity(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         sel = idx[rows]
-        frames = gather_frames(x, centers[sel], win_n)
-        frames = (frames - frames.mean(axis=1, keepdims=True)) * window
+        frames = center_and_window(gather_frames(x, centers[sel], win_n), window)
         live = np.any(frames, axis=1)
         if not np.any(live):
             return np.zeros(0), np.zeros(0)

@@ -27,10 +27,10 @@ from .alignment import (
     vowel_level_features,
 )
 from .analysis import A_FEATURES, Analysis, fill
-from .articulation import FORMANT_CEILING
-from .audio_io import read_wav, to_canonical
-from .errors import AlignmentMissing, RepSpeechError, SignalTooShort, error_code
-from .timing import NO_CONTOUR, TimingParams, timing_features
+from .articulation import FORMANT_CEILING, FORMANT_MARGIN
+from .audio_io import CANONICAL_RATE, read_wav, to_canonical
+from .errors import AlignmentMissing, BadSetting, RepSpeechError, SignalTooShort, error_code
+from .timing import NO_CONTOUR, TimingParams, finite_at_least, timing_features
 
 RATE_FEATURES = ("speaking_rate", "articulation_rate", "pause_rate")
 S_FEATURES = ("duration", *RATE_FEATURES, *A_FEATURES)
@@ -46,6 +46,19 @@ class PipelineParams:
     vowel_labels: frozenset[str] = DEFAULT_VOWEL_LABELS
     min_vowel_duration: float = DEFAULT_MIN_VOWEL_DURATION
     phone_tier: str = DEFAULT_PHONE_TIER
+
+    def __post_init__(self):
+        # no resonance lies between the margins of a lower ceiling, and the canonical signal holds none past Nyquist
+        lo, hi = 2 * FORMANT_MARGIN, CANONICAL_RATE / 2
+        if not (finite_at_least(self.formant_ceiling, lo) and lo < self.formant_ceiling <= hi):
+            raise BadSetting(f"formant_ceiling must lie in ({lo:g}, {hi:g}] Hz, got {self.formant_ceiling!r}")
+        labels = self.vowel_labels
+        if not (isinstance(labels, (set, frozenset)) and labels and all(isinstance(v, str) and v for v in labels)):
+            raise BadSetting(f"vowel_labels must be a non-empty set of non-empty labels, got {labels!r}")
+        if not finite_at_least(self.min_vowel_duration, 0.0):
+            raise BadSetting(f"min_vowel_duration must be finite and at least 0, got {self.min_vowel_duration!r}")
+        if not (isinstance(self.phone_tier, str) and self.phone_tier):
+            raise BadSetting(f"phone_tier must be a non-empty tier name, got {self.phone_tier!r}")
 
 
 @dataclass(frozen=True)

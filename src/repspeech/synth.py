@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import BadF0, BadResonator, SilentSignal
+from .errors import BadF0, BadResonator, RepSpeechError, SilentSignal
+from .timing import finite_at_least
 
 DEFAULT_RATE = 16000
 DEFAULT_AMPLITUDE = 0.3
+KINDS = ("pulse_train", "formant_voice", "tone", "noise", "silence")
+PITCHED_KINDS = ("pulse_train", "formant_voice", "tone")  # the kinds an f0 sets
 
 
 @dataclass(frozen=True)
@@ -27,12 +30,20 @@ class SynthSpec:
     ``kind="tone"``.  ``seed`` only matters for noise.
     """
 
-    kind: str  # pulse_train | formant_voice | tone | noise | silence
+    kind: str  # one of KINDS
     duration: float
     f0: float | None = None
     formants: tuple[tuple[float, float], ...] = ()
     amplitude: float = DEFAULT_AMPLITUDE
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise RepSpeechError(f"unknown segment kind {self.kind!r}; choose from {', '.join(KINDS)}")
+        if not finite_at_least(self.duration, 0.0):
+            raise RepSpeechError(f"segment duration must be finite and at least 0 s, got {self.duration!r}")
+        if self.kind in PITCHED_KINDS and not finite_at_least(self.f0, -math.inf):
+            raise BadF0(f"a {self.kind} segment needs a finite f0, got {self.f0!r}")
 
 
 @dataclass(frozen=True)
@@ -179,9 +190,7 @@ def render_segment(spec: SynthSpec, rate: int = DEFAULT_RATE) -> AudioBuffer:
         return synth_tone(spec.f0, spec.duration, rate, spec.amplitude)
     if spec.kind == "noise":
         return synth_noise(spec.duration, rate, rms=spec.amplitude, seed=spec.seed)
-    if spec.kind == "silence":
-        return synth_silence(spec.duration, rate)
-    raise ValueError(f"unknown segment kind {spec.kind!r}")
+    return synth_silence(spec.duration, rate)  # a SynthSpec admits no other kind
 
 
 def synth_pattern(segments: list[SynthSpec], rate: int = DEFAULT_RATE) -> PatternResult:

@@ -13,13 +13,15 @@ clear the silence threshold.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import local_maxima
-from .errors import ZeroDuration, ZeroPhonationTime
+from .dsp import local_maxima, runs
+from .errors import BadSetting, ZeroDuration, ZeroPhonationTime
 from .phonation import HOP, IntensityTrack, PitchTrack
 
 
@@ -28,6 +30,18 @@ class TimingParams:
     silence_threshold_db: float = -25.0
     min_dip_db: float = 2.0
     min_pause_s: float = 0.30
+
+    def __post_init__(self):
+        if not finite_at_least(self.silence_threshold_db, -math.inf):
+            raise BadSetting(f"silence_threshold_db must be finite, got {self.silence_threshold_db!r}")
+        for name in ("min_dip_db", "min_pause_s"):
+            if not finite_at_least(getattr(self, name), 0.0):
+                raise BadSetting(f"{name} must be finite and at least 0, got {getattr(self, name)!r}")
+
+
+def finite_at_least(value: object, least: float) -> bool:
+    """Whether ``value`` is a finite number of at least ``least``."""
+    return isinstance(value, numbers.Real) and math.isfinite(value) and value >= least
 
 
 @dataclass(frozen=True)
@@ -61,20 +75,6 @@ def _sounding_mask(track: IntensityTrack, silence_threshold_db: float) -> np.nda
     return track.level_db >= peak + silence_threshold_db
 
 
-def _runs(mask: np.ndarray) -> list[tuple[bool, int, int]]:
-    """Maximal constant runs of a boolean mask as (value, start, stop)."""
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        j = i
-        while j < n and mask[j] == mask[i]:
-            j += 1
-        runs.append((bool(mask[i]), i, j))
-        i = j
-    return runs
-
-
 def detect_speech_regions(
     buf: AudioBuffer, contour: IntensityTrack, params: TimingParams = TimingParams()
 ) -> list[Segment]:
@@ -90,7 +90,8 @@ def detect_speech_regions(
     mask = _sounding_mask(contour, params.silence_threshold_db)
     if not np.any(mask):
         return []
-    runs = _runs(mask)
+    starts, stops = runs(mask)
+    sounding = mask[starts]
     # frame i covers [t_i - hop/2, t_i + hop/2], clipped to the recording
     half = 0.5 * HOP
 
@@ -99,11 +100,9 @@ def detect_speech_regions(
         end = min(buf.duration, contour.times[i1 - 1] + half)
         return start, end
 
-    sounding_spans = [run_bounds(i0, i1) for v, i0, i1 in runs if v]
-    silent_spans = []
-    for idx, (v, i0, i1) in enumerate(runs):
-        if not v and 0 < idx < len(runs) - 1:
-            silent_spans.append(run_bounds(i0, i1))
+    sounding_spans = [run_bounds(i0, i1) for i0, i1 in zip(starts[sounding], stops[sounding])]
+    internal = ~sounding[1:-1]  # a silent run at either end is no pause
+    silent_spans = [run_bounds(i0, i1) for i0, i1 in zip(starts[1:-1][internal], stops[1:-1][internal])]
 
     segments: list[Segment] = []
     cur_start, cur_end = sounding_spans[0]

@@ -19,6 +19,7 @@ from repspeech.alignment import (
     vowel_level_features,
 )
 from repspeech.analysis import Analysis
+from repspeech.articulation import FORMANT_CEILING
 from repspeech.errors import (
     MalformedTextGrid,
     MissingPhoneTier,
@@ -214,7 +215,7 @@ def two_pitch_recording():
 
 def test_aggregate_is_mean_of_instances():
     buf, vowels = two_pitch_recording()
-    analysis = Analysis(buf)
+    analysis = Analysis(buf, FORMANT_CEILING)
     agg = vowel_level_features(analysis, vowels)
     assert agg.n_instances == 2
     assert agg.means["pitch_mean"] == pytest.approx(155.0, abs=1.0)
@@ -230,11 +231,11 @@ def test_aggregate_is_mean_of_instances():
 def test_empty_vowel_list():
     buf, _ = two_pitch_recording()
     with pytest.raises(NoTargetVowels):
-        vowel_level_features(Analysis(buf), [])
+        vowel_level_features(Analysis(buf, FORMANT_CEILING), [])
 
 
 def test_vowel_past_audio_end():
     buf, _ = two_pitch_recording()
     bad = [VowelInterval(1.0, buf.duration + 0.05, "AA1", "phones")]
     with pytest.raises(VowelOutOfBounds):
-        vowel_level_features(Analysis(buf), bad)
+        vowel_level_features(Analysis(buf, FORMANT_CEILING), bad)

@@ -462,6 +462,13 @@ def _setting_leaves(argv: list[str]) -> dict:
     return leaves(dataclasses.asdict(_pipeline_params(args)), ())
 
 
+def _changed_dests(argv: list[str], flag: str, value: str) -> dict:
+    """The dests that ``flag value`` sets in the namespace of ``argv``, with their values."""
+    parser = _build_parser()[0]
+    base, args = vars(parser.parse_args(argv)), vars(parser.parse_args([*argv, flag, value]))
+    return {dest: v for dest, v in args.items() if v != base[dest]}
+
+
 def test_every_pipeline_setting_has_one_extract_flag():
     base = _setting_leaves([])
     covered = set()
@@ -472,6 +479,11 @@ def test_every_pipeline_setting_has_one_extract_flag():
         assert len(changed) == 1, (flag, changed)
         covered |= changed
     assert covered == set(base)
+    # ``vowels`` parses the vowel-selection flags into the dests ``extract`` does
+    for flag, value in TUNING_FLAGS[-3:]:
+        extract = _changed_dests(["extract", "x.wav"], flag, value)
+        assert len(extract) == 1
+        assert _changed_dests(["vowels", "x.TextGrid"], flag, value) == extract
 
 
 def test_extraction_never_imports_scipy(tmp_path):
@@ -501,3 +513,107 @@ def test_extraction_never_imports_scipy(tmp_path):
     # both files were resampled (44.1k to 16k, and 16k to 11k for the formants) and measured
     assert sorted(r["recording"] for r in rows) == ["mono16k", "stereo44k"]
     assert all(r["f1_mean"] and r["errors"] == "" for r in rows)
+
+
+@pytest.fixture(scope="module")
+def two_vowel_kinds(recording, tmp_path_factory):
+    """The recording aligned with one long AA1, one long AO1 and one AO1 too short for 0.1 s."""
+    _, wav, _ = recording
+    intervals = (Interval(0.2, 0.8, "AA1"), Interval(1.0, 1.06, "AO1"), Interval(1.2, 1.8, "AO1"))
+    tg = tmp_path_factory.mktemp("vowel_kinds") / "kinds.TextGrid"
+    tg.write_text(serialize_textgrid(TierSet(0.0, 2.0, (Tier("phones", 0.0, 2.0, intervals),))), encoding="utf-8")
+    return wav, str(tg)
+
+
+@pytest.mark.parametrize("source", ["config", "flags", "old_flags"])
+def test_vowels_and_extract_select_the_same_instances(two_vowel_kinds, tmp_path, capsys, source):
+    wav, tg = two_vowel_kinds
+    pre, post = [], []
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_vowel_duration": 0.1, "vowel_labels": "AO1", "phone_tier": "phones"}))
+        pre = ["--config", str(cfg)]
+    elif source == "flags":
+        post = ["--vowel-labels", "AO1", "--min-vowel-duration", "0.1", "--phone-tier", "phones"]
+    else:  # the spellings ``vowels`` had before the flags were shared, accepted by both subcommands
+        post = ["--labels", "AO1", "--min-duration", "0.1", "--tier", "phones"]
+    assert main([*pre, "vowels", tg, *post]) == 0
+    assert capsys.readouterr().out == "1.200\t1.800\tAO1\n"
+    out = tmp_path / "f.csv"
+    assert main([*pre, "extract", "--level", "a", wav, "--textgrid", tg, "-o", str(out), *post]) == 0
+    (row,) = read_rows(out)
+    assert row["n_vowel_instances"] == "1" and row["errors"] == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "vowels"])
+@pytest.mark.parametrize("key", ["min_pause_s", "labels", "min_duration", "tier"])
+def test_config_key_that_names_no_flag_exits_2_before_any_work(
+    recording, tmp_path, capsys, monkeypatch, command, key
+):
+    _, wav, tg = recording
+    monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
+    monkeypatch.setattr("repspeech.cli.read_textgrid", no_extraction)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json", key: 0.2}))
+    out = tmp_path / "never.csv"
+    argv = ["extract", wav, "-o", str(out)] if command == "extract" else ["vowels", tg]
+    assert main(["--config", str(cfg), *argv]) == 2
+    assert error_line(capsys) == f"error: RepSpeechError: config key {key!r} names no flag\n"
+    assert not out.exists()
+
+
+# an invalid value of each analysis flag, and the setting it names
+INVALID_SETTINGS = [
+    ("--formant-ceiling", "0", "formant_ceiling"),
+    ("--formant-ceiling", "-5", "formant_ceiling"),
+    ("--formant-ceiling", "nan", "formant_ceiling"),
+    ("--formant-ceiling", "100", "formant_ceiling"),
+    ("--formant-ceiling", "8001", "formant_ceiling"),
+    ("--min-pause", "-0.1", "min_pause_s"),
+    ("--min-pause", "inf", "min_pause_s"),
+    ("--min-dip", "-1", "min_dip_db"),
+    ("--min-dip", "nan", "min_dip_db"),
+    ("--silence-threshold-db", "-inf", "silence_threshold_db"),
+    ("--min-vowel-duration", "-0.05", "min_vowel_duration"),
+    ("--min-vowel-duration", "inf", "min_vowel_duration"),
+    ("--vowel-labels", "", "vowel_labels"),
+    ("--vowel-labels", "AA1,", "vowel_labels"),
+    ("--phone-tier", "", "phone_tier"),
+]
+
+
+@pytest.mark.parametrize("flag, value, setting", INVALID_SETTINGS)
+def test_invalid_analysis_value_exits_2_before_any_work(recording, tmp_path, capsys, monkeypatch, flag, value, setting):
+    _, wav, tg = recording
+    monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
+    out = tmp_path / "never.csv"
+    assert main(["extract", "--level", "S,a", wav, "--textgrid", tg, "-o", str(out), f"{flag}={value}"]) == 2
+    assert error_line(capsys).startswith(f"error: BadSetting: {setting} must ")
+    assert not out.exists()
+
+
+def test_synth_malformed_formants_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.wav"
+    argv = ["synth", "--kind", "formant_voice", "--f0", "120", "--formants", "700", "-o", str(out)]
+    assert main(argv) == 2
+    assert error_line(capsys) == "error: RepSpeechError: --formants takes freq:bw pairs, comma separated, got '700'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["kind", "duration"])
+def test_synth_pattern_segment_without_kind_or_duration_exits_2(tmp_path, capsys, missing):
+    segment = {"kind": "pulse_train", "duration": 0.2, "f0": 150}
+    del segment[missing]
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps([{"kind": "silence", "duration": 0.1}, segment]))
+    out = tmp_path / "never.wav"
+    assert main(["synth", "--pattern", str(pattern), "-o", str(out)]) == 2
+    assert error_line(capsys) == "error: RepSpeechError: pattern segment 1 needs a kind and a duration\n"
+    assert not out.exists()
+
+
+def test_synth_negative_duration_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.wav"
+    assert main(["synth", "--kind", "silence", "--duration", "-1", "-o", str(out)]) == 2
+    assert error_line(capsys) == "error: RepSpeechError: segment duration must be finite and at least 0 s, got -1.0\n"
+    assert not out.exists() and not out.with_suffix(".json").exists()

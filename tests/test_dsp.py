@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 from scipy.signal import find_peaks, firwin
@@ -17,6 +17,7 @@ from repspeech.dsp import (
     _bessel_i0,
     _largest_prime_factor,
     _resample_taps,
+    center_and_window,
     chunk_map,
     frame_centers,
     frame_peaks,
@@ -30,6 +31,7 @@ from repspeech.dsp import (
     normalized_autocorrelation,
     parabolic_refine,
     power_spectra,
+    runs,
     signal_power_spectrum,
     sinc_refine,
     span,
@@ -149,6 +151,40 @@ def test_local_maxima_are_the_peaks_find_peaks_finds(values, edge, lead, trail, 
     peaks = local_maxima(x)
     np.testing.assert_array_equal(peaks, find_peaks(x)[0])
     np.testing.assert_array_equal(peaks[x[peaks] >= 0.5 * height], find_peaks(x, height=0.5 * height)[0])
+
+
+def _runs_loop(mask):
+    """The scalar loop ``runs`` replaced in the pause detector: (value, start, stop) of each run."""
+    out = []
+    i = 0
+    n = len(mask)
+    while i < n:
+        j = i
+        while j < n and mask[j] == mask[i]:
+            j += 1
+        out.append((bool(mask[i]), i, j))
+        i = j
+    return out
+
+
+@given(st.lists(st.booleans(), max_size=60))
+@example([])
+@example([True])
+@example([False])
+def test_runs_match_the_scalar_loop(values):
+    mask = np.array(values, dtype=bool)
+    starts, stops = runs(mask)
+    assert [(bool(mask[a]), int(a), int(b)) for a, b in zip(starts, stops)] == _runs_loop(mask)
+
+
+def test_center_and_window_is_the_out_of_place_product_in_place():
+    rng = np.random.default_rng(3)
+    frames = rng.standard_normal((5, 64)) + 0.7
+    window = gaussian_window(64)
+    expected = (frames - frames.mean(axis=1, keepdims=True)) * window
+    out = center_and_window(frames, window)
+    assert out is frames
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_span_selects_what_the_bounds_mask_selects():

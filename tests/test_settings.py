@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repspeech
 
-MAX_SETTABLE = 32
+MAX_SETTABLE = 31
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
