@@ -47,7 +47,6 @@ from .protocol import (
 )
 from .reporting import emit_table, summarize_features
 from .synth import KINDS, SynthSpec, render_segment, synth_pattern
-from .timing import TimingParams
 
 CONFIG_ENV = "REPSPEECH_CONFIG"
 
@@ -57,42 +56,46 @@ EXIT_ERROR = 2
 
 CSV_COLUMNS = ["recording", "level", *S_FEATURES, "n_vowel_instances", "errors"]
 
-# the dest of each ``extract`` flag that sets a TimingParams field, and that field; every other
-# analysis flag's dest is the name of the PipelineParams field it sets
-TIMING_FLAGS = {"silence_threshold_db": "silence_threshold_db", "min_pause": "min_pause_s", "min_dip": "min_dip_db"}
+# the vowel selection ``extract --level a`` and ``vowels`` share, and the spelling ``vowels`` first gave each flag
+SELECTION_ALIASES = {"vowel_labels": "--labels", "min_vowel_duration": "--min-duration", "phone_tier": "--tier"}
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _labels(raw: str) -> frozenset[str]:
+    return frozenset(raw.split(","))
+
+
+# how an analysis flag reads its text, by the type of its setting's default
+SETTING_TYPES = {float: float, frozenset: _labels, str: str}
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="repspeech", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
     parser.add_argument("--config", help="JSON config file providing flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the vowel selection of ``extract --level a`` and of ``vowels``: one set of flags, one config key each
-    selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument("--vowel-labels", "--labels", type=_labels, help="comma-separated phone labels")
-    selection.add_argument("--min-vowel-duration", "--min-duration", type=float, help="seconds")
-    selection.add_argument("--phone-tier", "--tier", help="name of the phone tier")
 
     p = sub.add_parser("canonicalize", help="convert audio to mono 16 kHz 16-bit")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("extract", parents=[selection], help="extract the exemplar feature set")
-    p.add_argument("inputs", nargs="+", help="WAV files")
-    p.add_argument("--level", default="S", help="comma-separated subset of S,a")
-    p.add_argument("--textgrid", help="alignment for a single input")
-    p.add_argument("--textgrid-dir", help="directory of <name>.TextGrid files")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("-o", "--output", help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per input")
-    p.add_argument("--silence-threshold-db", type=float)
-    p.add_argument("--min-pause", type=float)
-    p.add_argument("--min-dip", type=float)
-    p.add_argument("--formant-ceiling", type=float)
+    extract = sub.add_parser("extract", help="extract the exemplar feature set")
+    extract.add_argument("inputs", nargs="+", help="WAV files")
+    extract.add_argument("--level", default="S", help="comma-separated subset of S,a")
+    extract.add_argument("--textgrid", help="alignment for a single input")
+    extract.add_argument("--textgrid-dir", help="directory of <name>.TextGrid files")
+    extract.add_argument("--format", choices=("csv", "json"), default="csv")
+    extract.add_argument("-o", "--output", help="output path (default stdout)")
+    extract.add_argument("--threads", type=int, default=1, help="worker processes, at most one per input")
 
-    p = sub.add_parser("vowels", parents=[selection], help="list selected vowel instances from a TextGrid")
-    p.add_argument("textgrid")
+    vowels = sub.add_parser("vowels", help="list selected vowel instances from a TextGrid")
+    vowels.add_argument("textgrid")
+    # one flag per analysis setting, its dest the setting's name; ``vowels`` takes the vowel selection's
+    for f in fields(PipelineParams):
+        alias = SELECTION_ALIASES.get(f.name)
+        flags = ["--" + f.name.replace("_", "-"), *([alias] if alias else [])]
+        for p in (extract, vowels) if alias else (extract,):
+            p.add_argument(*flags, type=SETTING_TYPES[type(f.default)], help=f.metadata["help"])
 
     p = sub.add_parser("summarize", help="normative median (q1, q3) table from a feature CSV")
     p.add_argument("features_csv")
@@ -117,12 +120,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pattern", help="JSON file with a list of segment specs")
     p.add_argument("-o", "--output", required=True, help="output WAV path")
-    subparsers = list(sub.choices.values())
-    return parser, subparsers
-
-
-def _labels(raw: str) -> frozenset[str]:
-    return frozenset(raw.split(","))
+    return parser, sub.choices
 
 
 def _emit_error(exc: Exception, as_json: bool) -> None:
@@ -164,9 +162,8 @@ def _cmd_canonicalize(args) -> int:
 
 def _pipeline_params(args) -> PipelineParams:
     """The settings of the analysis flags in ``args``; a setting whose flag is unset, or absent, keeps its default."""
-    given = {dest: value for dest, value in vars(args).items() if value is not None}
-    timing = TimingParams(**{name: given[dest] for dest, name in TIMING_FLAGS.items() if dest in given})
-    return PipelineParams(timing, **{f.name: given[f.name] for f in fields(PipelineParams) if f.name in given})
+    given = vars(args)
+    return PipelineParams(**{f.name: given[f.name] for f in fields(PipelineParams) if given.get(f.name) is not None})
 
 
 def _extract_one(req: ExtractionRequest):
@@ -287,6 +284,14 @@ def _parse_formants(raw: str | None) -> tuple[tuple[float, float], ...]:
         raise RepSpeechError(f"--formants takes freq:bw pairs, comma separated, got {raw!r}") from None
 
 
+def _number_pairs(value: object) -> bool:
+    """Whether ``value`` is a JSON list of ``[freq, bw]`` number pairs."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p)
+        for p in value
+    )
+
+
 def _cmd_synth(args) -> int:
     if args.pattern:
         specs_raw = json.loads(Path(args.pattern).read_text(encoding="utf-8"))
@@ -295,6 +300,8 @@ def _cmd_synth(args) -> int:
         for i, s in enumerate(specs_raw):
             if not {"kind", "duration"} <= s.keys():
                 raise RepSpeechError(f"pattern segment {i} needs a kind and a duration")
+            if not _number_pairs(s.get("formants", [])):
+                raise RepSpeechError(f"pattern segment {i} formants must be a list of [freq, bw] number pairs")
         specs = [
             SynthSpec(
                 kind=s["kind"],
@@ -337,6 +344,29 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value: object) -> object:
+    """Config ``value`` of ``key`` as ``action`` reads the same text on the command line."""
+    if action.nargs == 0:  # a switch such as --json
+        if not isinstance(value, bool):
+            raise RepSpeechError(f"config key {key!r} takes true or false, got {json.dumps(value)}")
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        text = repr(value)
+    elif isinstance(value, list) and all(isinstance(v, str) for v in value):
+        text = ",".join(value)
+    elif isinstance(value, str):
+        text = value
+    else:
+        got = json.dumps(value)
+        raise RepSpeechError(f"config key {key!r} takes a number, a string or a list of strings, got {got}")
+    try:
+        converted = parser._get_value(action, text)
+        parser._check_value(action, converted)
+    except argparse.ArgumentError as exc:
+        raise RepSpeechError(f"config key {key!r}: {exc.message}") from None
+    return converted
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -348,19 +378,17 @@ def main(argv: list[str] | None = None) -> int:
         "validate": _cmd_validate,
         "synth": _cmd_synth,
     }
-    # config file supplies defaults; explicit flags win.  Defaults must be
-    # pushed into every subparser because each parses into its own namespace.
+    # the config file supplies flag defaults, read as the running subcommand reads the same text; explicit flags win
     try:
-        args, _ = parser.parse_known_args(argv)  # --config and --json, before the config is read
+        args, _ = parser.parse_known_args(argv)  # --config, --json and the subcommand, before the config is read
         config = _load_config(args.config)
-        flags = {a.dest for p in (parser, *subparsers) for a in p._actions if a.option_strings}
+        flags = {a.dest for p in (parser, *subparsers.values()) for a in p._actions if a.option_strings}
         unknown = sorted(set(config) - flags)
         if unknown:
             raise RepSpeechError(f"config key {unknown[0]!r} names no flag")
-        if config:
-            parser.set_defaults(**config)
-            for sp in subparsers:
-                sp.set_defaults(**config)
+        for p in (parser, subparsers[args.command]):  # a key only another subcommand's flag takes is left unread
+            actions = {a.dest: a for a in p._actions if a.option_strings}
+            p.set_defaults(**{k: _config_value(p, actions[k], k, v) for k, v in config.items() if k in actions})
         args = parser.parse_args(argv)
         return handlers[args.command](args)
     except SystemExit as exc:

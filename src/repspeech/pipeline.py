@@ -30,7 +30,7 @@ from .analysis import A_FEATURES, Analysis, fill
 from .articulation import FORMANT_CEILING, FORMANT_MARGIN
 from .audio_io import CANONICAL_RATE, read_wav, to_canonical
 from .errors import AlignmentMissing, BadSetting, RepSpeechError, SignalTooShort, error_code
-from .timing import NO_CONTOUR, TimingParams, finite_at_least, timing_features
+from .timing import NO_CONTOUR, finite_at_least, timing_features
 
 RATE_FEATURES = ("speaking_rate", "articulation_rate", "pause_rate")
 S_FEATURES = ("duration", *RATE_FEATURES, *A_FEATURES)
@@ -39,24 +39,38 @@ LEVEL_FEATURES = {"S": S_FEATURES, "a": A_FEATURES}
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """The settings ``repspeech extract`` exposes as flags; every other setting is a module constant."""
+    """The analysis settings ``repspeech extract`` exposes, one flag each; every other setting is a module constant.
 
-    timing: TimingParams = field(default_factory=TimingParams)
-    formant_ceiling: float = FORMANT_CEILING
-    vowel_labels: frozenset[str] = DEFAULT_VOWEL_LABELS
-    min_vowel_duration: float = DEFAULT_MIN_VOWEL_DURATION
-    phone_tier: str = DEFAULT_PHONE_TIER
+    Each field is named after its flag's dest, which is also its ``--config``
+    key and its key in a record's ``provenance["settings"]``.
+    """
+
+    silence_threshold_db: float = field(default=-25.0, metadata={"help": "dB relative to the loudest frame"})
+    min_pause: float = field(default=0.30, metadata={"help": "seconds"})
+    min_dip: float = field(default=2.0, metadata={"help": "dB"})
+    formant_ceiling: float = field(default=FORMANT_CEILING, metadata={"help": "Hz"})
+    vowel_labels: frozenset[str] = field(default=DEFAULT_VOWEL_LABELS, metadata={"help": "comma-separated labels"})
+    min_vowel_duration: float = field(default=DEFAULT_MIN_VOWEL_DURATION, metadata={"help": "seconds"})
+    phone_tier: str = field(default=DEFAULT_PHONE_TIER, metadata={"help": "name of the phone tier"})
 
     def __post_init__(self):
+        if not finite_at_least(self.silence_threshold_db, float("-inf")):
+            raise BadSetting(f"silence_threshold_db must be finite, got {self.silence_threshold_db!r}")
+        for name in ("min_pause", "min_dip", "min_vowel_duration"):
+            if not finite_at_least(getattr(self, name), 0.0):
+                raise BadSetting(f"{name} must be finite and at least 0, got {getattr(self, name)!r}")
         # no resonance lies between the margins of a lower ceiling, and the canonical signal holds none past Nyquist
         lo, hi = 2 * FORMANT_MARGIN, CANONICAL_RATE / 2
         if not (finite_at_least(self.formant_ceiling, lo) and lo < self.formant_ceiling <= hi):
             raise BadSetting(f"formant_ceiling must lie in ({lo:g}, {hi:g}] Hz, got {self.formant_ceiling!r}")
+        # a comma separates labels in the flag's text, so no label can hold one
         labels = self.vowel_labels
-        if not (isinstance(labels, (set, frozenset)) and labels and all(isinstance(v, str) and v for v in labels)):
-            raise BadSetting(f"vowel_labels must be a non-empty set of non-empty labels, got {labels!r}")
-        if not finite_at_least(self.min_vowel_duration, 0.0):
-            raise BadSetting(f"min_vowel_duration must be finite and at least 0, got {self.min_vowel_duration!r}")
+        if not (
+            isinstance(labels, (set, frozenset))
+            and labels
+            and all(isinstance(v, str) and v and "," not in v for v in labels)
+        ):
+            raise BadSetting(f"vowel_labels must be a non-empty set of non-empty labels without commas, got {labels!r}")
         if not (isinstance(self.phone_tier, str) and self.phone_tier):
             raise BadSetting(f"phone_tier must be a non-empty tier name, got {self.phone_tier!r}")
 
@@ -82,8 +96,12 @@ class FeatureRecord:
 
 
 def _provenance(params: PipelineParams, analysis: Analysis | None) -> dict:
-    """The version, every setting of ``params`` and, once pitch was tracked, its adapted range."""
-    snap = {"version": __version__, **asdict(params), "vowel_labels": sorted(params.vowel_labels)}
+    """The version, the settings of ``params`` in ``--config`` form and, once pitch was tracked, its adapted range.
+
+    In config form a number and the tier stay as they are, and the label set becomes a sorted list.
+    """
+    settings = {**asdict(params), "vowel_labels": sorted(params.vowel_labels)}
+    snap = {"version": __version__, "settings": settings}
     if analysis is None:  # the recording could not be read
         return snap
     try:
@@ -129,7 +147,7 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
     return records
 
 
-def _rates(analysis: Analysis, params: TimingParams) -> tuple[float, float, float]:
+def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, float]:
     try:
         pitch = analysis.pitch()
     except RepSpeechError:
@@ -149,7 +167,7 @@ def _extract_suprasegmental(name: str, analysis: Analysis, params: PipelineParam
     errors: dict[str, str] = {}
     # the span reductions first, so the whole-recording spectral moments run before any track exists
     span_values, span_errors = analysis.span_features(0.0, duration)
-    fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params.timing))
+    fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params))
     features.update(span_values)
     errors.update(span_errors)
     return FeatureRecord(name, "S", features, errors, None, _provenance(params, analysis))

@@ -8,7 +8,8 @@ the minimum pause length count as pauses, and syllable nuclei are
 intensity peaks flanked by dips that coincide with voiced frames.  The
 candidate peaks are the contour's local maxima (``dsp.local_maxima``, the
 maxima scipy's ``find_peaks`` finds, plateau midpoints included) that
-clear the silence threshold.
+clear the silence threshold.  The silence threshold, the minimum pause and
+the minimum dip are fields of ``pipeline.PipelineParams``.
 """
 
 from __future__ import annotations
@@ -16,32 +17,22 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .audio_io import AudioBuffer
 from .dsp import local_maxima, runs
-from .errors import BadSetting, ZeroDuration, ZeroPhonationTime
+from .errors import ZeroDuration, ZeroPhonationTime
 from .phonation import HOP, IntensityTrack, PitchTrack
 
-
-@dataclass(frozen=True)
-class TimingParams:
-    silence_threshold_db: float = -25.0
-    min_dip_db: float = 2.0
-    min_pause_s: float = 0.30
-
-    def __post_init__(self):
-        if not finite_at_least(self.silence_threshold_db, -math.inf):
-            raise BadSetting(f"silence_threshold_db must be finite, got {self.silence_threshold_db!r}")
-        for name in ("min_dip_db", "min_pause_s"):
-            if not finite_at_least(getattr(self, name), 0.0):
-                raise BadSetting(f"{name} must be finite and at least 0, got {getattr(self, name)!r}")
+if TYPE_CHECKING:
+    from .pipeline import PipelineParams
 
 
 def finite_at_least(value: object, least: float) -> bool:
-    """Whether ``value`` is a finite number of at least ``least``."""
-    return isinstance(value, numbers.Real) and math.isfinite(value) and value >= least
+    """Whether ``value`` is a finite number, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= least
 
 
 @dataclass(frozen=True)
@@ -75,9 +66,7 @@ def _sounding_mask(track: IntensityTrack, silence_threshold_db: float) -> np.nda
     return track.level_db >= peak + silence_threshold_db
 
 
-def detect_speech_regions(
-    buf: AudioBuffer, contour: IntensityTrack, params: TimingParams = TimingParams()
-) -> list[Segment]:
+def detect_speech_regions(buf: AudioBuffer, contour: IntensityTrack, params: PipelineParams) -> list[Segment]:
     """Segment a recording into speech regions and internal pauses.
 
     Silent runs shorter than the minimum pause are absorbed into speech;
@@ -109,7 +98,7 @@ def detect_speech_regions(
     pauses = []
     for gap, nxt in zip(silent_spans, sounding_spans[1:]):
         gap_len = gap[1] - gap[0]
-        if gap_len >= params.min_pause_s:
+        if gap_len >= params.min_pause:
             segments.append(Segment("speech", cur_start, gap[0]))
             pauses.append(Segment("pause", gap[0], gap[1]))
             cur_start, cur_end = nxt
@@ -122,7 +111,7 @@ def detect_speech_regions(
 
 
 def count_syllable_nuclei(
-    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: TimingParams = TimingParams()
+    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: PipelineParams
 ) -> int:
     """Count intensity peaks that behave like syllable nuclei.
 
@@ -143,7 +132,7 @@ def count_syllable_nuclei(
     candidates = local_maxima(padded)
     candidates = candidates[padded[candidates] >= threshold] - 1
 
-    # merge candidates that lack a valley of min_dip_db between them; the
+    # merge candidates that lack a valley of min_dip between them; the
     # prominence shortcut breaks on exactly equal-height maxima, which
     # periodic or quantized signals do produce
     accepted: list[int] = []
@@ -153,7 +142,7 @@ def count_syllable_nuclei(
             continue
         prev = accepted[-1]
         valley = float(np.min(level[prev : k + 1]))
-        if level[k] - valley >= params.min_dip_db and level[prev] - valley >= params.min_dip_db:
+        if level[k] - valley >= params.min_dip and level[prev] - valley >= params.min_dip:
             accepted.append(int(k))
         elif level[k] > level[prev]:
             accepted[-1] = int(k)
@@ -167,7 +156,7 @@ def count_syllable_nuclei(
 
 
 def timing_features(
-    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: TimingParams = TimingParams()
+    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: PipelineParams
 ) -> TimingFeatures:
     """Duration, speaking rate, articulation rate, and pause rate.
 

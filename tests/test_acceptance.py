@@ -32,7 +32,7 @@ from repspeech.phonation import (
     pitch_stats,
     pitch_track_two_pass,
 )
-from repspeech.pipeline import ExtractionRequest, extract_recording
+from repspeech.pipeline import ExtractionRequest, PipelineParams, extract_recording
 from repspeech.protocol import (
     DESIGN_CHECKLIST,
     ManifestExpectation,
@@ -56,6 +56,7 @@ from repspeech.synth import (
 from repspeech.timing import count_syllable_nuclei, detect_speech_regions, timing_features
 
 RATE = 16000
+PARAMS = PipelineParams()
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -122,7 +123,7 @@ def test_ac03_timing_oracle():
         segs, truth_nuclei, truth_pauses = _random_burst_spec(seed)
         pat = synth_pattern(segs)
         track = pitch_track_two_pass(pat.buffer)
-        tf = timing_features(pat.buffer, intensity_track(pat.buffer), track)
+        tf = timing_features(pat.buffer, intensity_track(pat.buffer), track, PARAMS)
         identity = abs(
             tf.speaking_rate - tf.articulation_rate * (tf.phonation_time / tf.duration)
         ) <= 1e-9 * max(tf.speaking_rate, 1e-12)
@@ -253,8 +254,8 @@ def test_ac09_gain_invariance():
     )
     p_track = pitch_track_two_pass(pattern.buffer)
     p_contour = intensity_track(pattern.buffer)
-    base_nuclei = count_syllable_nuclei(pattern.buffer, p_contour, p_track)
-    base_pauses = sum(1 for s in detect_speech_regions(pattern.buffer, p_contour) if s.kind == "pause")
+    base_nuclei = count_syllable_nuclei(pattern.buffer, p_contour, p_track, PARAMS)
+    base_pauses = sum(1 for s in detect_speech_regions(pattern.buffer, p_contour, PARAMS) if s.kind == "pause")
 
     ok = True
     details = []
@@ -270,8 +271,8 @@ def test_ac09_gain_invariance():
         sp = AudioBuffer.mono(pattern.buffer.signal * g, RATE)
         sp_track = pitch_track_two_pass(sp)
         sp_contour = intensity_track(sp)
-        ok &= count_syllable_nuclei(sp, sp_contour, sp_track) == base_nuclei
-        ok &= sum(1 for s in detect_speech_regions(sp, sp_contour) if s.kind == "pause") == base_pauses
+        ok &= count_syllable_nuclei(sp, sp_contour, sp_track, PARAMS) == base_nuclei
+        ok &= sum(1 for s in detect_speech_regions(sp, sp_contour, PARAMS) if s.kind == "pause") == base_pauses
         details.append(f"g={g}: dI {shift:+.3f} dB")
     _report("gain-invariance", ok, "; ".join(details))
     assert ok

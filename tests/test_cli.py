@@ -7,15 +7,20 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import make_wav_bytes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repspeech
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.audio_io import AudioBuffer, read_wav, write_wav
 from repspeech.cli import _build_parser, _pipeline_params, main
+from repspeech.errors import BadSetting
+from repspeech.pipeline import PipelineParams, _provenance
 from repspeech.synth import synth_formant_voice
 
 
@@ -450,16 +455,9 @@ TUNING_FLAGS = (
 )
 
 
-def _setting_leaves(argv: list[str]) -> dict:
-    """Every leaf of ``asdict(PipelineParams)`` as ``extract`` builds it from ``argv``, keyed by path."""
-    args = _build_parser()[0].parse_args(["extract", "x.wav", *argv])
-
-    def leaves(value, path):
-        if isinstance(value, dict):
-            return {k: v for key, sub in value.items() for k, v in leaves(sub, (*path, key)).items()}
-        return {path: value}
-
-    return leaves(dataclasses.asdict(_pipeline_params(args)), ())
+def _extract_settings(argv: list[str]) -> dict:
+    """``asdict(PipelineParams)`` as ``extract`` builds it from ``argv``."""
+    return dataclasses.asdict(_pipeline_params(_build_parser()[0].parse_args(["extract", "x.wav", *argv])))
 
 
 def _changed_dests(argv: list[str], flag: str, value: str) -> dict:
@@ -470,12 +468,12 @@ def _changed_dests(argv: list[str], flag: str, value: str) -> dict:
 
 
 def test_every_pipeline_setting_has_one_extract_flag():
-    base = _setting_leaves([])
+    base = _extract_settings([])
     covered = set()
     for flag, value in TUNING_FLAGS:
-        leaves = _setting_leaves([flag, value])
-        assert leaves.keys() == base.keys()
-        changed = {path for path in base if leaves[path] != base[path]}
+        got = _extract_settings([flag, value])
+        assert got.keys() == base.keys()
+        changed = {name for name in base if got[name] != base[name]}
         assert len(changed) == 1, (flag, changed)
         covered |= changed
     assert covered == set(base)
@@ -569,20 +567,23 @@ INVALID_SETTINGS = [
     ("--formant-ceiling", "nan", "formant_ceiling"),
     ("--formant-ceiling", "100", "formant_ceiling"),
     ("--formant-ceiling", "8001", "formant_ceiling"),
-    ("--min-pause", "-0.1", "min_pause_s"),
-    ("--min-pause", "inf", "min_pause_s"),
-    ("--min-dip", "-1", "min_dip_db"),
-    ("--min-dip", "nan", "min_dip_db"),
+    ("--min-pause", "-0.1", "min_pause"),
+    ("--min-pause", "inf", "min_pause"),
+    ("--min-dip", "-1", "min_dip"),
+    ("--min-dip", "nan", "min_dip"),
     ("--silence-threshold-db", "-inf", "silence_threshold_db"),
     ("--min-vowel-duration", "-0.05", "min_vowel_duration"),
     ("--min-vowel-duration", "inf", "min_vowel_duration"),
     ("--vowel-labels", "", "vowel_labels"),
     ("--vowel-labels", "AA1,", "vowel_labels"),
     ("--phone-tier", "", "phone_tier"),
+    # values no flag text or config value spells, which the library refuses too
+    ("--min-pause", True, "min_pause"),
+    ("--vowel-labels", frozenset({"AA1,AO1"}), "vowel_labels"),
 ]
 
 
-@pytest.mark.parametrize("flag, value, setting", INVALID_SETTINGS)
+@pytest.mark.parametrize("flag, value, setting", [case for case in INVALID_SETTINGS if isinstance(case[1], str)])
 def test_invalid_analysis_value_exits_2_before_any_work(recording, tmp_path, capsys, monkeypatch, flag, value, setting):
     _, wav, tg = recording
     monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
@@ -590,6 +591,85 @@ def test_invalid_analysis_value_exits_2_before_any_work(recording, tmp_path, cap
     assert main(["extract", "--level", "S,a", wav, "--textgrid", tg, "-o", str(out), f"{flag}={value}"]) == 2
     assert error_line(capsys).startswith(f"error: BadSetting: {setting} must ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, setting", INVALID_SETTINGS)
+def test_invalid_setting_raises_bad_setting(flag, value, setting):
+    if isinstance(value, str):  # the value the flag's text gives
+        value = getattr(_build_parser()[0].parse_args(["extract", "x.wav", f"{flag}={value}"]), setting)
+    with pytest.raises(BadSetting, match=f"^{setting} must "):
+        PipelineParams(**{setting: value})
+
+
+# any valid settings: finite numbers in range, non-empty labels without commas, a non-empty tier
+valid_params = st.builds(
+    PipelineParams,
+    silence_threshold_db=st.floats(allow_nan=False, allow_infinity=False),
+    min_pause=st.floats(0.0, allow_infinity=False),
+    min_dip=st.floats(0.0, allow_infinity=False),
+    formant_ceiling=st.floats(100.0, 8000.0, exclude_min=True),
+    vowel_labels=st.frozensets(st.text(min_size=1).filter(lambda v: "," not in v), min_size=1, max_size=4),
+    min_vowel_duration=st.floats(0.0, allow_infinity=False),
+    phone_tier=st.text(min_size=1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=valid_params)
+def test_provenance_settings_as_config_rebuild_equal_params(tmp_path_factory, params):
+    d = tmp_path_factory.mktemp("settings")
+    cfg = d / "settings.json"
+    cfg.write_text(json.dumps(_provenance(params, None)["settings"]), encoding="utf-8")
+    seen = []
+    with mock.patch("repspeech.cli.extract_recording", lambda req: seen.append(req.params) or []):
+        assert main(["--config", str(cfg), "extract", "x.wav", "-o", str(d / "rows.csv")]) == 0
+    assert seen == [params]
+
+
+# a config value its flag's text cannot take, for each kind of flag, the subcommand, and the error it gives
+WRONG_CONFIG_VALUES = [
+    ("level", 5, "extract", "RepSpeechError: unknown extraction level '5'"),
+    ("format", "xml", "extract", "RepSpeechError: config key 'format': invalid choice: 'xml'"),
+    ("min_pause", True, "extract", "RepSpeechError: config key 'min_pause' takes a number, a string or a list of"),
+    ("json", "no", "extract", "RepSpeechError: config key 'json' takes true or false, got \"no\""),
+    ("devices", [1], "validate", "RepSpeechError: config key 'devices' takes a number, a string or a list of"),
+    ("formants", [1], "synth", "RepSpeechError: config key 'formants' takes a number, a string or a list of"),
+]
+
+
+@pytest.mark.parametrize("key, value, command, error", WRONG_CONFIG_VALUES, ids=next(zip(*WRONG_CONFIG_VALUES)))
+def test_wrong_config_value_exits_2_before_any_work(recording, tmp_path, capsys, monkeypatch, key, value, command, error):
+    _, wav, _ = recording
+    for work in ("extract_recording", "validate_manifest", "write_wav"):
+        monkeypatch.setattr(f"repspeech.cli.{work}", no_extraction)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    files, expect = tmp_path / "files.json", tmp_path / "expect.json"
+    files.write_text(json.dumps([Path(wav).name]))
+    expect.write_text(json.dumps(EXPECT))
+    out = tmp_path / "never.out"
+    argv = {
+        "extract": ["extract", wav, "-o", str(out)],
+        "validate": ["validate", "manifest", str(files), "--expect", str(expect)],
+        "synth": ["synth", "--kind", "silence", "-o", str(out)],
+    }[command]
+    assert main(["--config", str(cfg), *argv]) == 2
+    assert error_line(capsys).startswith(f"error: {error}")
+    assert not out.exists()
+
+
+def test_config_format_follows_the_running_subcommand(recording, tmp_path, capsys):
+    _, wav, _ = recording
+    features = tmp_path / "f.csv"
+    assert main(["extract", "--level", "S,a", wav, "-o", str(features)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "markdown"}))
+    assert main(["summarize", str(features), "--group", "level", "--format", "markdown"]) == 0
+    explicit = capsys.readouterr().out
+    assert main(["--config", str(cfg), "summarize", str(features), "--group", "level"]) == 0
+    assert capsys.readouterr().out == explicit
+    assert main(["--config", str(cfg), "summarize", str(features), "--group", "level", "--format", "csv"]) == 0
+    assert capsys.readouterr().out != explicit  # an explicit flag wins
 
 
 def test_synth_malformed_formants_exits_2(tmp_path, capsys):
@@ -609,6 +689,17 @@ def test_synth_pattern_segment_without_kind_or_duration_exits_2(tmp_path, capsys
     out = tmp_path / "never.wav"
     assert main(["synth", "--pattern", str(pattern), "-o", str(out)]) == 2
     assert error_line(capsys) == "error: RepSpeechError: pattern segment 1 needs a kind and a duration\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("formants", [[700], [[700]]])
+def test_synth_pattern_formants_not_number_pairs_exits_2(tmp_path, capsys, formants):
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps([{"kind": "formant_voice", "duration": 0.2, "f0": 120, "formants": formants}]))
+    out = tmp_path / "never.wav"
+    assert main(["synth", "--pattern", str(pattern), "-o", str(out)]) == 2
+    expected = "error: RepSpeechError: pattern segment 0 formants must be a list of [freq, bw] number pairs\n"
+    assert error_line(capsys) == expected
     assert not out.exists()
 
 

@@ -194,7 +194,7 @@ def test_provenance_snapshot(voice_recording):
     adapted = rec.provenance["pitch_adapted"]
     assert 0 < adapted["floor"] < adapted["ceiling"]
     settings = {**dataclasses.asdict(params), "vowel_labels": ["AA1", "AO1"]}
-    assert rec.provenance == {"version": __version__, **settings, "pitch_adapted": adapted}
+    assert rec.provenance == {"version": __version__, "settings": settings, "pitch_adapted": adapted}
     json.dumps(rec.provenance)  # the snapshot is plain data
 
 

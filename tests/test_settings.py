@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repspeech
 
-MAX_SETTABLE = 31
+MAX_SETTABLE = 27
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -40,7 +40,7 @@ def test_settable_values_stay_few():
 
 def test_counter_sees_fields_and_defaults():
     found = settable_values()
-    assert "TimingParams.min_pause_s" in found
+    assert "PipelineParams.min_pause" in found
     assert "articulation.formant_track(ceiling=)" in found
 
 

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from repspeech.audio_io import AudioBuffer, read_wav, to_canonical, write_wav
 from repspeech.errors import ZeroDuration, ZeroPhonationTime
 from repspeech.phonation import HOP, PitchTrack, intensity_track, pitch_track_two_pass
+from repspeech.pipeline import PipelineParams
 from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
 from repspeech.timing import (
     NO_CONTOUR,
-    TimingParams,
     count_syllable_nuclei,
     detect_speech_regions,
     timing_features,
 )
 
 RATE = 16000
+PARAMS = PipelineParams()
 
 
 def burst_pattern(n_bursts, burst=0.25, gap=0.4, f0=200, lead=0.0, trail=0.0):
@@ -33,7 +34,7 @@ def burst_pattern(n_bursts, burst=0.25, gap=0.4, f0=200, lead=0.0, trail=0.0):
     return synth_pattern(segs)
 
 
-def brute_force_pause_count(buf, params=TimingParams()):
+def brute_force_pause_count(buf, params=PARAMS):
     """Literal scan over the intensity contour, as an independent oracle."""
     track = intensity_track(buf)
     mask = track.level_db >= track.level_db.max() + params.silence_threshold_db
@@ -47,7 +48,7 @@ def brute_force_pause_count(buf, params=TimingParams()):
                 j += 1
             is_internal = i > 0 and j < n
             gap = (j - i) * HOP
-            if is_internal and gap >= params.min_pause_s:
+            if is_internal and gap >= params.min_pause:
                 count += 1
             i = j
         else:
@@ -59,7 +60,7 @@ def test_tone_gap_tone_single_pause():
     pat = synth_pattern(
         [SynthSpec("tone", 2.0, f0=1000), SynthSpec("silence", 0.5), SynthSpec("tone", 2.0, f0=1000)]
     )
-    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
+    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer), PARAMS)
     pauses = [s for s in regions if s.kind == "pause"]
     assert len(pauses) == 1
     assert pauses[0].duration == pytest.approx(0.5, abs=0.05)
@@ -69,19 +70,19 @@ def test_short_gap_not_a_pause():
     pat = synth_pattern(
         [SynthSpec("tone", 1.0, f0=1000), SynthSpec("silence", 0.2), SynthSpec("tone", 1.0, f0=1000)]
     )
-    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
+    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer), PARAMS)
     assert sum(1 for s in regions if s.kind == "pause") == 0
     assert sum(1 for s in regions if s.kind == "speech") == 1
 
 
 def test_all_silence_no_regions():
     silence = synth_silence(2.0)
-    assert detect_speech_regions(silence, intensity_track(silence)) == []
+    assert detect_speech_regions(silence, intensity_track(silence), PARAMS) == []
 
 
 def test_leading_trailing_silence_not_pauses():
     pat = burst_pattern(2, burst=0.5, gap=0.5, lead=0.6, trail=0.6)
-    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
+    regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer), PARAMS)
     pauses = [s for s in regions if s.kind == "pause"]
     assert len(pauses) == 1
     speech = [s for s in regions if s.kind == "speech"]
@@ -92,13 +93,13 @@ def test_leading_trailing_silence_not_pauses():
 def test_four_bursts_counted(synth_cache):
     pat = burst_pattern(4)
     track = pitch_track_two_pass(pat.buffer)
-    assert count_syllable_nuclei(pat.buffer, intensity_track(pat.buffer), track) == 4
+    assert count_syllable_nuclei(pat.buffer, intensity_track(pat.buffer), track, PARAMS) == 4
 
 
 def test_steady_tone_single_nucleus():
     pat = synth_pattern([SynthSpec("pulse_train", 2.0, f0=200)])
     track = pitch_track_two_pass(pat.buffer)
-    assert count_syllable_nuclei(pat.buffer, intensity_track(pat.buffer), track) == 1
+    assert count_syllable_nuclei(pat.buffer, intensity_track(pat.buffer), track, PARAMS) == 1
 
 
 def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
@@ -112,14 +113,14 @@ def test_edge_voiced_nucleus_survives_wav_round_trip(tmp_path):
     write_wav(buf, path)
     read_back = to_canonical(read_wav(path))
     for b in (buf, read_back):
-        assert count_syllable_nuclei(b, intensity_track(b), pitch_track_two_pass(b)) == 1
+        assert count_syllable_nuclei(b, intensity_track(b), pitch_track_two_pass(b), PARAMS) == 1
     empty = PitchTrack(np.zeros(0), np.zeros(0), 75.0, 600.0)
-    assert count_syllable_nuclei(read_back, intensity_track(read_back), empty) == 0
+    assert count_syllable_nuclei(read_back, intensity_track(read_back), empty, PARAMS) == 0
 
 
 def test_silence_zero_nuclei():
     silence = synth_silence(1.0)
-    assert count_syllable_nuclei(silence, intensity_track(silence), None) == 0
+    assert count_syllable_nuclei(silence, intensity_track(silence), None, PARAMS) == 0
 
 
 def test_unvoiced_peaks_rejected():
@@ -127,10 +128,10 @@ def test_unvoiced_peaks_rejected():
         [SynthSpec("noise", 0.3, amplitude=0.2), SynthSpec("silence", 0.5), SynthSpec("noise", 0.3, amplitude=0.2, seed=1)]
     )
     contour = intensity_track(pat.buffer)
-    assert count_syllable_nuclei(pat.buffer, contour, None) == 0
+    assert count_syllable_nuclei(pat.buffer, contour, None, PARAMS) == 0
     # both bursts are nuclei by level alone: a track voiced throughout keeps them
     all_voiced = PitchTrack(contour.times, np.full(len(contour.times), 100.0), 75.0, 600.0)
-    assert count_syllable_nuclei(pat.buffer, contour, all_voiced) == 2
+    assert count_syllable_nuclei(pat.buffer, contour, all_voiced, PARAMS) == 2
 
 
 def test_constructed_rates():
@@ -146,7 +147,7 @@ def test_constructed_rates():
     buf = pat.buffer
     assert buf.duration == pytest.approx(2.0)
     track = pitch_track_two_pass(buf)
-    tf = timing_features(buf, intensity_track(buf), track)
+    tf = timing_features(buf, intensity_track(buf), track, PARAMS)
     assert tf.n_syllables == 5
     assert tf.n_pauses == 1
     assert tf.speaking_rate == pytest.approx(2.5)
@@ -157,7 +158,7 @@ def test_constructed_rates():
 def test_rate_identity_exact():
     pat = burst_pattern(4)
     track = pitch_track_two_pass(pat.buffer)
-    tf = timing_features(pat.buffer, intensity_track(pat.buffer), track)
+    tf = timing_features(pat.buffer, intensity_track(pat.buffer), track, PARAMS)
     assert tf.speaking_rate == pytest.approx(
         tf.articulation_rate * (tf.phonation_time / tf.duration), rel=1e-9
     )
@@ -167,7 +168,7 @@ def test_rate_identity_exact():
 def test_pause_count_matches_brute_force_scan():
     for n, gap in ((2, 0.5), (3, 0.45), (5, 0.6)):
         pat = burst_pattern(n, gap=gap)
-        regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer))
+        regions = detect_speech_regions(pat.buffer, intensity_track(pat.buffer), PARAMS)
         assert sum(1 for s in regions if s.kind == "pause") == brute_force_pause_count(pat.buffer)
 
 
@@ -185,20 +186,20 @@ def test_quantized_periodic_bursts_not_overcounted(tmp_path):
     write_wav(pat.buffer, path)
     buf = to_canonical(read_wav(path))
     track = pitch_track_two_pass(buf)
-    assert count_syllable_nuclei(buf, intensity_track(buf), track) == 4
+    assert count_syllable_nuclei(buf, intensity_track(buf), track, PARAMS) == 4
 
 
 def test_counts_gain_invariant():
     pat = burst_pattern(3)
     track = pitch_track_two_pass(pat.buffer)
     contour = intensity_track(pat.buffer)
-    n1 = count_syllable_nuclei(pat.buffer, contour, track)
+    n1 = count_syllable_nuclei(pat.buffer, contour, track, PARAMS)
     scaled = AudioBuffer.mono(pat.buffer.signal * 0.1, RATE)
     track2 = pitch_track_two_pass(scaled)
     scaled_contour = intensity_track(scaled)
-    assert count_syllable_nuclei(scaled, scaled_contour, track2) == n1
-    r1 = detect_speech_regions(pat.buffer, contour)
-    r2 = detect_speech_regions(scaled, scaled_contour)
+    assert count_syllable_nuclei(scaled, scaled_contour, track2, PARAMS) == n1
+    r1 = detect_speech_regions(pat.buffer, contour, PARAMS)
+    r2 = detect_speech_regions(scaled, scaled_contour, PARAMS)
     assert [s.kind for s in r1] == [s.kind for s in r2]
 
 
@@ -236,8 +237,8 @@ def burst_patterns(draw):
 
 def pause_and_nucleus_counts(buf):
     contour = intensity_track(buf)
-    pauses = sum(s.kind == "pause" for s in detect_speech_regions(buf, contour))
-    return pauses, count_syllable_nuclei(buf, contour, pitch_track_two_pass(buf))
+    pauses = sum(s.kind == "pause" for s in detect_speech_regions(buf, contour, PARAMS))
+    return pauses, count_syllable_nuclei(buf, contour, pitch_track_two_pass(buf), PARAMS)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -255,10 +256,10 @@ def test_counts_survive_the_wav_round_trip_and_gain(tmp_path_factory, case):
 
 def test_empty_buffer():
     with pytest.raises(ZeroDuration):
-        timing_features(AudioBuffer.mono(np.zeros(0), RATE), NO_CONTOUR, None)
+        timing_features(AudioBuffer.mono(np.zeros(0), RATE), NO_CONTOUR, None, PARAMS)
 
 
 def test_all_silence_zero_phonation():
     with pytest.raises(ZeroPhonationTime):
         silence = synth_silence(1.0)
-        timing_features(silence, intensity_track(silence), None)
+        timing_features(silence, intensity_track(silence), None, PARAMS)
