@@ -25,7 +25,10 @@ numpy's array operations, its pocketfft and BLAS release the GIL on these
 arrays, so the threads run in parallel.  The chunks do not depend on the
 number of threads, so neither do the results, bit for bit.  A process
 started by ``multiprocessing`` (an ``extract --threads N`` pool worker)
-runs its chunks in a plain loop.
+runs its chunks in a plain loop.  While any call runs, numpy's OpenBLAS
+is held at one thread (``ONE_BLAS_THREAD``): the helpers or the pool
+already fill the cores, and each BLAS product then takes the same path,
+and gives the same bits, whatever ``OPENBLAS_NUM_THREADS`` says.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import functools
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
@@ -99,6 +103,66 @@ def spectrum_bytes(nfft: int) -> int:
     return 16 * (nfft // 2 + 1)
 
 
+@functools.cache
+def openblas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The (setter, getter) of numpy's OpenBLAS thread count, or None where numpy bundles no OpenBLAS.
+
+    numpy's wheels load ``numpy.libs/libscipy_openblas64_*.so``; opening it
+    again through ctypes returns the copy already loaded.  Looked up on
+    first use, so importing this module stays as fast.
+    """
+    import ctypes
+    import glob
+
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            setter, getter = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: numpy's OpenBLAS runs one thread while any thread of the process is inside.
+
+    The thread count is one per process, so one instance serves every
+    caller: the first to enter saves the count and sets one, the last to
+    leave restores it, whether its block returned or raised.  Where
+    ``openblas_threads`` finds no setter, or the count is already one, it
+    does nothing.  A process forked inside a hold inherits it: its count
+    stays one, and its own holds change nothing.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._restore: int | None = None  # the count to restore, when this hold changed it
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._inside == 0:
+                found = openblas_threads()
+                if found is not None and (count := found[1]()) != 1:
+                    found[0](1)
+                    self._restore = count
+            self._inside += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0 and self._restore is not None:
+                openblas_threads()[0](self._restore)
+                self._restore = None
+
+
+ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def chunk_map(n: int, row_bytes: int, body: Callable[[slice], T]) -> list[T]:
     """``[body(rows) for rows in chunks]`` over the ``chunk_rows(row_bytes)``-row slices of range(n), on all cores.
 
@@ -112,32 +176,34 @@ def chunk_map(n: int, row_bytes: int, body: Callable[[slice], T]) -> list[T]:
     by one thread, so the result does not depend on the core count as long
     as each ``body`` writes only its own rows.  The error of the earliest
     failing chunk is raised, as in a plain loop; once the calling thread
-    meets a failure or an interrupt, no further chunk starts.
+    meets a failure or an interrupt, no further chunk starts.  OpenBLAS
+    runs one thread for the whole call, helpers included.
     """
     step = chunk_rows(row_bytes)
     chunks = [slice(a, min(n, a + step)) for a in range(0, n, step)]
     # a process started by multiprocessing gets no helpers: its pool already puts one process on each core
     helpers = min(usable_cores() - 1, len(chunks) - 1) if multiprocessing.parent_process() is None else 0
-    if helpers < 1:
-        return [body(rows) for rows in chunks]
-    pool = ThreadPoolExecutor(helpers, thread_name_prefix="repspeech-chunk")
-    try:
-        futures = [pool.submit(body, rows) for rows in chunks]
-        mine: dict[int, T] = {}  # results of the chunks run by this thread
-        for i, future in enumerate(futures):
-            if future.cancel():  # no helper has taken it: run it here
-                try:
-                    mine[i] = body(chunks[i])
-                except BaseException:
-                    # every earlier chunk ran here or on a helper: wait for those, and raise the earliest error
-                    pool.shutdown(cancel_futures=True)
-                    for earlier in futures[:i]:
-                        if not earlier.cancelled():
-                            earlier.result()
-                    raise
-        return [mine[i] if i in mine else future.result() for i, future in enumerate(futures)]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ONE_BLAS_THREAD:
+        if helpers < 1:
+            return [body(rows) for rows in chunks]
+        pool = ThreadPoolExecutor(helpers, thread_name_prefix="repspeech-chunk")
+        try:
+            futures = [pool.submit(body, rows) for rows in chunks]
+            mine: dict[int, T] = {}  # results of the chunks run by this thread
+            for i, future in enumerate(futures):
+                if future.cancel():  # no helper has taken it: run it here
+                    try:
+                        mine[i] = body(chunks[i])
+                    except BaseException:
+                        # every earlier chunk ran here or on a helper: wait for those, and raise the earliest error
+                        pool.shutdown(cancel_futures=True)
+                        for earlier in futures[:i]:
+                            if not earlier.cancelled():
+                                earlier.result()
+                        raise
+            return [mine[i] if i in mine else future.result() for i, future in enumerate(futures)]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def usable_cores() -> int:

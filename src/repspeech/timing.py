@@ -31,8 +31,13 @@ if TYPE_CHECKING:
 
 
 def finite_at_least(value: object, least: float) -> bool:
-    """Whether ``value`` is a finite number, not a bool, of at least ``least``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= least
+    """Whether ``value`` is a finite number, not a bool, of at least ``least``; an int too large for a float is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and value >= least
+    except OverflowError:  # no float holds it
+        return False
 
 
 @dataclass(frozen=True)

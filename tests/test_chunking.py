@@ -166,6 +166,78 @@ def test_no_helper_outlives_chunk_map(monkeypatch):
     assert len(ran) == finished
 
 
+OPENBLAS = dsp.openblas_threads()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy bundles no OpenBLAS here")
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS at two threads for the test, and its thread-count getter (None without OpenBLAS)."""
+    if OPENBLAS is None:
+        yield lambda: None
+        return
+    setter, getter = OPENBLAS
+    before = getter()
+    setter(2)
+    yield getter
+    setter(before)
+
+
+@needs_openblas
+def test_chunk_map_holds_openblas_at_one_thread_and_restores_it(monkeypatch, blas_at_two):
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    seen = dsp.chunk_map(200, dsp.CHUNK_BYTES + 1, lambda rows: (threading.current_thread().name, blas_at_two()))
+    assert {count for _, count in seen} == {1} and len({name for name, _ in seen}) > 1  # helpers held too
+    assert blas_at_two() == 2
+
+    def failing(rows):
+        if rows.start == 150:
+            raise ValueError(blas_at_two())
+        return blas_at_two()
+
+    with pytest.raises(ValueError, match="^1$"):
+        dsp.chunk_map(200, dsp.CHUNK_BYTES + 1, failing)
+    assert blas_at_two() == 2
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 1)  # the plain loop of a pool worker
+    assert dsp.chunk_map(3, dsp.CHUNK_BYTES + 1, lambda rows: blas_at_two()) == [1, 1, 1]
+    assert blas_at_two() == 2
+
+
+@needs_openblas
+def test_openblas_hold_under_concurrent_chunk_maps(monkeypatch, blas_at_two):
+    """Four callers at once, each with helpers: OpenBLAS stays at one thread until the last leaves."""
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    counts = []
+
+    def caller():
+        for _ in range(30):
+            counts.extend(dsp.chunk_map(20, dsp.CHUNK_BYTES + 1, lambda rows: blas_at_two()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(counts) == 4 * 30 * 20 and set(counts) == {1}
+    assert blas_at_two() == 2
+
+
+def test_openblas_hold_is_a_no_op_without_a_setter(monkeypatch, blas_at_two):
+    monkeypatch.setattr(dsp, "openblas_threads", lambda: None)
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    before = blas_at_two()
+    seen = dsp.chunk_map(50, dsp.CHUNK_BYTES + 1, lambda rows: (rows.start, blas_at_two()))
+    assert seen == [(i, before) for i in range(50)]
+    with pytest.raises(ZeroDivisionError):
+        dsp.chunk_map(50, dsp.CHUNK_BYTES + 1, lambda rows: 1 / 0)
+
+
 def chunk_threads_in_this_process() -> tuple[int, int, set[str]]:
     """Threads alive before and after a many-chunk map, and the threads that ran its chunks."""
     before = threading.active_count()

@@ -424,7 +424,7 @@ def test_pool_has_no_more_workers_than_inputs(recording, tmp_path, monkeypatch):
     class RecordingPool:
         """Stands in for ``ProcessPoolExecutor``: records the pool size and maps in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -593,7 +593,11 @@ def test_invalid_analysis_value_exits_2_before_any_work(recording, tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value, setting", INVALID_SETTINGS)
+@pytest.mark.parametrize(
+    "flag, value, setting",
+    # an int no float holds, which a config value reads as inf
+    [*INVALID_SETTINGS, pytest.param("--min-pause", 10**400, "min_pause", id="--min-pause-int_past_float-min_pause")],
+)
 def test_invalid_setting_raises_bad_setting(flag, value, setting):
     if isinstance(value, str):  # the value the flag's text gives
         value = getattr(_build_parser()[0].parse_args(["extract", "x.wav", f"{flag}={value}"]), setting)
@@ -634,6 +638,8 @@ WRONG_CONFIG_VALUES = [
     ("json", "no", "extract", "RepSpeechError: config key 'json' takes true or false, got \"no\""),
     ("devices", [1], "validate", "RepSpeechError: config key 'devices' takes a number, a string or a list of"),
     ("formants", [1], "synth", "RepSpeechError: config key 'formants' takes a number, a string or a list of"),
+    # joined and split again at commas, it would select AA1 and AO1
+    ("vowel_labels", ["AA1,AO1"], "extract", "RepSpeechError: config key 'vowel_labels' takes list items without"),
 ]
 
 
@@ -656,6 +662,29 @@ def test_wrong_config_value_exits_2_before_any_work(recording, tmp_path, capsys,
     assert main(["--config", str(cfg), *argv]) == 2
     assert error_line(capsys).startswith(f"error: {error}")
     assert not out.exists()
+
+
+BAD_MIN_PAUSE = "config key 'min_pause': invalid float value: 'x'"
+# a config and its error: a config's own json key sets how its errors print, unless that key is the one in error
+CONFIG_ERRORS_BY_JSON_KEY = [
+    ({"json": True, "min_pause": "x"}, {"error": "RepSpeechError", "message": BAD_MIN_PAUSE}),
+    ({"json": True, "nope": 0}, {"error": "RepSpeechError", "message": "config key 'nope' names no flag"}),
+    ({"json": False, "min_pause": "x"}, f"error: RepSpeechError: {BAD_MIN_PAUSE}\n"),
+    ({"json": "yes", "min_pause": 0.2}, 'error: RepSpeechError: config key \'json\' takes true or false, got "yes"\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "config, error", CONFIG_ERRORS_BY_JSON_KEY, ids=["json-bad-value", "json-unknown-key", "plain", "json-not-a-bool"]
+)
+def test_config_json_key_sets_how_config_errors_print(recording, tmp_path, capsys, monkeypatch, config, error):
+    _, wav, _ = recording
+    monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "extract", wav, "-o", str(tmp_path / "never.csv")]) == 2
+    line = error_line(capsys)
+    assert (json.loads(line) if isinstance(error, dict) else line) == error
 
 
 def test_config_format_follows_the_running_subcommand(recording, tmp_path, capsys):
