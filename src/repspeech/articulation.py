@@ -9,15 +9,15 @@ in-band ones are F1 and F2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .audio_io import AudioBuffer, resample
 from .dsp import (
-    center_and_window, chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, signal_power_spectrum, span
+    center_and_window, chunk_map, frame_centers, gather_frames, gaussian_window, lpc_burg, signal_power_spectrum, Track
 )
-from .errors import NoVoicedFrames, SilentSignal
+from .errors import NoMeasurableInstances, NoVoicedFrames, SilentSignal
 from .phonation import PitchTrack, pre_emphasize
 
 FORMANT_CEILING = 5500.0  # Hz, the default of ``extract --formant-ceiling``
@@ -28,42 +28,21 @@ FORMANT_MAX_BANDWIDTH = 700.0  # Hz; broad spurious poles are not resonances
 FORMANT_MARGIN = 50.0  # Hz; resonances are taken from this far above 0 Hz to this far below the ceiling
 
 
-@dataclass(frozen=True)
-class FormantTrack:
-    """Per-frame first and second formants with validity flags."""
-
-    times: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    valid: np.ndarray
-
-    def slice(self, tmin: float, tmax: float) -> "FormantTrack":
-        keep = span(self.times, tmin, tmax)
-        return FormantTrack(self.times[keep], self.f1[keep], self.f2[keep], self.valid[keep])
-
-    def means(self) -> tuple[float | None, float | None]:
-        """Mean F1/F2 over valid frames, or None when no frame is valid."""
-        if not np.any(self.valid):
-            return None, None
-        return float(np.mean(self.f1[self.valid])), float(np.mean(self.f2[self.valid]))
-
-
-def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_CEILING) -> FormantTrack:
-    """Burg-method formant analysis on the voiced frames of a recording.
+def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_CEILING) -> Track:
+    """Burg-method formant analysis on the voiced frames of a recording: F1 and F2 in Hz, one row per frame.
 
     The signal is resampled to 2 x ceiling (Hz), pre-emphasized, and analyzed in
-    gaussian-windowed frames.  A frame is valid when at least two in-band
-    resonances survive; it then contributes F1 and F2 in ascending order.
+    gaussian-windowed frames.  A mean reads the valid frames, those where at
+    least two in-band resonances survive, in ascending order; an invalid
+    frame's row is zeros.
     """
     if not np.any(track.voiced):
         raise NoVoicedFrames("formant analysis needs voiced frames")
     analysis_rate = int(round(2.0 * ceiling))
     y = resample(buf.signal, buf.sample_rate, analysis_rate)
     y = pre_emphasize(y, analysis_rate)
-    win_n = int(round(2.0 * FORMANT_WINDOW * analysis_rate))
-    step_n = max(1, int(round(FORMANT_STEP * analysis_rate)))
+    centers, win_n = frame_centers(len(y), analysis_rate, 2.0 * FORMANT_WINDOW, FORMANT_STEP)
     window = gaussian_window(win_n)
-    centers = frame_centers(len(y), win_n, step_n)
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
 
     def resonances(rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +57,18 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_
     times, lowest = (np.concatenate(a) for a in zip(*parts))
     valid = np.isfinite(lowest[:, 1])
     lowest[~valid] = 0.0
-    return FormantTrack(times, lowest[:, 0], lowest[:, 1], valid)
+    return Track(times, lowest, valid)
+
+
+def formant_means(formants: np.ndarray) -> tuple[float, float]:
+    """Mean F1 and mean F2 in Hz of the valid frames of a span (``formant_track(...).over``).
+
+    Each column is averaged on its own: a 1-D mean sums pairwise, where
+    ``mean(axis=0)`` would add the rows in order and round differently.
+    """
+    if len(formants) == 0:
+        raise NoMeasurableInstances("no valid formant frame in the span")
+    return float(np.mean(formants[:, 0])), float(np.mean(formants[:, 1]))
 
 
 def _lowest_resonances(coeffs: np.ndarray, rate: float, ceiling: float) -> np.ndarray:
@@ -104,8 +94,7 @@ def _lowest_resonances(coeffs: np.ndarray, rate: float, ceiling: float) -> np.nd
     return np.sort(np.where(keep, freqs, np.inf), axis=1)[:, :2]
 
 
-@dataclass(frozen=True)
-class SpectralMoments:
+class SpectralMoments(NamedTuple):
     gravity: float
     deviation: float
 

@@ -59,8 +59,9 @@ class AudioBuffer:
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     @classmethod
-    def mono(cls, samples: np.ndarray, sample_rate: int, source_bit_depth: int = 16) -> "AudioBuffer":
-        return cls(np.asarray(samples, dtype=np.float64), sample_rate, source_bit_depth)
+    def mono(cls, samples: np.ndarray, sample_rate: int) -> "AudioBuffer":
+        """``AudioBuffer(samples, sample_rate)``, kept because ``bench/corpus.py`` calls it."""
+        return cls(samples, sample_rate)
 
     @property
     def channels(self) -> int:

@@ -277,6 +277,8 @@ def _cmd_validate(args) -> int:
         report = validate_manifest(data, expectation, devices, tasks)
     elif args.what == "schedule":
         schedules = data if isinstance(data, list) else [data]
+        if not schedules:
+            raise RepSpeechError("a schedule list holds no schedule")
         report = None
         for entry in schedules:
             one = validate_schedule(SessionSchedule.from_dict(entry))

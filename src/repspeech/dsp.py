@@ -1,16 +1,19 @@
 """The batched numerical kernels that the feature extractors run.
 
 Each operation has one kernel here, and each kernel works on many frames
-at once, one frame per row: framing (frame centres, frame gathering),
-span selection over frame times, the gaussian analysis window, in-place
-mean removal and windowing of frames, power spectra, window-compensated
-normalized autocorrelation, dB cepstra, moving averages along rows, peak
-magnitudes of frames, Burg linear prediction, parabolic and tapered-sinc
-peak refinement, and robust trend lines.  Four kernels work on one
+at once, one frame per row: framing (the frame grid in seconds, frame
+gathering), span selection over frame times, the gaussian analysis
+window, in-place mean removal and windowing of frames, power spectra,
+window-compensated normalized autocorrelation, dB cepstra, moving averages
+along rows, peak magnitudes of frames, Burg linear prediction, parabolic
+and tapered-sinc peak refinement, and robust trend lines.  Four kernels work on one
 signal: the runs of equal values and the local maxima of a contour,
 polyphase resampling, and the power spectrum of a whole signal
 (``signal_power_spectrum``).  Every kernel is a pure function over
 numpy arrays; the feature modules compose them into the extractors.
+Every track they make is a ``Track`` of frame times, one row of values
+per frame and the frames a mean reads, and every feature reduces the rows
+its ``over(t0, t1)`` selects.
 Extraction loads no scipy module: where a kernel stands in for a scipy
 function (``find_peaks``, ``resample_poly`` and its ``special.i0``, the
 DCT-I of ``fft.dct``, ``ndimage``'s moving average and moving maximum),
@@ -39,7 +42,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -74,16 +77,21 @@ def gaussian_window(n: int) -> np.ndarray:
     return (np.exp(-12.0 * x * x) - edge) / (1.0 - edge)
 
 
-def frame_centers(n: int, win_n: int, step_n: int) -> np.ndarray:
-    """Sample index of the centre of every whole ``win_n``-sample frame of an n-sample signal.
+def frame_centers(n: int, rate: float, window: float, step: float) -> tuple[np.ndarray, int]:
+    """The frame grid of an n-sample signal at ``rate``: frames ``window`` seconds long, ``step`` seconds apart.
 
-    Raises SignalTooShort when not one whole frame fits.
+    Returns the sample index of the centre of every whole frame, and the
+    frame length in samples.  Each length in seconds is rounded to whole
+    samples, the step to at least one.  Raises SignalTooShort when not one
+    whole frame fits.
     """
+    win_n = int(round(window * rate))
+    step_n = max(1, int(round(step * rate)))
     half = win_n // 2
     last = n - (win_n - half)
     if last < half:
         raise SignalTooShort(f"signal of {n} samples is shorter than one {win_n}-sample frame")
-    return np.arange(half, last + 1, step_n)
+    return np.arange(half, last + 1, step_n), win_n
 
 
 def gather_frames(x: np.ndarray, centers: np.ndarray, win_n: int) -> np.ndarray:
@@ -214,6 +222,23 @@ def usable_cores() -> int:
 def span(times: np.ndarray, t0: float, t1: float) -> slice:
     """The frames of ascending ``times`` that lie in [t0, t1], as a slice (empty when none do)."""
     return slice(int(np.searchsorted(times, t0, "left")), int(np.searchsorted(times, t1, "right")))
+
+
+class Track(NamedTuple):
+    """An analysis track: frame times in seconds (ascending), one row of ``values`` per frame.
+
+    ``kept`` marks the frames a mean reads, or is None when it reads every
+    frame.  Every feature is a reduction of ``over(t0, t1)``.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    kept: np.ndarray | None
+
+    def over(self, t0: float, t1: float) -> np.ndarray:
+        """The rows of the kept frames in [t0, t1]; a view of ``values`` when every frame is kept."""
+        frames = span(self.times, t0, t1)
+        return self.values[frames] if self.kept is None else self.values[frames][self.kept[frames]]
 
 
 def runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,6 +50,7 @@ from .dsp import (
     sinc_refine,
     span,
     spectrum_bytes,
+    Track,
     trend_lines,
     window_autocorr,
 )
@@ -89,7 +90,9 @@ EXPLORE_CEILING = 600.0
 class PitchTrack:
     """Frame times and fundamental frequency; f0 is 0 on unvoiced frames.
 
-    ``floor`` and ``ceiling`` are the search range in Hz the track was made with.
+    ``floor`` and ``ceiling`` are the search range in Hz the track was made
+    with, which HNR reads; the other tracks read its voicing.  So it keeps
+    its own shape, not a ``dsp.Track``'s, with the same ``over``.
     """
 
     times: np.ndarray
@@ -105,9 +108,10 @@ class PitchTrack:
     def voiced_f0(self) -> np.ndarray:
         return self.f0[self.voiced]
 
-    def slice(self, tmin: float, tmax: float) -> "PitchTrack":
-        keep = span(self.times, tmin, tmax)
-        return PitchTrack(self.times[keep], self.f0[keep], self.floor, self.ceiling)
+    def over(self, t0: float, t1: float) -> np.ndarray:
+        """The f0 of the voiced frames in [t0, t1], as ``Track.over`` selects a span."""
+        f0 = self.f0[span(self.times, t0, t1)]
+        return f0[f0 > 0]
 
     def voiced_at_many(self, ts: np.ndarray) -> np.ndarray:
         """Voicing state of the nearest frame (within half a step) per query time."""
@@ -129,9 +133,8 @@ def pitch_track(buf: AudioBuffer, floor: float, ceiling: float) -> PitchTrack:
         raise ValueError("need 0 < floor < ceiling")
     x = buf.signal
     rate = buf.sample_rate
-    win_n = int(round(2.0 * PITCH_PERIODS_PER_WINDOW / floor * rate))  # gaussian: physical = 2x effective
-    step_n = max(1, int(round(PITCH_STEP * rate)))
-    centers = frame_centers(len(x), win_n, step_n)
+    # gaussian: physical length = 2x effective
+    centers, win_n = frame_centers(len(x), rate, 2.0 * PITCH_PERIODS_PER_WINDOW / floor, PITCH_STEP)
 
     lag_min = max(2, int(math.floor(rate / ceiling)))
     lag_max = min(win_n // 2 - 2, int(math.ceil(rate / floor)))
@@ -267,13 +270,12 @@ def pitch_track_two_pass(buf: AudioBuffer) -> PitchTrack:
     return pitch_track(buf, 0.75 * float(q1), 1.5 * float(q3))
 
 
-def pitch_stats(track: PitchTrack) -> tuple[float, float]:
-    """Mean voiced f0 in Hz and standard deviation of the semitone contour.
+def pitch_stats(voiced: np.ndarray) -> tuple[float, float]:
+    """Mean in Hz of the voiced f0 of a span (``PitchTrack.over``) and standard deviation of its semitones.
 
     The semitone transform (12 log2 of f0 against a 100 Hz reference) makes
     the spread invariant to multiplicative scaling of the contour.
     """
-    voiced = track.voiced_f0
     if voiced.size == 0:
         raise NoVoicedFrames("track has no voiced frames")
     semitones = 12.0 * np.log2(voiced / 100.0)
@@ -284,25 +286,16 @@ def pitch_stats(track: PitchTrack) -> tuple[float, float]:
 # intensity
 
 
-@dataclass(frozen=True)
-class IntensityTrack:
-    """Per-frame level in dB against the 2e-5 reference."""
+def intensity_track(buf: AudioBuffer) -> Track:
+    """Hann-weighted mean-square level per frame of the shared grid, in dB against the 2e-5 reference.
 
-    times: np.ndarray
-    level_db: np.ndarray
-
-
-def _grid(buf: AudioBuffer) -> tuple[np.ndarray, int]:
-    """Centres and length in samples of the ``FRAME_LEN`` / ``HOP`` frames of ``buf``."""
-    win_n = int(round(FRAME_LEN * buf.sample_rate))
-    step_n = max(1, int(round(HOP * buf.sample_rate)))
-    return frame_centers(buf.n_samples, win_n, step_n), win_n
-
-
-def intensity_track(buf: AudioBuffer) -> IntensityTrack:
-    """Hann-weighted mean-square level per frame of the shared grid, in dB."""
+    A mean reads the frames that carry speech: those at most 30 dB below the
+    loudest frame of the whole track, so a mean shifts by exactly an applied
+    gain and ignores lead-in silence.  When every frame sits at the
+    mean-square floor (no signal energy), it reads none.
+    """
     x = buf.signal
-    centers, win_n = _grid(buf)
+    centers, win_n = frame_centers(len(x), buf.sample_rate, FRAME_LEN, HOP)
     w = np.hanning(win_n)
     wsum = float(np.sum(w))
     level = np.empty(len(centers))
@@ -312,30 +305,18 @@ def intensity_track(buf: AudioBuffer) -> IntensityTrack:
         level[rows] = 10.0 * np.log10(np.maximum(msq, _MSQ_FLOOR) / DB_REF_PRESSURE**2)
 
     chunk_map(len(centers), 8 * win_n, levels)
-    return IntensityTrack(centers / buf.sample_rate, level)
+    peak = float(np.max(level))  # the grid holds at least one frame
+    return Track(centers / buf.sample_rate, level, (level >= peak - 30.0) & (peak > _FLOOR_DB))
 
 
-def _energy_mean_db(levels: np.ndarray) -> float:
-    return 10.0 * math.log10(float(np.mean(10.0 ** (levels / 10.0))))
+def intensity_mean(levels: np.ndarray) -> float:
+    """Energy mean in dB of the speech frames of a span (``intensity_track(...).over``).
 
-
-def intensity_mean(track: IntensityTrack, tmin: float, tmax: float) -> float:
-    """Energy-mean intensity over the speech-containing frames in [tmin, tmax].
-
-    Frames more than 30 dB below the loudest frame of the whole
-    track are excluded, so the figure shifts by exactly the applied gain
-    and ignores lead-in silence.  Raises SilentSignal when every frame
-    sits at the mean-square floor (no signal energy) or no frame of the
-    span exceeds the silence floor.
+    Raises SilentSignal when the span holds none.
     """
-    peak = float(np.max(track.level_db)) if len(track.level_db) else -math.inf
-    if peak <= _FLOOR_DB:
-        raise SilentSignal("no signal energy")
-    level = track.level_db[span(track.times, tmin, tmax)]
-    level = level[level >= peak - 30.0]
-    if len(level) == 0:
+    if len(levels) == 0:
         raise SilentSignal("no frame of the span above the silence floor")
-    return _energy_mean_db(level)
+    return 10.0 * math.log10(float(np.mean(10.0 ** (levels / 10.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +326,8 @@ def intensity_mean(track: IntensityTrack, tmin: float, tmax: float) -> float:
 _HNR_PERIODS_PER_WINDOW = 4.5  # gaussian window length in periods of the pitch floor
 
 
-def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarray]:
-    """Per-voiced-frame harmonics-to-noise ratio in dB.
+def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
+    """Harmonics-to-noise ratio in dB of the voiced pitch frames it can analyze.
 
     For each voiced frame the window-compensated autocorrelation is
     evaluated at fractional lags around the tracked pitch period (exact
@@ -412,15 +393,13 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarr
 
     parts = chunk_map(len(idx), spectrum_bytes(nfft), harmonicity)
     if not parts:
-        return np.zeros(0), np.zeros(0)
+        return Track(np.zeros(0), np.zeros(0), None)
     times, values = zip(*parts)
-    return np.concatenate(times), np.concatenate(values)
+    return Track(np.concatenate(times), np.concatenate(values), None)
 
 
-def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
-    """Mean HNR over the voiced frames in [tmin, tmax]; ``hnr`` is the recording's ``hnr_track``."""
-    times, values = hnr
-    values = values[span(times, tmin, tmax)]
+def hnr_mean(values: np.ndarray) -> float:
+    """Mean HNR in dB of the frames of a span (``hnr_track(...).over``)."""
     if len(values) == 0:
         raise NoVoicedFrames("no analyzable voiced frames for harmonicity")
     return float(np.mean(values))
@@ -433,15 +412,12 @@ def hnr_mean(hnr: tuple[np.ndarray, np.ndarray], tmin: float, tmax: float) -> fl
 SLOPE_BAND = (50.0, 5000.0)  # Hz, the range the line is fitted over
 
 
-def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, frequency axis, and power spectra of the voiced frames of the shared grid."""
+def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> Track:
+    """Power spectra of the voiced frames of the shared grid, one row each, on ``np.fft.rfftfreq``'s bins."""
     x = buf.signal
-    rate = buf.sample_rate
-    centers, win_n = _grid(buf)
-    times = centers / rate
+    centers, win_n = frame_centers(len(x), buf.sample_rate, FRAME_LEN, HOP)
+    times = centers / buf.sample_rate
     keep = track.voiced_at_many(times)
-    if not np.any(keep):
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
     nfft = next_pow2(2 * win_n)
     w = np.hanning(win_n)
     kept = centers[keep]
@@ -451,8 +427,7 @@ def voiced_frame_spectra(buf: AudioBuffer, track: PitchTrack) -> tuple[np.ndarra
         power[rows] = power_spectra(gather_frames(x, kept[rows], win_n) * w, nfft)
 
     chunk_map(len(kept), spectrum_bytes(nfft), spectra)
-    freqs = np.fft.rfftfreq(nfft, 1.0 / rate)
-    return times[keep], freqs, power
+    return Track(times[keep], power, None)
 
 
 def slope_from_spectrum(freqs: np.ndarray, power: np.ndarray) -> float:
@@ -487,18 +462,16 @@ def slope_from_spectrum(freqs: np.ndarray, power: np.ndarray) -> float:
     return cov / var
 
 
-def spectral_slope(spectra: tuple[np.ndarray, np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
-    """Slope of the long-term average spectrum of the voiced frames in [tmin, tmax], dB/octave.
+def spectral_slope(power: np.ndarray, rate: int) -> float:
+    """Slope in dB/octave of the long-term average spectrum of a span's voiced frames, fitted over ``SLOPE_BAND``.
 
-    ``spectra`` is the recording's ``voiced_frame_spectra``; the line is
-    fitted over ``SLOPE_BAND``.
+    ``power`` holds the rows of a span (``voiced_frame_spectra(...).over``)
+    of a recording sampled at ``rate``.
     """
-    times, freqs, power = spectra
-    power = power[span(times, tmin, tmax)]
     if power.shape[0] == 0:
         raise NoVoicedFrames("no voiced frames for the long-term spectrum")
     ltas = power.mean(axis=0)
-    return slope_from_spectrum(freqs, ltas)
+    return slope_from_spectrum(np.fft.rfftfreq(2 * (power.shape[1] - 1), 1.0 / rate), ltas)
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +502,17 @@ def pre_emphasize(x: np.ndarray, rate: int) -> np.ndarray:
     return y
 
 
-def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame cepstral peak prominence.
+def cpp_track(buf: AudioBuffer) -> Track:
+    """Per-frame cepstral peak prominence in dB.
 
-    Returns (times, cpp values, included mask); the mask is False on frames
-    whose local peak falls under the silence threshold.  Per frame, the
-    smoothed dB power cepstrum is peak-picked inside the 60-330 Hz
-    quefrency band and referenced to a robust straight-line trend fit.
+    A mean reads the frames whose local peak clears the silence threshold.
+    Per frame, the smoothed dB power cepstrum is peak-picked inside the
+    60-330 Hz quefrency band and referenced to a robust straight-line trend
+    fit.
     """
     x = buf.signal
     rate = buf.sample_rate
-    win_n = int(round(FRAME_LEN * rate))
-    step_n = max(1, int(round(CPP_STEP * rate)))
-    centers = frame_centers(len(x), win_n, step_n)
+    centers, win_n = frame_centers(len(x), rate, FRAME_LEN, CPP_STEP)
     n_frames = len(centers)
     # the silence gate: each frame's peak magnitude against the recording's
     # (an all-zero recording passes every frame here, but has no live frame)
@@ -611,17 +582,11 @@ def cpp_track(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         values[out] = peak_val - (intercept + slope * q_star)
 
     chunk_map(n_frames, spectrum_bytes(nfft), prominences)
-    return centers / rate, values, included
+    return Track(centers / rate, values, included)
 
 
-def cpp_mean(cpp: tuple[np.ndarray, np.ndarray, np.ndarray], tmin: float, tmax: float) -> float:
-    """Mean cepstral peak prominence over the non-silent frames in [tmin, tmax], in dB.
-
-    ``cpp`` is the recording's ``cpp_track``.
-    """
-    times, values, included = cpp
-    keep = span(times, tmin, tmax)
-    values = values[keep][included[keep]]
+def cpp_mean(values: np.ndarray) -> float:
+    """Mean cepstral peak prominence in dB of the non-silent frames of a span (``cpp_track(...).over``)."""
     if len(values) == 0:
         raise SilentSignal("no frames above the silence threshold")
     return float(np.mean(values))

@@ -177,7 +177,7 @@ def _emit_json(table: NormativeTable) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit_table(table: NormativeTable, fmt: str = "markdown") -> str:
+def emit_table(table: NormativeTable, fmt: str) -> str:
     if fmt == "markdown":
         return _emit_markdown(table)
     if fmt == "csv":

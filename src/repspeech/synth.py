@@ -44,6 +44,8 @@ class SynthSpec:
             raise RepSpeechError(f"segment duration must be finite and at least 0 s, got {self.duration!r}")
         if self.kind in PITCHED_KINDS and not finite_at_least(self.f0, -math.inf):
             raise BadF0(f"a {self.kind} segment needs a finite f0, got {self.f0!r}")
+        if not (finite_at_least(self.amplitude, 0.0) and self.amplitude <= 1.0):
+            raise RepSpeechError(f"segment amplitude must be finite and in [0, 1], got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +98,18 @@ def synth_pulse_train(
     peak = np.max(np.abs(x)) if n else 1.0
     if peak > 0:
         x = x * (amplitude / peak)
-    return AudioBuffer.mono(x, rate)
+    return AudioBuffer(x, rate)
 
 
 def synth_tone(freq: float, duration: float, rate: int = DEFAULT_RATE, amplitude: float = DEFAULT_AMPLITUDE) -> AudioBuffer:
     if freq <= 0 or freq >= rate / 2.0:
         raise BadF0(f"tone frequency {freq} outside (0, Nyquist)")
     t = np.arange(int(round(duration * rate))) / rate
-    return AudioBuffer.mono(amplitude * np.sin(2.0 * np.pi * freq * t), rate)
+    return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq * t), rate)
 
 
 def synth_silence(duration: float, rate: int = DEFAULT_RATE) -> AudioBuffer:
-    return AudioBuffer.mono(np.zeros(int(round(duration * rate))), rate)
+    return AudioBuffer(np.zeros(int(round(duration * rate))), rate)
 
 
 def synth_noise(duration: float, rate: int = DEFAULT_RATE, rms: float = 0.1, seed: int = 0) -> AudioBuffer:
@@ -120,7 +122,7 @@ def synth_noise(duration: float, rate: int = DEFAULT_RATE, rms: float = 0.1, see
     peak = np.max(np.abs(x)) if len(x) else 0.0
     if peak > 1.0:
         x = x / peak
-    return AudioBuffer.mono(x, rate)
+    return AudioBuffer(x, rate)
 
 
 def synth_formant_voice(
@@ -154,7 +156,7 @@ def synth_formant_voice(
     peak = np.max(np.abs(x)) if n else 1.0
     if peak > 0:
         x = x * (amplitude / peak)
-    return AudioBuffer.mono(x, rate)
+    return AudioBuffer(x, rate)
 
 
 def add_noise(buf: AudioBuffer, snr_db: float, seed: int = 0) -> AudioBuffer:
@@ -178,7 +180,7 @@ def add_noise(buf: AudioBuffer, snr_db: float, seed: int = 0) -> AudioBuffer:
     peak = np.max(np.abs(y))
     if peak > 1.0:
         y = y / peak
-    return AudioBuffer.mono(y, buf.sample_rate, buf.source_bit_depth)
+    return AudioBuffer(y, buf.sample_rate, buf.source_bit_depth)
 
 
 def render_segment(spec: SynthSpec, rate: int = DEFAULT_RATE) -> AudioBuffer:
@@ -210,4 +212,4 @@ def synth_pattern(segments: list[SynthSpec], rate: int = DEFAULT_RATE) -> Patter
         start = cursor / rate
         cursor += piece.n_samples
         events.append(PatternEvent(spec.kind, start, cursor / rate, spec.f0))
-    return PatternResult(AudioBuffer.mono(np.concatenate(chunks), rate), events)
+    return PatternResult(AudioBuffer(np.concatenate(chunks), rate), events)

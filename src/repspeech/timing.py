@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import local_maxima, runs
+from .dsp import Track, local_maxima, runs
 from .errors import ZeroDuration, ZeroPhonationTime
-from .phonation import HOP, IntensityTrack, PitchTrack
+from .phonation import HOP, PitchTrack
 
 if TYPE_CHECKING:
     from .pipeline import PipelineParams
@@ -63,15 +63,15 @@ class TimingFeatures:
 
 
 # the contour of a buffer shorter than one frame
-NO_CONTOUR = IntensityTrack(np.zeros(0), np.zeros(0))
+NO_CONTOUR = Track(np.zeros(0), np.zeros(0), None)
 
 
-def _sounding_mask(track: IntensityTrack, silence_threshold_db: float) -> np.ndarray:
-    peak = float(np.max(track.level_db))
-    return track.level_db >= peak + silence_threshold_db
+def _sounding_mask(track: Track, silence_threshold_db: float) -> np.ndarray:
+    peak = float(np.max(track.values))
+    return track.values >= peak + silence_threshold_db
 
 
-def detect_speech_regions(buf: AudioBuffer, contour: IntensityTrack, params: PipelineParams) -> list[Segment]:
+def detect_speech_regions(buf: AudioBuffer, contour: Track, params: PipelineParams) -> list[Segment]:
     """Segment a recording into speech regions and internal pauses.
 
     Silent runs shorter than the minimum pause are absorbed into speech;
@@ -79,7 +79,7 @@ def detect_speech_regions(buf: AudioBuffer, contour: IntensityTrack, params: Pip
     input yields an empty list.  ``contour`` is the intensity track of
     ``buf``.
     """
-    if len(contour.level_db) == 0 or not np.any(buf.signal):
+    if len(contour.values) == 0 or not np.any(buf.signal):
         return []
     mask = _sounding_mask(contour, params.silence_threshold_db)
     if not np.any(mask):
@@ -116,7 +116,7 @@ def detect_speech_regions(buf: AudioBuffer, contour: IntensityTrack, params: Pip
 
 
 def count_syllable_nuclei(
-    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: PipelineParams
+    buf: AudioBuffer, contour: Track, track: PitchTrack | None, params: PipelineParams
 ) -> int:
     """Count intensity peaks that behave like syllable nuclei.
 
@@ -127,9 +127,9 @@ def count_syllable_nuclei(
     the pitch track's span is read at its first or last frame, and without
     a track no peak counts.  ``contour`` is the intensity track of ``buf``.
     """
-    if not np.any(buf.signal) or len(contour.level_db) == 0:
+    if not np.any(buf.signal) or len(contour.values) == 0:
         return 0
-    level = contour.level_db
+    level = contour.values
     peak_db = float(np.max(level))
     threshold = peak_db + params.silence_threshold_db
     # pad with a deep floor so plateaus touching the signal edges still count
@@ -161,7 +161,7 @@ def count_syllable_nuclei(
 
 
 def timing_features(
-    buf: AudioBuffer, contour: IntensityTrack, track: PitchTrack | None, params: PipelineParams
+    buf: AudioBuffer, contour: Track, track: PitchTrack | None, params: PipelineParams
 ) -> TimingFeatures:
     """Duration, speaking rate, articulation rate, and pause rate.
 

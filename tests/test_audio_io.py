@@ -91,7 +91,7 @@ def test_8_and_24_bit_decode(tmp_path):
 def test_round_trip_within_one_lsb(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 1.0, 16000)
-    buf = AudioBuffer.mono(x, 16000)
+    buf = AudioBuffer(x, 16000)
     path = tmp_path / "rt.wav"
     write_wav(buf, path)
     back = read_wav(path)
@@ -126,7 +126,7 @@ def test_written_file_readable_by_stdlib(tmp_path):
     rng = np.random.default_rng(9)
     x = rng.uniform(-0.9, 0.9, 5000)
     path = tmp_path / "w.wav"
-    write_wav(AudioBuffer.mono(x, 16000), path)
+    write_wav(AudioBuffer(x, 16000), path)
     with wave.open(str(path)) as fh:
         assert fh.getnchannels() == 1
         assert fh.getframerate() == 16000
@@ -137,7 +137,7 @@ def test_written_file_readable_by_stdlib(tmp_path):
 
 def test_write_empty_buffer(tmp_path):
     path = tmp_path / "e.wav"
-    write_wav(AudioBuffer.mono(np.zeros(0), 16000), path)
+    write_wav(AudioBuffer(np.zeros(0), 16000), path)
     back = read_wav(path)
     assert back.n_samples == 0
 

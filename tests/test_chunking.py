@@ -27,6 +27,13 @@ def assert_same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_same_track(a, b):
+    for x, y in zip(a, b):  # times, values and kept, which both leave None or both set
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert_same_bytes(x, y)
+
+
 def all_tracks(buf):
     pitch = pitch_track_two_pass(buf)
     return {
@@ -62,22 +69,17 @@ def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):
 
     assert_same_bytes(small["pitch"].times, whole["pitch"].times)
     assert_same_bytes(small["pitch"].f0, whole["pitch"].f0)
-    for name in ("times", "f1", "f2", "valid"):
-        assert_same_bytes(getattr(small["formants"], name), getattr(whole["formants"], name))
-    for a, b in zip(small["spectra"], whole["spectra"]):
-        assert_same_bytes(a, b)
-    (t_small, cpp_small, inc_small), (t_whole, cpp_whole, inc_whole) = small["cpp"], whole["cpp"]
-    assert_same_bytes(t_small, t_whole)
-    assert_same_bytes(inc_small, inc_whole)
+    for name in ("formants", "spectra", "cpp"):
+        assert_same_track(small[name], whole[name])
+    inc_whole = whole["cpp"].kept
     assert 0 < inc_whole.sum() < len(inc_whole)
-    assert_same_bytes(cpp_small, cpp_whole)
     # their BLAS products round differently with the number of rows; HNR
     # magnifies a rounding-level change of its peak r by 1 / (1 - r), up to
     # 1e6 at the 60 dB cap, so it is held to a dB bound
-    assert_same_bytes(small["hnr"][0], whole["hnr"][0])
-    np.testing.assert_allclose(small["hnr"][1], whole["hnr"][1], rtol=0, atol=1e-8)
+    assert_same_bytes(small["hnr"].times, whole["hnr"].times)
+    np.testing.assert_allclose(small["hnr"].values, whole["hnr"].values, rtol=0, atol=1e-8)
     assert_same_bytes(small["intensity"].times, whole["intensity"].times)
-    np.testing.assert_allclose(small["intensity"].level_db, whole["intensity"].level_db, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(small["intensity"].values, whole["intensity"].values, rtol=1e-12, atol=0)
 
 
 def test_tracks_do_not_depend_on_the_core_count(monkeypatch):
@@ -101,14 +103,8 @@ def test_tracks_do_not_depend_on_the_core_count(monkeypatch):
 
     assert_same_bytes(serial["pitch"].times, threaded["pitch"].times)
     assert_same_bytes(serial["pitch"].f0, threaded["pitch"].f0)
-    assert_same_bytes(serial["intensity"].times, threaded["intensity"].times)
-    assert_same_bytes(serial["intensity"].level_db, threaded["intensity"].level_db)
-    for name in ("hnr", "spectra", "cpp"):
-        assert len(serial[name]) == len(threaded[name])
-        for a, b in zip(serial[name], threaded[name]):
-            assert_same_bytes(a, b)
-    for name in ("times", "f1", "f2", "valid"):
-        assert_same_bytes(getattr(serial["formants"], name), getattr(threaded["formants"], name))
+    for name in ("intensity", "hnr", "spectra", "cpp", "formants"):
+        assert_same_track(serial[name], threaded[name])
 
 
 def test_chunk_map_under_contention(monkeypatch):
@@ -275,7 +271,7 @@ def tiled_voice(seconds: int) -> AudioBuffer:
     second = synth_pattern(
         [SynthSpec("formant_voice", 0.6, f0=110.0, formants=VOWEL), SynthSpec("noise", 0.4, amplitude=0.05)], RATE
     ).buffer.signal
-    return AudioBuffer.mono(np.tile(second, seconds), RATE)
+    return AudioBuffer(np.tile(second, seconds), RATE)
 
 
 def traced_peak(track, buf):

@@ -293,6 +293,7 @@ EXPECT = {"sessions": [{"participant": "P01", "day": "D1", "session": "S1"}], "d
 WRONG_SHAPES = {
     "schedule_without_starts": ("schedule", {"arm": "Day"}, None),
     "schedule_bad_date": ("schedule", {"arm": "Day", "session_starts": ["not-a-date"]}, None),
+    "schedule_empty_list": ("schedule", [], None),
     "expectation_without_sessions": ("manifest", ["P01_condenser_D1_S1.wav"], {"devices": ["condenser"]}),
     "manifest_not_names": ("manifest", [1], EXPECT),
 }
@@ -736,4 +737,17 @@ def test_synth_negative_duration_exits_2(tmp_path, capsys):
     out = tmp_path / "never.wav"
     assert main(["synth", "--kind", "silence", "--duration", "-1", "-o", str(out)]) == 2
     assert error_line(capsys) == "error: RepSpeechError: segment duration must be finite and at least 0 s, got -1.0\n"
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["2", "nan", "-0.1"])
+def test_synth_amplitude_outside_unit_range_exits_2(tmp_path, capsys, amplitude):
+    out = tmp_path / "never.wav"
+    assert main(["synth", "--kind", "tone", "--f0", "200", "--amplitude", amplitude, "-o", str(out)]) == 2
+    expected = f"error: RepSpeechError: segment amplitude must be finite and in [0, 1], got {float(amplitude)!r}\n"
+    assert error_line(capsys) == expected
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps([{"kind": "tone", "duration": 0.2, "f0": 200, "amplitude": float(amplitude)}]))
+    assert main(["synth", "--pattern", str(pattern), "-o", str(out)]) == 2
+    assert error_line(capsys) == expected
     assert not out.exists() and not out.with_suffix(".json").exists()

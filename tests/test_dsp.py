@@ -35,6 +35,7 @@ from repspeech.dsp import (
     signal_power_spectrum,
     sinc_refine,
     span,
+    Track,
     trend_lines,
     window_autocorr,
 )
@@ -71,10 +72,12 @@ def hann_autocorrelation(frames, max_lag):
 
 
 # -- framing -------------------------------------------------------------------
+# (at a rate of 1, the lengths given in seconds are lengths in samples)
 
 
 def test_frame_count_arithmetic():
-    centers = frame_centers(16000, 640, 160)
+    centers, win_n = frame_centers(16000, RATE, 0.040, 0.010)
+    assert win_n == 640
     assert len(centers) == 97
     assert centers[0] / RATE == pytest.approx(0.020)
     assert centers[1] - centers[0] == 160
@@ -82,17 +85,18 @@ def test_frame_count_arithmetic():
 
 
 def test_single_frame_when_length_equals_duration():
-    assert list(frame_centers(800, 800, 160)) == [400]
+    centers, _ = frame_centers(800, 1, 800, 160)
+    assert list(centers) == [400]
 
 
 def test_too_short_signal():
     with pytest.raises(SignalTooShort):
-        frame_centers(480, 640, 160)
+        frame_centers(480, 1, 640, 160)
 
 
 def test_frames_are_windowed():
     x = np.arange(2000) / 2000.0
-    centers = frame_centers(len(x), 800, 160)
+    centers, _ = frame_centers(len(x), 1, 800, 160)
     frames = gather_frames(x, centers, 800) * np.hanning(800)
     for c, frame in zip(centers, frames):
         np.testing.assert_array_equal(frame, x[c - 400 : c + 400] * np.hanning(800))
@@ -101,7 +105,7 @@ def test_frames_are_windowed():
 def test_gather_frames_equals_the_index_form():
     x = np.random.default_rng(3).normal(size=2880)
     win_n = 640
-    centers = frame_centers(len(x), win_n, 160)
+    centers, _ = frame_centers(len(x), 1, win_n, 160)
     assert centers[0] == win_n // 2 and centers[-1] + win_n // 2 == len(x)  # first and last frames touch the ends
     for c in (centers, centers[::-1], centers[[0]], centers[[-1]], np.zeros(0, dtype=int)):
         frames = gather_frames(x, c, win_n)
@@ -127,7 +131,7 @@ def test_frame_peaks_are_the_maximum_filter_at_the_centres():
     x = rng.standard_normal(9000) * np.repeat(10.0 ** rng.uniform(-4, 0, 9), 1000)
     x[4000:4700] = 0.0
     for win_n, step_n in ((640, 32), (640, 640), (7, 1), (1, 3)):
-        centers = frame_centers(len(x), win_n, step_n)
+        centers, _ = frame_centers(len(x), 1, win_n, step_n)
         expected = maximum_filter1d(np.abs(x), win_n)[centers]
         np.testing.assert_array_equal(frame_peaks(x, centers, win_n), expected)
         for rows in (slice(0, 1), slice(5, 9), slice(len(centers) - 3, len(centers)), slice(4, 4)):
@@ -195,6 +199,18 @@ def test_span_selects_what_the_bounds_mask_selects():
         mask = (times >= t0) & (times <= t1)
         np.testing.assert_array_equal(np.arange(len(times))[span(times, t0, t1)], np.flatnonzero(mask))
     assert times[span(np.zeros(0), 0.0, 1.0)].size == 0
+
+
+def test_track_over_reads_the_kept_rows_of_the_span():
+    times = np.array([0.0, 0.01, 0.02, 0.03, 0.04])
+    values = np.arange(10.0).reshape(5, 2)
+    every = Track(times, values, None)
+    rows = every.over(0.01, 0.03)
+    np.testing.assert_array_equal(rows, values[1:4])
+    assert np.shares_memory(rows, values)  # a view: a whole-recording span copies nothing
+    kept = Track(times, values, np.array([True, False, True, True, False]))
+    np.testing.assert_array_equal(kept.over(0.01, 0.04), values[[2, 3]])
+    assert kept.over(0.05, 1.0).shape == (0, 2)
 
 
 # -- power spectrum --------------------------------------------------------------

@@ -34,13 +34,13 @@ RATE = 16000
 
 
 def test_two_pass_tracks_200hz(synth_cache):
-    mean, _sd = pitch_stats(synth_cache.track(200))
+    mean, _sd = pitch_stats(synth_cache.track(200).voiced_f0)
     assert mean == pytest.approx(200.0, abs=2.0)
 
 
 def test_two_pass_floor_adapts_below_default(synth_cache):
     track = synth_cache.track(85)
-    mean, _sd = pitch_stats(track)
+    mean, _sd = pitch_stats(track.voiced_f0)
     assert mean == pytest.approx(85.0, abs=1.0)
     assert track.floor < 75.0
 
@@ -64,22 +64,22 @@ def _track(values):
 
 
 def test_pitch_stats_constant():
-    mean, sd = pitch_stats(_track([200.0] * 10))
+    mean, sd = pitch_stats(_track([200.0] * 10).voiced_f0)
     assert mean == 200.0
     assert sd == 0.0
 
 
 def test_pitch_stats_octave_alternation():
-    mean, sd = pitch_stats(_track([200.0, 400.0] * 8))
+    mean, sd = pitch_stats(_track([200.0, 400.0] * 8).voiced_f0)
     assert sd == pytest.approx(6.0, abs=1e-12)
     assert mean == pytest.approx(300.0)
 
 
 def test_semitone_sd_scale_invariant():
     base = [180.0, 200.0, 260.0, 150.0, 210.0]
-    _, sd = pitch_stats(_track(base))
+    _, sd = pitch_stats(_track(base).voiced_f0)
     for g in (0.5, 2.0, 3.0):
-        mean_g, sd_g = pitch_stats(_track([g * v for v in base]))
+        mean_g, sd_g = pitch_stats(_track([g * v for v in base]).voiced_f0)
         assert sd_g == pytest.approx(sd, abs=1e-9)
         assert mean_g == pytest.approx(g * np.mean(base))
 
@@ -94,9 +94,9 @@ def test_tracks_modulated_contour_with_known_spread():
     phase = 2 * np.pi * np.cumsum(f0_inst) / RATE
     k = np.arange(1, int(RATE / 2 / f0_inst.max()))
     x = np.cos(np.outer(phase, k)).sum(axis=1)
-    buf = AudioBuffer.mono(0.3 * x / np.max(np.abs(x)), RATE)
+    buf = AudioBuffer(0.3 * x / np.max(np.abs(x)), RATE)
     track = pitch_track_two_pass(buf)
-    mean, sd = pitch_stats(track)
+    mean, sd = pitch_stats(track.voiced_f0)
     assert mean == pytest.approx(200.0, abs=2.0)
     assert sd == pytest.approx(depth_st / np.sqrt(2), abs=0.07)
 
@@ -104,7 +104,7 @@ def test_tracks_modulated_contour_with_known_spread():
 def test_pitch_gain_invariant(synth_cache):
     buf = synth_cache.pulse(200)
     track = synth_cache.track(200)
-    scaled = AudioBuffer.mono(buf.signal * 0.5, RATE)
+    scaled = AudioBuffer(buf.signal * 0.5, RATE)
     track2 = pitch_track_two_pass(scaled)
     assert len(track.f0) == len(track2.f0)
     np.testing.assert_allclose(track2.f0, track.f0, atol=0.1)
@@ -150,30 +150,30 @@ def test_best_path_equals_per_frame_recursion():
 
 def full_scale_sine(duration=1.0, freq=1000.0, amp=1.0):
     t = np.arange(int(duration * RATE)) / RATE
-    return AudioBuffer.mono(amp * np.sin(2 * np.pi * freq * t), RATE)
+    return AudioBuffer(amp * np.sin(2 * np.pi * freq * t), RATE)
 
 
 def test_intensity_closed_form():
-    level = intensity_mean(intensity_track(full_scale_sine()), 0.0, 1.0)
+    level = intensity_mean(intensity_track(full_scale_sine()).over(0.0, 1.0))
     assert level == pytest.approx(10 * np.log10(0.5 / (2e-5) ** 2), abs=0.05)
 
 
 def test_intensity_gain_law():
-    full = intensity_mean(intensity_track(full_scale_sine()), 0.0, 1.0)
-    half = intensity_mean(intensity_track(full_scale_sine(amp=0.5)), 0.0, 1.0)
+    full = intensity_mean(intensity_track(full_scale_sine()).over(0.0, 1.0))
+    half = intensity_mean(intensity_track(full_scale_sine(amp=0.5)).over(0.0, 1.0))
     assert full - half == pytest.approx(6.02, abs=0.05)
 
 
 def test_intensity_silence():
     with pytest.raises(SilentSignal):
-        intensity_mean(intensity_track(synth_silence(1.0)), 0.0, 1.0)
+        intensity_mean(intensity_track(synth_silence(1.0)).over(0.0, 1.0))
 
 
 def test_intensity_energy_outside_every_frame_is_silent():
     # the three nonzero samples follow the last frame, so every frame sits at the floor
-    buf = AudioBuffer.mono(np.r_[np.zeros(RATE), 1e-3 * np.ones(3)], RATE)
+    buf = AudioBuffer(np.r_[np.zeros(RATE), 1e-3 * np.ones(3)], RATE)
     with pytest.raises(SilentSignal):
-        intensity_mean(intensity_track(buf), 0.0, buf.duration)
+        intensity_mean(intensity_track(buf).over(0.0, buf.duration))
 
 
 # -- harmonics-to-noise ratio --------------------------------------------------------
@@ -181,13 +181,13 @@ def test_intensity_energy_outside_every_frame_is_silent():
 
 def test_clean_pulse_train_hnr(synth_cache):
     buf = synth_cache.pulse(200)
-    assert hnr_mean(hnr_track(buf, synth_cache.track(200)), 0.0, buf.duration) >= 40.0
+    assert hnr_mean(hnr_track(buf, synth_cache.track(200)).over(0.0, buf.duration)) >= 40.0
 
 
 def test_hnr_near_snr(synth_cache):
     noisy = add_noise(synth_cache.pulse(200), 10.0, seed=1)
     track = pitch_track_two_pass(noisy)
-    assert hnr_mean(hnr_track(noisy, track), 0.0, noisy.duration) == pytest.approx(10.0, abs=2.0)
+    assert hnr_mean(hnr_track(noisy, track).over(0.0, noisy.duration)) == pytest.approx(10.0, abs=2.0)
 
 
 def test_hnr_monotone_in_noise(synth_cache):
@@ -195,7 +195,7 @@ def test_hnr_monotone_in_noise(synth_cache):
     values = []
     for snr in (5.0, 15.0, 25.0):
         noisy = add_noise(buf, snr, seed=2)
-        values.append(hnr_mean(hnr_track(noisy, pitch_track_two_pass(noisy)), 0.0, noisy.duration))
+        values.append(hnr_mean(hnr_track(noisy, pitch_track_two_pass(noisy)).over(0.0, noisy.duration)))
     assert values[0] < values[1] < values[2]
 
 
@@ -204,7 +204,7 @@ def test_hnr_monotone_in_noise(synth_cache):
 
 def test_flat_envelope_slope(synth_cache):
     buf = synth_cache.pulse(200)
-    slope = spectral_slope(voiced_frame_spectra(buf, synth_cache.track(200)), 0.0, buf.duration)
+    slope = spectral_slope(voiced_frame_spectra(buf, synth_cache.track(200)).over(0.0, buf.duration), buf.sample_rate)
     assert slope == pytest.approx(0.0, abs=1.0)
 
 
@@ -215,21 +215,21 @@ def tilted_pulse_train(f0=200.0, duration=2.0, db_per_octave=-6.0):
     k = np.arange(1, int(np.floor(RATE / 2 / f0)))
     amps = (k * f0) ** (db_per_octave / 6.0206)  # amplitude ~ f^(dB/6.02)
     x = (amps * np.cos(2 * np.pi * f0 * np.outer(t, k))).sum(axis=1)
-    return AudioBuffer.mono(0.3 * x / np.max(np.abs(x)), RATE)
+    return AudioBuffer(0.3 * x / np.max(np.abs(x)), RATE)
 
 
 def test_tilted_envelope_slope():
     buf = tilted_pulse_train(db_per_octave=-6.0)
     track = pitch_track_two_pass(buf)
     spectra = voiced_frame_spectra(buf, track)
-    assert spectral_slope(spectra, 0.0, buf.duration) == pytest.approx(-6.0, abs=1.0)
+    assert spectral_slope(spectra.over(0.0, buf.duration), buf.sample_rate) == pytest.approx(-6.0, abs=1.0)
 
 
 def test_pure_sine_slope_degenerate():
     buf = full_scale_sine(duration=2.0, freq=1000.0, amp=0.3)
     track = pitch_track_two_pass(buf)
     with pytest.raises(InsufficientBandwidth):
-        spectral_slope(voiced_frame_spectra(buf, track), 0.0, buf.duration)
+        spectral_slope(voiced_frame_spectra(buf, track).over(0.0, buf.duration), buf.sample_rate)
 
 
 # -- cepstral peak prominence ------------------------------------------------------------
@@ -237,20 +237,20 @@ def test_pure_sine_slope_degenerate():
 
 def test_cpp_pulse_train_strong(synth_cache):
     buf = synth_cache.pulse(200)
-    assert cpp_mean(cpp_track(buf), 0.0, buf.duration) > 15.0
+    assert cpp_mean(cpp_track(buf).over(0.0, buf.duration)) > 15.0
 
 
 def test_cpp_orders_pulse_above_noise(synth_cache):
     pulse = synth_cache.pulse(200)
-    pulse_cpp = cpp_mean(cpp_track(pulse), 0.0, pulse.duration)
+    pulse_cpp = cpp_mean(cpp_track(pulse).over(0.0, pulse.duration))
     for seed in range(3):
         noise = synth_noise(2.0, rms=0.1, seed=seed)
-        assert cpp_mean(cpp_track(noise), 0.0, noise.duration) < pulse_cpp
+        assert cpp_mean(cpp_track(noise).over(0.0, noise.duration)) < pulse_cpp
 
 
 def test_cpp_silence():
     with pytest.raises(SilentSignal):
-        cpp_mean(cpp_track(synth_silence(1.0)), 0.0, 1.0)
+        cpp_mean(cpp_track(synth_silence(1.0)).over(0.0, 1.0))
 
 
 def test_pre_emphasis_is_a_first_difference():

@@ -128,7 +128,7 @@ def test_failed_track_marks_only_its_features_at_both_levels(tmp_path):
     # white noise: no pitch, so only the features that need voicing go unmeasured
     rng = np.random.default_rng(0)
     wav = tmp_path / "noise.wav"
-    write_wav(AudioBuffer.mono(np.clip(0.2 * rng.standard_normal(16000), -1.0, 1.0), 16000), wav)
+    write_wav(AudioBuffer(np.clip(0.2 * rng.standard_normal(16000), -1.0, 1.0), 16000), wav)
     grid = TierSet(0.0, 1.0, (Tier("phones", 0.0, 1.0, (Interval(0.1, 0.5, "AA1"), Interval(0.6, 0.9, "AA1"))),))
     tg = tmp_path / "noise.TextGrid"
     tg.write_text(serialize_textgrid(grid), encoding="utf-8")
@@ -238,7 +238,7 @@ def test_any_pattern_gives_finite_or_coded_features(tmp_path_factory, case):
     buf = pattern.buffer
     d = tmp_path_factory.mktemp("prop")
     wav = d / "p.wav"
-    write_wav(AudioBuffer.mono(np.clip(buf.signal * gain, -1.0, 1.0), buf.sample_rate), wav)
+    write_wav(AudioBuffer(np.clip(buf.signal * gain, -1.0, 1.0), buf.sample_rate), wav)
     # every segment aligned as an open vowel, so level a measures each one long enough to select
     vowels = tuple(Interval(e.start, e.end, "AA1") for e in pattern.events)
     tg = d / "p.TextGrid"

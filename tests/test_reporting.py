@@ -7,7 +7,10 @@ import pytest
 from helpers import sort_based_quartiles
 
 from repspeech.errors import EmptyGroup
+from repspeech.pipeline import LEVEL_FEATURES, S_FEATURES
 from repspeech.reporting import (
+    FEATURE_FORMATS,
+    LEVEL_ORDER,
     emit_table,
     format_cell,
     Cell,
@@ -16,6 +19,11 @@ from repspeech.reporting import (
     table_from_csv,
     table_from_json,
 )
+
+
+def test_table_rows_follow_the_record_features():
+    assert tuple(FEATURE_FORMATS) == S_FEATURES
+    assert LEVEL_ORDER == tuple(LEVEL_FEATURES)
 
 
 def test_odd_count_quartiles():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repspeech
 
-MAX_SETTABLE = 27
+MAX_SETTABLE = 25
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

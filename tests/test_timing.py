@@ -37,7 +37,7 @@ def burst_pattern(n_bursts, burst=0.25, gap=0.4, f0=200, lead=0.0, trail=0.0):
 def brute_force_pause_count(buf, params=PARAMS):
     """Literal scan over the intensity contour, as an independent oracle."""
     track = intensity_track(buf)
-    mask = track.level_db >= track.level_db.max() + params.silence_threshold_db
+    mask = track.values >= track.values.max() + params.silence_threshold_db
     count = 0
     i = 0
     n = len(mask)
@@ -194,7 +194,7 @@ def test_counts_gain_invariant():
     track = pitch_track_two_pass(pat.buffer)
     contour = intensity_track(pat.buffer)
     n1 = count_syllable_nuclei(pat.buffer, contour, track, PARAMS)
-    scaled = AudioBuffer.mono(pat.buffer.signal * 0.1, RATE)
+    scaled = AudioBuffer(pat.buffer.signal * 0.1, RATE)
     track2 = pitch_track_two_pass(scaled)
     scaled_contour = intensity_track(scaled)
     assert count_syllable_nuclei(scaled, scaled_contour, track2, PARAMS) == n1
@@ -251,12 +251,12 @@ def test_counts_survive_the_wav_round_trip_and_gain(tmp_path_factory, case):
     counts = pause_and_nucleus_counts(buf)
     assert counts[0] == pauses
     assert pause_and_nucleus_counts(to_canonical(read_wav(path))) == counts
-    assert pause_and_nucleus_counts(AudioBuffer.mono(buf.signal * gain, buf.sample_rate)) == counts
+    assert pause_and_nucleus_counts(AudioBuffer(buf.signal * gain, buf.sample_rate)) == counts
 
 
 def test_empty_buffer():
     with pytest.raises(ZeroDuration):
-        timing_features(AudioBuffer.mono(np.zeros(0), RATE), NO_CONTOUR, None, PARAMS)
+        timing_features(AudioBuffer(np.zeros(0), RATE), NO_CONTOUR, None, PARAMS)
 
 
 def test_all_silence_zero_phonation():
