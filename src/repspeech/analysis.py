@@ -8,6 +8,10 @@ extraction levels are reductions of these tracks: the whole-recording level
 reduces them over [0, duration], and the vowel level averages the same
 reductions over the vowel spans.  This is the only module that computes
 tracks; every feature reduces the rows a track's ``over(t0, t1)`` selects.
+The CPP track reads no other track: the first span reduction queues it as
+one task on the recording's helper scope (``dsp.background``), a helper
+computes it while this thread computes the rest, and ``cpp_mean`` is the
+last reduction of each span.  In a process without helpers it runs there.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Iterable
 
 # tracks are computed through their module attributes, so a wrapper
 # installed on a module (a tracer, a test's call counter) sees every call
-from . import articulation, phonation
+from . import articulation, dsp, phonation
 from .audio_io import AudioBuffer
 from .dsp import Track
 from .errors import RepSpeechError, error_code
@@ -59,6 +63,8 @@ class Analysis:
         self.buf = buf
         self.formant_ceiling = formant_ceiling
         self._tracks: dict[object, object] = {}
+        # how cpp() gets the track: inline until the first span reduction queues it; holds buf, not self
+        self._cpp = lambda: phonation.cpp_track(buf)
 
     def _track(self, key: object, compute: Callable[[], object]):
         if key not in self._tracks:
@@ -82,7 +88,7 @@ class Analysis:
         return self._track("hnr", lambda: phonation.hnr_track(self.buf, self.pitch()))
 
     def cpp(self) -> Track:
-        return self._track("cpp", lambda: phonation.cpp_track(self.buf))
+        return self._track("cpp", self._cpp)
 
     def spectra(self) -> Track:
         return self._track("spectra", lambda: phonation.voiced_frame_spectra(self.buf, self.pitch()))
@@ -97,10 +103,15 @@ class Analysis:
 
         Each value reduces the rows of a shared track that ``over(t0, t1)``
         selects; spectral moments are taken on the span's own samples.  The
-        moments run first: over a whole recording their spectrum is a large
-        transient of an extraction, and before any track is computed it
-        lands on an empty heap.
+        first call queues the CPP track, which no other track reads, on the
+        open helper scope (``dsp.background``), so a helper computes it
+        while this thread runs the rest, and ``cpp_mean`` is reduced last.
+        The moments run first: over a whole recording their spectrum is a
+        large transient of an extraction, and before any other track is
+        computed it lands on an empty heap.
         """
+        if "cpp" not in self._tracks:
+            self._cpp = dsp.background(self._cpp)
         features: dict[str, float | None] = dict.fromkeys(A_FEATURES)
         errors: dict[str, str] = {}
 
@@ -111,8 +122,8 @@ class Analysis:
             (("pitch_mean", "pitch_sd"), lambda: phonation.pitch_stats(self.pitch().over(t0, t1))),
             (("hnr_mean",), lambda: [phonation.hnr_mean(self.hnr().over(t0, t1))]),
             (("spectral_slope",), lambda: [phonation.spectral_slope(self.spectra().over(t0, t1), rate)]),
-            (("cpp_mean",), lambda: [phonation.cpp_mean(self.cpp().over(t0, t1))]),
             (("f1_mean", "f2_mean"), lambda: articulation.formant_means(self.formants().over(t0, t1))),
+            (("cpp_mean",), lambda: [phonation.cpp_mean(self.cpp().over(t0, t1))]),
         )
         for keys, compute in reductions:
             fill(features, errors, keys, compute)

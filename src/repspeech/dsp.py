@@ -20,29 +20,37 @@ DCT-I of ``fft.dct``, ``ndimage``'s moving average and moving maximum),
 it gives scipy's result bit for bit.
 
 ``chunk_map`` is the one frame loop.  It splits a track's frames into
-chunks whose widest per-row array fills ``CHUNK_BYTES`` and runs the
-chunks on every usable core: each call starts one helper thread per other
-core, the calling thread runs every chunk no helper has taken yet, and
-the helpers are gone when the call returns, so no thread outlives it.
-numpy's array operations, its pocketfft and BLAS release the GIL on these
-arrays, so the threads run in parallel.  The chunks do not depend on the
-number of threads, so neither do the results, bit for bit.  A process
-started by ``multiprocessing`` (an ``extract --threads N`` pool worker)
-runs its chunks in a plain loop.  While any call runs, numpy's OpenBLAS
-is held at one thread (``ONE_BLAS_THREAD``): the helpers or the pool
-already fill the cores, and each BLAS product then takes the same path,
-and gives the same bits, whatever ``OPENBLAS_NUM_THREADS`` says.
+chunks whose widest per-row array fills ``CHUNK_BYTES`` and queues them
+on the helper scope of the calling thread (``helper_scope``): one helper
+thread per other usable core, which lives for one recording
+(``pipeline.extract_recording`` opens the scope) or, for a loop called
+outside one, for that call alone, so no helper outlives the call that
+started it.  The calling thread runs every chunk no helper has claimed
+yet, and while it waits on one a helper runs, it runs other queued
+chunks.  ``background`` queues a whole track on the same scope, so a
+helper computes it beside the calling thread; ``analysis`` queues CPP
+that way.  numpy's array operations, its pocketfft and BLAS release the
+GIL on these arrays, so the threads run in parallel.  The chunks do not
+depend on the number of threads and each is computed by one thread, so
+neither do the results, bit for bit.  A process started by
+``multiprocessing`` (an ``extract --threads N`` pool worker) starts no
+helpers and runs its chunks in a plain loop.  While a scope or a loop is
+open, numpy's OpenBLAS is held at one thread (``ONE_BLAS_THREAD``): the
+helpers or the pool already fill the cores, and each BLAS product then
+takes the same path, and gives the same bits, whatever
+``OPENBLAS_NUM_THREADS`` says.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, NamedTuple, TypeVar
+from collections import deque
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -171,47 +179,284 @@ class _OneBlasThread:
 ONE_BLAS_THREAD = _OneBlasThread()
 
 
+# the states of a queued task; a thread claims a task by taking its token
+_QUEUED, _DONE, _DROPPED = range(3)
+
+
+class _Batch:
+    """The chunks of one ``chunk_map`` call; once one fails, no other starts."""
+
+    __slots__ = ("failed",)
+
+    def __init__(self) -> None:
+        self.failed = False
+
+
+class _Task:
+    """One queued call: a chunk of a frame loop (``batch`` set) or a whole track (``batch`` None).
+
+    ``token`` holds one item until a thread claims the task by popping it,
+    which the GIL makes atomic: each task is claimed once, by one thread.
+    """
+
+    __slots__ = ("call", "batch", "token", "state", "result", "error")
+
+    def __init__(self, call: Callable[[], object], batch: _Batch | None):
+        self.call, self.batch = call, batch
+        self.token = [None]
+        self.state = _QUEUED
+        self.result: object = None
+        self.error: BaseException | None = None
+
+
+_local = threading.local()  # .scope: the helper scope this thread queues its tasks on
+
+
+class _HelperScope:
+    """Helper threads and the one queue of tasks they claim from, for the length of one block.
+
+    The thread that opens the scope and every helper queue their tasks on
+    it.  A helper claims the oldest queued task, chunk or whole track.  A
+    thread that waits on a task another thread runs claims queued chunks
+    meanwhile, never a whole track.  The helpers start when the first
+    tasks are queued, and each claims its first task before the queueing
+    call goes on, so every thread takes part however short the chunks.
+    Closing the scope drops every task no thread has claimed and joins
+    the helpers.  The queue changes only under the lock; claims and
+    results do not take it, and a finished task wakes the threads waiting
+    on the lock only when there are some.
+    """
+
+    def __init__(self, helpers: int):
+        self._cond = threading.Condition()  # its lock is reentrant: a drop may notify while it is held
+        self._queue: deque[_Task] = deque()
+        self._open = True
+        self._waiting = 0  # threads waiting for a task to finish
+        events = [threading.Event() for _ in range(helpers)]
+        self._unstarted = [
+            (threading.Thread(target=self._serve, args=(e,), name=f"repspeech-chunk_{i}"), e) for i, e in enumerate(events)
+        ]
+        self._threads: list[threading.Thread] = []  # the helpers started, joined on exit
+
+    def __enter__(self) -> "_HelperScope":
+        _local.scope = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _local.scope = None
+        with self._cond:
+            self._open = False
+            for task in self._queue:
+                self._claim(task)  # drops it: the scope is closed
+            self._queue.clear()
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def _put(self, tasks: list[_Task]) -> None:
+        """Queue ``tasks``; the first call starts the helpers, and each claims a task before it returns.
+
+        Only the scope's owner can make the first call: no helper runs before it.
+        """
+        with self._cond:
+            self._queue.extend(tasks)
+            self._cond.notify_all()
+            starting, self._unstarted = self._unstarted, []
+        for thread, started in starting:
+            thread.start()
+            self._threads.append(thread)
+            started.wait()
+
+    def _serve(self, started: threading.Event) -> None:
+        _local.scope = self
+        with self._cond:
+            task = self._next(whole=True)
+        started.set()
+        while True:
+            if task is not None:
+                try:
+                    self._run(task)
+                except BaseException:  # kept in the task, for the thread that collects it
+                    pass
+            with self._cond:
+                while (task := self._next(whole=True)) is None:
+                    if not self._open:
+                        return
+                    self._cond.wait()
+
+    def _claim(self, task: _Task) -> bool:
+        """Take ``task`` for this thread; False if another thread took it, or it is dropped here."""
+        try:
+            task.token.pop()
+        except IndexError:
+            return False
+        if self._open and (task.batch is None or not task.batch.failed):
+            return True
+        task.call = None
+        self._finish(task, _DROPPED)
+        return False
+
+    def _next(self, whole: bool) -> _Task | None:
+        """Claim the oldest queued chunk or, when ``whole``, the oldest queued task of either kind (lock held)."""
+        queue = self._queue
+        while queue and not queue[0].token:  # claimed where they stand
+            queue.popleft()
+        for task in queue:
+            if (whole or task.batch is not None) and self._claim(task):
+                return task
+        return None
+
+    def _finish(self, task: _Task, state: int) -> None:
+        task.state = state
+        if self._waiting:  # read after the store, as a waiter reads the state after counting itself
+            with self._cond:
+                self._cond.notify_all()
+
+    def _run(self, task: _Task) -> None:
+        """Run a task this thread claimed, keeping its result or error.
+
+        An interrupt, or another error that is no ``Exception``, is raised
+        here too, so it stops this thread as well.
+        """
+        try:
+            task.result = task.call()
+        except BaseException as exc:
+            task.error = exc
+            if task.batch is not None:
+                task.batch.failed = True
+        task.call = None  # a whole track's call may hold what holds the task
+        self._finish(task, _DONE)
+        if task.error is not None and not isinstance(task.error, Exception):
+            raise task.error
+
+    def _wait(self, task: _Task) -> None:
+        """Return once ``task``, claimed, has finished, running queued chunks meanwhile."""
+        while task.state == _QUEUED:
+            with self._cond:
+                other = self._next(whole=False)
+                if other is None:
+                    self._waiting += 1
+                    try:
+                        if task.state == _QUEUED:
+                            self._cond.wait()
+                    finally:
+                        self._waiting -= 1
+            if other is not None:
+                self._run(other)
+
+    def map(self, body: Callable[[slice], T], chunks: list[slice]) -> list[T]:
+        batch = _Batch()
+        tasks = [_Task(functools.partial(body, rows), batch) for rows in chunks]
+        first, rest = tasks[0], tasks[1:]
+        mine = self._claim(first)  # this thread's, claimed before a helper can start and take the rest
+        self._put(rest)
+        try:
+            if mine:
+                self._run(first)
+            for task in rest:  # in order: run each chunk no other thread has claimed; after a failure, drop it
+                if self._claim(task):
+                    self._run(task)
+            for task in tasks:
+                self._wait(task)
+        except BaseException:
+            batch.failed = True  # no further chunk of this call starts
+            raise
+        return [self._result(task) for task in tasks]  # in order: the earliest error, as in a plain loop
+
+    def submit(self, compute: Callable[[], T]) -> Callable[[], T]:
+        task = _Task(compute, None)
+        self._put([task])
+        return functools.partial(self._collect, task)
+
+    def _collect(self, task: _Task):
+        if self._claim(task):  # no helper took it: run it here
+            self._run(task)
+        self._wait(task)
+        return self._result(task)
+
+    @staticmethod
+    def _result(task: _Task):
+        if task.error is not None:
+            raise task.error
+        if task.state == _DROPPED:
+            raise RuntimeError("the helper scope closed before the task ran")
+        return task.result
+
+
+def _helpers_allowed() -> int:
+    """Helper threads a scope may start: one per other usable core, none in a process started by multiprocessing.
+
+    A ``multiprocessing`` pool already puts one process on each core.
+    """
+    return usable_cores() - 1 if multiprocessing.parent_process() is None else 0
+
+
+@contextlib.contextmanager
+def helper_scope() -> Iterator[None]:
+    """Run the block's frame loops and background tracks on one set of helper threads, started here.
+
+    Inside an open scope this is a no-op.  Otherwise it starts up to one
+    helper per other usable core (``_helpers_allowed``) and holds OpenBLAS
+    at one thread (``ONE_BLAS_THREAD``) until the block ends.  The helpers
+    end with the block: whether it returned or raised, every task no
+    thread has claimed is dropped and the helpers are joined before the
+    block's error goes on.  Without helpers, loops run plainly and a
+    background track runs when it is collected.
+    """
+    if getattr(_local, "scope", None) is not None:
+        yield
+        return
+    helpers = _helpers_allowed()
+    with ONE_BLAS_THREAD:
+        if helpers < 1:
+            yield
+            return
+        with _HelperScope(helpers):
+            yield
+
+
+def background(compute: Callable[[], T]) -> Callable[[], T]:
+    """Queue ``compute()`` as one task of this thread's helper scope, and return the call that collects it.
+
+    Collecting waits for the task: it runs here if no helper has claimed
+    it, and while a helper runs it the caller runs queued chunks.  The
+    task's error is raised by the collecting call.  Outside a scope with
+    helpers, ``compute`` itself is returned, to run when collected.
+    """
+    scope = getattr(_local, "scope", None)
+    return compute if scope is None else scope.submit(compute)
+
+
 def chunk_map(n: int, row_bytes: int, body: Callable[[slice], T]) -> list[T]:
     """``[body(rows) for rows in chunks]`` over the ``chunk_rows(row_bytes)``-row slices of range(n), on all cores.
 
     ``row_bytes`` is the widest per-row array ``body`` derives from a row, so
     memory stays bounded whatever the length, and ``body`` gathers its own
-    frames.  Each call starts up to one helper thread per other usable core
-    and stops them before it returns.  Every chunk is queued for the
-    helpers; the calling thread walks the queue in order and runs each chunk
-    no helper has taken yet, then collects the results in chunk order.
-    Chunks are the same whatever the number of threads and each is computed
-    by one thread, so the result does not depend on the core count as long
-    as each ``body`` writes only its own rows.  The error of the earliest
-    failing chunk is raised, as in a plain loop; once the calling thread
-    meets a failure or an interrupt, no further chunk starts.  OpenBLAS
-    runs one thread for the whole call, helpers included.
+    frames.  The chunks are queued on this thread's helper scope, or, when
+    none is open, on one opened for this call alone (up to one helper per
+    other usable core, and no more than the chunks need), whose helpers
+    are gone when the call returns.  The calling thread walks its chunks
+    in order and runs each one no helper has claimed yet, then collects
+    the results in chunk order, running other queued chunks while it
+    waits.  Chunks are the same whatever the number of threads and each
+    is computed by one thread, so the result does not depend on the core
+    count as long as each ``body`` writes only its own rows.  The error of
+    the earliest failing chunk is raised, as in a plain loop, and once a
+    chunk fails or the calling thread is interrupted, no further chunk of
+    the call starts.  OpenBLAS runs one thread throughout, helpers
+    included.
     """
     step = chunk_rows(row_bytes)
     chunks = [slice(a, min(n, a + step)) for a in range(0, n, step)]
-    # a process started by multiprocessing gets no helpers: its pool already puts one process on each core
-    helpers = min(usable_cores() - 1, len(chunks) - 1) if multiprocessing.parent_process() is None else 0
+    scope = getattr(_local, "scope", None)
+    if scope is not None and chunks:
+        return scope.map(body, chunks)
+    helpers = min(_helpers_allowed(), len(chunks) - 1)
     with ONE_BLAS_THREAD:
         if helpers < 1:
             return [body(rows) for rows in chunks]
-        pool = ThreadPoolExecutor(helpers, thread_name_prefix="repspeech-chunk")
-        try:
-            futures = [pool.submit(body, rows) for rows in chunks]
-            mine: dict[int, T] = {}  # results of the chunks run by this thread
-            for i, future in enumerate(futures):
-                if future.cancel():  # no helper has taken it: run it here
-                    try:
-                        mine[i] = body(chunks[i])
-                    except BaseException:
-                        # every earlier chunk ran here or on a helper: wait for those, and raise the earliest error
-                        pool.shutdown(cancel_futures=True)
-                        for earlier in futures[:i]:
-                            if not earlier.cancelled():
-                                earlier.result()
-                        raise
-            return [mine[i] if i in mine else future.result() for i, future in enumerate(futures)]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with _HelperScope(helpers) as scope:
+            return scope.map(body, chunks)
 
 
 def usable_cores() -> int:

@@ -13,11 +13,14 @@ moving averages, frame peaks, peak refinement and trend lines are the
 batched kernels of ``dsp``.  Each track runs them in ``dsp.chunk_map``
 over chunks of frames whose widest per-row array fills ``dsp.CHUNK_BYTES``,
 so a track's working memory stays a few tens of MB whatever the
-recording's length, and the chunks run on every usable core, on helper
-threads that live for one ``chunk_map`` call, with results that do not
-depend on the core count.
+recording's length, and the chunks run on every usable core, on the
+helper threads of the recording's ``dsp.helper_scope``, with results that
+do not depend on the core count.
 Only the pitch path (``_best_path``) stays a sequential loop over its
-chunks, because each frame's score depends on the one before.
+chunks, because each frame's score depends on the one before.  CPP reads
+no other track, so ``analysis`` queues the whole of ``cpp_track`` on a
+helper at the first span reduction and reduces it last: it runs beside
+both pitch passes, their paths included, and the tracks that read pitch.
 
 The intensity contour, the timing detectors that read it and the voiced
 spectra share one grid: 40 ms Hann frames every 10 ms (``FRAME_LEN``,

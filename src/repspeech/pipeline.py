@@ -17,7 +17,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import __version__, dsp
 from .alignment import (
     DEFAULT_MIN_VOWEL_DURATION,
     DEFAULT_PHONE_TIER,
@@ -126,25 +126,26 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
         if level not in LEVEL_FEATURES:
             raise ValueError(f"unknown extraction level {level!r}")
 
-    params = req.params
-    name = Path(req.audio_path).stem
-    try:
-        buf = to_canonical(read_wav(req.audio_path))
-    except RepSpeechError as exc:  # every feature of every level carries the read error
-        code = error_code(exc)
-        return [
-            FeatureRecord(name, level, dict.fromkeys(LEVEL_FEATURES[level]),
-                          dict.fromkeys(LEVEL_FEATURES[level], code), None, _provenance(params, None))
-            for level in levels
-        ]
-    analysis = Analysis(buf, params.formant_ceiling)
+    with dsp.helper_scope():  # one set of helper threads for the recording, gone when it returns
+        params = req.params
+        name = Path(req.audio_path).stem
+        try:
+            buf = to_canonical(read_wav(req.audio_path))
+        except RepSpeechError as exc:  # every feature of every level carries the read error
+            code = error_code(exc)
+            return [
+                FeatureRecord(name, level, dict.fromkeys(LEVEL_FEATURES[level]),
+                              dict.fromkeys(LEVEL_FEATURES[level], code), None, _provenance(params, None))
+                for level in levels
+            ]
+        analysis = Analysis(buf, params.formant_ceiling)
 
-    records = []
-    if "S" in levels:
-        records.append(_extract_suprasegmental(name, analysis, params))
-    if "a" in levels:
-        records.append(_extract_vowel_level(name, analysis, params, req.textgrid_path))
-    return records
+        records = []
+        if "S" in levels:
+            records.append(_extract_suprasegmental(name, analysis, params))
+        if "a" in levels:
+            records.append(_extract_vowel_level(name, analysis, params, req.textgrid_path))
+        return records
 
 
 def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, float]:
@@ -165,7 +166,7 @@ def _extract_suprasegmental(name: str, analysis: Analysis, params: PipelineParam
     features: dict[str, float | None] = dict.fromkeys(S_FEATURES)
     features["duration"] = duration
     errors: dict[str, str] = {}
-    # the span reductions first, so the whole-recording spectral moments run before any track exists
+    # the span reductions first, so the whole-recording spectral moments run before any track but CPP exists
     span_values, span_errors = analysis.span_features(0.0, duration)
     fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params))
     features.update(span_values)

@@ -113,7 +113,12 @@ def synth_silence(duration: float, rate: int = DEFAULT_RATE) -> AudioBuffer:
 
 
 def synth_noise(duration: float, rate: int = DEFAULT_RATE, rms: float = 0.1, seed: int = 0) -> AudioBuffer:
-    """White Gaussian noise scaled to an exact RMS level."""
+    """White Gaussian noise scaled to an exact RMS level.
+
+    Raises RepSpeechError, naming the largest RMS that fits, when noise of
+    that level would peak above full scale: scaling it down would render
+    another level than the one asked for, and recorded as its truth.
+    """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(int(round(duration * rate)))
     measured = math.sqrt(float(np.mean(x**2))) if len(x) else 0.0
@@ -121,7 +126,11 @@ def synth_noise(duration: float, rate: int = DEFAULT_RATE, rms: float = 0.1, see
         x = x * (rms / measured)
     peak = np.max(np.abs(x)) if len(x) else 0.0
     if peak > 1.0:
-        x = x / peak
+        fits = math.floor(rms / peak * 1000) / 1000  # rounded down, so it fits
+        raise RepSpeechError(
+            f"noise of RMS {rms:g} peaks at {peak:.3g}, past full scale; "
+            f"this duration and seed fit an RMS of at most {fits:g}"
+        )
     return AudioBuffer(x, rate)
 
 

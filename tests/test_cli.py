@@ -751,3 +751,13 @@ def test_synth_amplitude_outside_unit_range_exits_2(tmp_path, capsys, amplitude)
     assert main(["synth", "--pattern", str(pattern), "-o", str(out)]) == 2
     assert error_line(capsys) == expected
     assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+def test_synth_noise_past_full_scale_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.wav"
+    assert main(["synth", "--kind", "noise", "--amplitude", "0.9", "--duration", "1", "-o", str(out)]) == 2
+    assert error_line(capsys) == (
+        "error: RepSpeechError: noise of RMS 0.9 peaks at 3.63, past full scale; "
+        "this duration and seed fit an RMS of at most 0.247\n"
+    )
+    assert not out.exists() and not out.with_suffix(".json").exists()

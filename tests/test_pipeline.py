@@ -4,13 +4,15 @@ import dataclasses
 import importlib
 import json
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repspeech import __version__
+from repspeech import __version__, dsp, phonation
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.audio_io import AudioBuffer, write_wav
 from repspeech.pipeline import (
@@ -177,6 +179,99 @@ def test_each_track_computed_once(voice_recording, monkeypatch):
     assert counts == {**dict.fromkeys(TRACKS, 1), "phonation.pitch_track": 2}  # two pitch passes
 
 
+def chunk_helpers_alive() -> bool:
+    return any(t.name.startswith("repspeech-chunk") for t in threading.enumerate())
+
+
+@pytest.fixture(scope="module")
+def short_voice(tmp_path_factory):
+    """0.1 s of voice: pitch raises SignalTooShort, CPP is measured."""
+    wav = tmp_path_factory.mktemp("short") / "short.wav"
+    write_wav(synth_formant_voice(120, ((700, 80), (1200, 90)), 0.1), wav)
+    return str(wav), None
+
+
+@pytest.mark.parametrize("recording", ["voice_recording", "short_voice"])
+def test_records_do_not_depend_on_the_helper_count(recording, request, monkeypatch):
+    wav, tg = request.getfixturevalue(recording)
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 1)
+    serial = extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    helped = extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    assert repr(helped) == repr(serial)
+    assert not chunk_helpers_alive()
+    if recording == "short_voice":
+        s_rec = serial[0]
+        assert s_rec.errors["pitch_mean"] == "SignalTooShort" and s_rec.features["cpp_mean"] is not None
+
+
+def test_cpp_runs_once_per_recording_on_a_helper(voice_recording, monkeypatch):
+    wav, tg = voice_recording
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    threads = []
+    cpp_track = phonation.cpp_track
+
+    def counted(buf):
+        threads.append(threading.current_thread().name)
+        return cpp_track(buf)
+
+    monkeypatch.setattr(phonation, "cpp_track", counted)
+    for _ in range(2):
+        extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    assert len(threads) == 2 and all(name.startswith("repspeech-chunk") for name in threads)
+
+
+class Injected(Exception):
+    pass
+
+
+def test_a_failure_beside_the_background_cpp_stops_it(monkeypatch, tmp_path):
+    wav = tmp_path / "voice.wav"
+    write_wav(synth_formant_voice(120, ((700, 80), (1200, 90)), 3.0), wav)
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    monkeypatch.setattr(dsp, "CHUNK_BYTES", 40_000)  # 2 CPP frames a chunk: hundreds of chunks
+    cpp_chunks = []
+    cepstrogram = phonation.log_db_cepstrogram  # CPP's alone: one call per chunk
+
+    def counted(*args):
+        cpp_chunks.append(None)
+        return cepstrogram(*args)
+
+    def failing_pitch(*args):
+        deadline = time.monotonic() + 10
+        while not cpp_chunks and time.monotonic() < deadline:  # fail once CPP is under way
+            time.sleep(0.001)
+        raise Injected
+
+    monkeypatch.setattr(phonation, "log_db_cepstrogram", counted)
+    monkeypatch.setattr(phonation, "pitch_track", failing_pitch)
+    with pytest.raises(Injected):
+        extract_recording(ExtractionRequest(str(wav)))
+    assert not chunk_helpers_alive()
+    n_frames = len(dsp.frame_centers(48000, 16000, phonation.FRAME_LEN, phonation.CPP_STEP)[0])
+    n_chunks = -(-n_frames // dsp.chunk_rows(dsp.spectrum_bytes(2048)))
+    ran = len(cpp_chunks)
+    assert 0 < ran < n_chunks
+    time.sleep(0.05)
+    assert len(cpp_chunks) == ran
+
+
+def test_a_failure_in_the_background_cpp_is_raised(voice_recording, monkeypatch):
+    wav, tg = voice_recording
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)
+    threads = []
+
+    def failing_cpp(buf):
+        threads.append(threading.current_thread().name)
+        raise Injected
+
+    monkeypatch.setattr(phonation, "cpp_track", failing_cpp)
+    with pytest.raises(Injected):
+        extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    assert len(threads) == 1 and threads[0].startswith("repspeech-chunk")
+    assert not chunk_helpers_alive()
+
+
 def test_no_target_vowels_marks_features_absent(voice_recording, tmp_path):
     wav, _ = voice_recording
     grid = TierSet(0.0, 2.0, (Tier("phones", 0.0, 2.0, (Interval(0.0, 2.0, "IY"),)),))
@@ -223,7 +318,8 @@ def synth_patterns(draw):
                 total * share / sum(shares),
                 f0=draw(st.floats(60.0, 450.0)),
                 formants=tuple(formants) if kind == "formant_voice" else (),
-                amplitude=draw(st.floats(0.001, 0.9)),
+                # a noise amplitude is an RMS, and synth refuses noise that would peak past full scale
+                amplitude=draw(st.floats(0.001, 0.15 if kind == "noise" else 0.9)),
                 seed=draw(st.integers(0, 3)),
             )
         )

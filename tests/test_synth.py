@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from repspeech.errors import BadF0, BadResonator, SilentSignal
+from repspeech.errors import BadF0, BadResonator, RepSpeechError, SilentSignal
 from repspeech.synth import (
     SynthSpec,
     add_noise,
+    render_segment,
     synth_formant_voice,
     synth_noise,
     synth_pattern,
@@ -105,6 +106,14 @@ def test_noise_rms_and_determinism():
     b = synth_noise(1.0, rms=0.1, seed=2)
     np.testing.assert_array_equal(a.signal, b.signal)
     assert np.sqrt(np.mean(a.signal**2)) == pytest.approx(0.1, rel=1e-9)
+
+
+def test_noise_past_full_scale_is_refused_with_the_largest_rms_that_fits():
+    with pytest.raises(RepSpeechError, match=r"fit an RMS of at most 0\.247$"):
+        render_segment(SynthSpec("noise", 1.0, amplitude=0.9))
+    buf = render_segment(SynthSpec("noise", 1.0, amplitude=0.247))  # the named level renders as asked
+    assert np.max(np.abs(buf.signal)) <= 1.0
+    assert np.sqrt(np.mean(buf.signal**2)) == pytest.approx(0.247, rel=1e-9)
 
 
 def test_pattern_boundaries_sample_exact():
