@@ -1,9 +1,11 @@
-"""Read forced-alignment TextGrid files and extract vowel-level features.
+"""Read forced-alignment TextGrid files, select the target vowels, and average their features.
 
 Only the long text format with interval tiers is accepted, which is what
 alignment tools emit by default; short, binary, and point-tier variants
 are rejected.  Labels are preserved verbatim, including embedded spaces
-and doubled-quote escapes.
+and doubled-quote escapes.  Nothing here reads an analysis track: the
+pipeline reduces the ``vowel_spans``, and ``vowel_level_features``
+averages their rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import A_FEATURES, Analysis
 from .errors import (
     IoFailure,
     MalformedTextGrid,
@@ -275,6 +276,23 @@ def find_target_vowels(
     return hits
 
 
+def vowel_spans(vowels: list[VowelInterval], duration: float) -> list[tuple[float, float]]:
+    """The ``(start, end)`` of each vowel, clipped to a ``duration``-second recording, in instance order.
+
+    Raises NoTargetVowels on an empty list, and VowelOutOfBounds for a
+    vowel reaching more than ``_BOUNDARY_SLACK`` past either end of the
+    recording; a vowel within that slack is clipped and measured.
+    """
+    if not vowels:
+        raise NoTargetVowels("no vowel instances to analyze")
+    for v in vowels:
+        if v.start < -_BOUNDARY_SLACK or v.end > duration + _BOUNDARY_SLACK:
+            raise VowelOutOfBounds(
+                f"vowel [{v.start:.3f}, {v.end:.3f}] outside the {duration:.3f} s recording"
+            )
+    return [(max(v.start, 0.0), min(v.end, duration)) for v in vowels]
+
+
 # ---------------------------------------------------------------------------
 # vowel-level features
 
@@ -294,41 +312,29 @@ class VowelFeatureAggregate:
     errors: dict[str, str] = field(default_factory=dict)
 
 
-def vowel_level_features(analysis: Analysis, vowels: list[VowelInterval]) -> VowelFeatureAggregate:
-    """Average the span reductions of the recording's shared tracks over the vowel instances.
+def vowel_level_features(keys: tuple[str, ...], rows: list[tuple[dict, dict]]) -> VowelFeatureAggregate:
+    """Average each feature in ``keys`` over ``rows``, one ``(values, errors)`` row per vowel instance.
 
-    ``analysis`` holds the recording's tracks, shared with level S, so no
-    track is computed twice.  Each instance contributes
-    ``analysis.span_features`` over its span: track values sliced to the
-    span, and spectral moments of its own samples.  An instance where a
-    feature cannot be measured is skipped for that feature, and
-    ``feature_counts`` says how many instances contributed.  A feature no
-    instance measures carries the code every instance gave it (a failed
-    track gives the same code on every span, the one level S reports), or
-    NoMeasurableInstances when they differ.
+    Sums run in row order.  An instance where a feature was not measured
+    is skipped for that feature, and ``feature_counts`` says how many
+    instances contributed.  A feature no instance measures carries the
+    code every instance gave it (a failed track gives the same code on
+    every span, the one level S reports), or NoMeasurableInstances when
+    they differ.
     """
-    if not vowels:
-        raise NoTargetVowels("no vowel instances to analyze")
-    duration = analysis.buf.duration
-    for v in vowels:
-        if v.start < -_BOUNDARY_SLACK or v.end > duration + _BOUNDARY_SLACK:
-            raise VowelOutOfBounds(
-                f"vowel [{v.start:.3f}, {v.end:.3f}] outside the {duration:.3f} s recording"
-            )
-
     unmeasured = NoMeasurableInstances.__name__
-    sums = dict.fromkeys(A_FEATURES, 0.0)
-    counts = dict.fromkeys(A_FEATURES, 0)
-    codes: dict[str, set[str]] = {k: set() for k in A_FEATURES}
-    for v in vowels:
-        values, span_errors = analysis.span_features(max(v.start, 0.0), min(v.end, duration))
-        for feature, value in values.items():
+    sums = dict.fromkeys(keys, 0.0)
+    counts = dict.fromkeys(keys, 0)
+    codes: dict[str, set[str]] = {k: set() for k in keys}
+    for values, span_errors in rows:
+        for k in keys:
+            value = values[k]
             if value is not None and math.isfinite(value):
-                sums[feature] += value
-                counts[feature] += 1
+                sums[k] += value
+                counts[k] += 1
             else:
-                codes[feature].add(span_errors.get(feature, unmeasured))
+                codes[k].add(span_errors.get(k, unmeasured))
 
-    means = {k: (sums[k] / counts[k] if counts[k] else None) for k in A_FEATURES}
-    errors = {k: (next(iter(codes[k])) if len(codes[k]) == 1 else unmeasured) for k in A_FEATURES if not counts[k]}
-    return VowelFeatureAggregate(means, len(vowels), counts, errors)
+    means = {k: (sums[k] / counts[k] if counts[k] else None) for k in keys}
+    errors = {k: (next(iter(codes[k])) if len(codes[k]) == 1 else unmeasured) for k in keys if not counts[k]}
+    return VowelFeatureAggregate(means, len(rows), counts, errors)

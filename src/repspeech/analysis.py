@@ -1,17 +1,17 @@
-"""One analysis per recording: each track computed once, reduced over time spans.
+"""One analysis per recording: each track computed once, reduced over a list of time spans.
 
 An ``Analysis`` holds a canonical buffer and computes each analysis track
 (pitch, intensity, harmonicity, cepstral peak, voiced-frame spectra,
 formants) the first time a feature needs it.  A track that fails keeps its
 error, so every feature that needs it reports the same error code.  Both
-extraction levels are reductions of these tracks: the whole-recording level
-reduces them over [0, duration], and the vowel level averages the same
-reductions over the vowel spans.  This is the only module that computes
-tracks; every feature reduces the rows a track's ``over(t0, t1)`` selects.
-The CPP track reads no other track: the first span reduction queues it as
-one task on the recording's helper scope (``dsp.background``), a helper
-computes it while this thread computes the rest, and ``cpp_mean`` is the
-last reduction of each span.  In a process without helpers it runs there.
+extraction levels are rows of one ``reduce`` call over one span list:
+[0, duration] for the whole recording, then the vowel spans, whose rows
+the vowel level averages.  This is the only module that computes tracks;
+every feature reduces the rows a track's ``over(t0, t1)`` selects.  The
+CPP track reads no other track: ``reduce`` queues it as one task on the
+recording's helper scope (``dsp.background``), a helper computes it while
+this thread runs every other reduction over every span, and ``cpp_mean``
+is the last reduction.  In a process without helpers it runs there.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Analysis:
         self.buf = buf
         self.formant_ceiling = formant_ceiling
         self._tracks: dict[object, object] = {}
-        # how cpp() gets the track: inline until the first span reduction queues it; holds buf, not self
+        # how cpp() gets the track: inline until reduce() queues it; holds buf, not self
         self._cpp = lambda: phonation.cpp_track(buf)
 
     def _track(self, key: object, compute: Callable[[], object]):
@@ -98,33 +98,39 @@ class Analysis:
             "formants", lambda: articulation.formant_track(self.buf, self.pitch(), self.formant_ceiling)
         )
 
-    def span_features(self, t0: float, t1: float) -> tuple[dict[str, float | None], dict[str, str]]:
-        """Every A_FEATURES value over [t0, t1], and the error code of each one left unmeasured.
+    def reduce(self, spans: list[tuple[float, float]]) -> list[tuple[dict[str, float | None], dict[str, str]]]:
+        """One ``(values, errors)`` row per span ``(t0, t1)``, in span order.
 
-        Each value reduces the rows of a shared track that ``over(t0, t1)``
-        selects; spectral moments are taken on the span's own samples.  The
-        first call queues the CPP track, which no other track reads, on the
-        open helper scope (``dsp.background``), so a helper computes it
-        while this thread runs the rest, and ``cpp_mean`` is reduced last.
-        The moments run first: over a whole recording their spectrum is a
-        large transient of an extraction, and before any other track is
-        computed it lands on an empty heap.
+        ``values`` maps every A_FEATURES name to its value, and ``errors``
+        gives the code of each one left unmeasured.  Each value reduces the rows of a shared track that ``over(t0, t1)``
+        selects; spectral moments are taken on the span's own samples.
+        Each reduction runs over every span before the next.  A non-empty
+        list queues the CPP track, which no other track reads, on the open
+        helper scope (``dsp.background``), so a helper computes it while
+        this thread runs the rest, and ``cpp_mean`` is reduced last.  The
+        moments run first: over a whole recording their spectrum is a large
+        transient of an extraction, and before any other track is computed
+        it lands on an empty heap.
         """
-        if "cpp" not in self._tracks:
+        if spans and "cpp" not in self._tracks:
             self._cpp = dsp.background(self._cpp)
-        features: dict[str, float | None] = dict.fromkeys(A_FEATURES)
-        errors: dict[str, str] = {}
+        rows = [(dict.fromkeys(A_FEATURES), {}) for _ in spans]
 
         rate = self.buf.sample_rate
         reductions = (
-            (("spectral_gravity", "spectral_deviation"), lambda: articulation.spectral_moments(self.buf.slice(t0, t1))),
-            (("intensity_mean",), lambda: [phonation.intensity_mean(self.intensity().over(t0, t1))]),
-            (("pitch_mean", "pitch_sd"), lambda: phonation.pitch_stats(self.pitch().over(t0, t1))),
-            (("hnr_mean",), lambda: [phonation.hnr_mean(self.hnr().over(t0, t1))]),
-            (("spectral_slope",), lambda: [phonation.spectral_slope(self.spectra().over(t0, t1), rate)]),
-            (("f1_mean", "f2_mean"), lambda: articulation.formant_means(self.formants().over(t0, t1))),
-            (("cpp_mean",), lambda: [phonation.cpp_mean(self.cpp().over(t0, t1))]),
+            (
+                ("spectral_gravity", "spectral_deviation"),
+                lambda t0, t1: articulation.spectral_moments(self.buf.slice(t0, t1)),
+            ),
+            (("intensity_mean",), lambda t0, t1: [phonation.intensity_mean(self.intensity().over(t0, t1))]),
+            (("pitch_mean", "pitch_sd"), lambda t0, t1: phonation.pitch_stats(self.pitch().over(t0, t1))),
+            (("hnr_mean",), lambda t0, t1: [phonation.hnr_mean(self.hnr().over(t0, t1))]),
+            (("spectral_slope",), lambda t0, t1: [phonation.spectral_slope(self.spectra().over(t0, t1), rate)]),
+            (("f1_mean", "f2_mean"), lambda t0, t1: articulation.formant_means(self.formants().over(t0, t1))),
+            (("cpp_mean",), lambda t0, t1: [phonation.cpp_mean(self.cpp().over(t0, t1))]),
         )
-        for keys, compute in reductions:
-            fill(features, errors, keys, compute)
-        return features, {k: errors[k] for k in A_FEATURES if k in errors}  # in record order
+        for keys, reduction in reductions:
+            for (t0, t1), (features, errors) in zip(spans, rows):
+                fill(features, errors, keys, lambda: reduction(t0, t1))
+        # each row's errors in record order
+        return [(features, {k: errors[k] for k in A_FEATURES if k in errors}) for features, errors in rows]

@@ -2,13 +2,14 @@
 
 Every analysis track (pitch, intensity, harmonicity, cepstral peak,
 voiced-frame spectra, formants) is computed at most once per recording, in
-one ``Analysis``, and both levels are reductions of those tracks: level S
-over the whole recording, level a averaged over the aligned vowels.  So
-every feature sees the same voicing decisions, and asking for both levels
-costs little more than asking for one.  A failure in one feature marks
-that field absent with an error code instead of aborting the record, and
-a file that cannot be read gives records whose every feature carries the
-read error; long batch runs must survive degenerate files.
+one ``Analysis``, and both levels are rows of one reduction over one span
+list: the whole recording for level S, then the aligned vowels, whose rows
+level a averages.  So every feature sees the same voicing decisions, and
+asking for both levels costs little more than asking for one.  A failure
+in one feature marks that field absent with an error code instead of
+aborting the record, and a file that cannot be read gives records whose
+every feature carries the read error; long batch runs must survive
+degenerate files.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .alignment import (
     find_target_vowels,
     read_textgrid,
     vowel_level_features,
+    vowel_spans,
 )
 from .analysis import A_FEATURES, Analysis, fill
 from .articulation import FORMANT_CEILING, FORMANT_MARGIN
@@ -117,8 +119,9 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
 
     Level S covers the whole canonical recording; level a aggregates over
     the aligned open-vowel instances of the TextGrid, and without one its
-    features carry AlignmentMissing.  Both levels reduce the same tracks,
-    each computed once.  A recording that cannot be read or decoded gives
+    features carry AlignmentMissing.  Both levels are rows of one
+    ``Analysis.reduce`` call over one span list, so each track is computed
+    once.  A recording that cannot be read or decoded gives
     one record per level whose every feature carries the read error.
     """
     levels = tuple(req.levels)
@@ -140,11 +143,27 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
             ]
         analysis = Analysis(buf, params.formant_ceiling)
 
+        # one span list, reduced at once: the whole recording first, so its
+        # spectral moments run before any track but CPP exists, then the vowels
+        spans = [(0.0, buf.duration)] if "S" in levels else []
+        n_whole = len(spans)
+        vowel_error = None
+        if "a" in levels:
+            try:
+                if not req.textgrid_path:
+                    raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
+                grid = read_textgrid(req.textgrid_path)
+                vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
+                spans += vowel_spans(vowels, buf.duration)
+            except RepSpeechError as exc:  # no alignment or no usable vowel: every level-a feature is absent
+                vowel_error = error_code(exc)
+        rows = analysis.reduce(spans)
+
         records = []
         if "S" in levels:
-            records.append(_extract_suprasegmental(name, analysis, params))
+            records.append(_suprasegmental_record(name, analysis, params, rows[0]))
         if "a" in levels:
-            records.append(_extract_vowel_level(name, analysis, params, req.textgrid_path))
+            records.append(_vowel_level_record(name, analysis, params, rows[n_whole:], vowel_error))
         return records
 
 
@@ -161,30 +180,25 @@ def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, fl
     return tf.speaking_rate, tf.articulation_rate, tf.pause_rate
 
 
-def _extract_suprasegmental(name: str, analysis: Analysis, params: PipelineParams) -> FeatureRecord:
-    duration = analysis.buf.duration
+def _suprasegmental_record(name: str, analysis: Analysis, params: PipelineParams, row) -> FeatureRecord:
+    """Level S: the whole recording's row of the span reduction, with the rates."""
     features: dict[str, float | None] = dict.fromkeys(S_FEATURES)
-    features["duration"] = duration
+    features["duration"] = analysis.buf.duration
     errors: dict[str, str] = {}
-    # the span reductions first, so the whole-recording spectral moments run before any track but CPP exists
-    span_values, span_errors = analysis.span_features(0.0, duration)
     fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params))
+    span_values, span_errors = row
     features.update(span_values)
     errors.update(span_errors)
     return FeatureRecord(name, "S", features, errors, None, _provenance(params, analysis))
 
 
-def _extract_vowel_level(name: str, analysis: Analysis, params: PipelineParams, textgrid_path) -> FeatureRecord:
-    try:
-        if not textgrid_path:
-            raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
-        grid = read_textgrid(textgrid_path)
-        vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
-        agg = vowel_level_features(analysis, vowels)
-    except RepSpeechError as exc:  # no alignment or no usable vowel: every feature is absent
-        features, errors, n_instances = dict.fromkeys(A_FEATURES), dict.fromkeys(A_FEATURES, error_code(exc)), None
+def _vowel_level_record(name: str, analysis: Analysis, params: PipelineParams, rows, error: str | None) -> FeatureRecord:
+    """Level a: the mean of the vowel rows, or every feature absent with ``error``."""
+    if error is None:
+        agg = vowel_level_features(A_FEATURES, rows)
+        features, errors, n_instances = agg.means, agg.errors, agg.n_instances
     else:
-        features, errors, n_instances = dict(agg.means), dict(agg.errors), agg.n_instances
+        features, errors, n_instances = dict.fromkeys(A_FEATURES), dict.fromkeys(A_FEATURES, error), None
     return FeatureRecord(name, "a", features, errors, n_instances, _provenance(params, analysis))
 
 

@@ -3,7 +3,7 @@
 Cells hold median and quartiles computed by linear interpolation between
 order statistics.  Markdown output mirrors the conventional presentation,
 "median (q1, q3)" with per-feature display precision; CSV and JSON carry
-full precision and round-trip losslessly.
+every value at full precision, so parsing one gives back the exact floats.
 """
 
 from __future__ import annotations
@@ -186,30 +186,3 @@ def emit_table(table: NormativeTable, fmt: str) -> str:
         return _emit_json(table)
     raise ValueError(f"unknown table format {fmt!r}")
 
-
-def table_from_csv(text: str) -> NormativeTable:
-    reader = csv.DictReader(io.StringIO(text))
-    cells: dict[tuple[str, str, str], Cell] = {}
-    for row in reader:
-        key = (row["feature"], row["level"], row["group"])
-        cells[key] = Cell(float(row["median"]), float(row["q1"]), float(row["q3"]), int(row["n"]))
-    groups = sorted({g for (_f, _l, g) in cells})
-    present = {(f, lv) for (f, lv, _g) in cells}
-    rows = [(f, lv) for f in FEATURE_ORDER for lv in LEVEL_ORDER if (f, lv) in present]
-    extra = sorted(present - set(rows))
-    table = NormativeTable(groups=groups, rows=rows + extra)
-    table.cells = cells
-    return table
-
-
-def table_from_json(text: str) -> NormativeTable:
-    payload = json.loads(text)
-    table = NormativeTable(groups=list(payload["groups"]), rows=[])
-    table.group_sizes = {k: int(v) for k, v in payload.get("group_sizes", {}).items()}
-    for row in payload["rows"]:
-        table.rows.append((row["feature"], row["level"]))
-        for g, cell in row["cells"].items():
-            table.cells[(row["feature"], row["level"], g)] = Cell(
-                float(cell["median"]), float(cell["q1"]), float(cell["q3"]), int(cell["n"])
-            )
-    return table

@@ -17,8 +17,9 @@ from repspeech.alignment import (
     parse_textgrid,
     serialize_textgrid,
     vowel_level_features,
+    vowel_spans,
 )
-from repspeech.analysis import Analysis
+from repspeech.analysis import A_FEATURES, Analysis
 from repspeech.articulation import FORMANT_CEILING
 from repspeech.errors import (
     MalformedTextGrid,
@@ -216,26 +217,55 @@ def two_pitch_recording():
 def test_aggregate_is_mean_of_instances():
     buf, vowels = two_pitch_recording()
     analysis = Analysis(buf, FORMANT_CEILING)
-    agg = vowel_level_features(analysis, vowels)
+    spans = vowel_spans(vowels, buf.duration)
+    agg = vowel_level_features(A_FEATURES, analysis.reduce(spans))
     assert agg.n_instances == 2
     assert agg.means["pitch_mean"] == pytest.approx(155.0, abs=1.0)
 
-    # brute-force recompute: single-instance runs averaged by hand
-    singles = [vowel_level_features(analysis, [v]) for v in vowels]
+    # brute-force recompute: single-span reductions averaged by hand
+    singles = [analysis.reduce([span])[0][0] for span in spans]
+    checked = 0
     for key, value in agg.means.items():
-        parts = [s.means[key] for s in singles if s.means[key] is not None]
+        parts = [s[key] for s in singles if s[key] is not None]
         if value is not None and len(parts) == 2:
             assert value == pytest.approx(float(np.mean(parts)), rel=1e-12)
+            checked += 1
+    assert checked >= 5
 
 
 def test_empty_vowel_list():
     buf, _ = two_pitch_recording()
     with pytest.raises(NoTargetVowels):
-        vowel_level_features(Analysis(buf, FORMANT_CEILING), [])
+        vowel_spans([], buf.duration)
 
 
 def test_vowel_past_audio_end():
     buf, _ = two_pitch_recording()
     bad = [VowelInterval(1.0, buf.duration + 0.05, "AA1", "phones")]
     with pytest.raises(VowelOutOfBounds):
-        vowel_level_features(Analysis(buf, FORMANT_CEILING), bad)
+        vowel_spans(bad, buf.duration)
+
+
+def reaching_out(side: str, by: float, duration: float) -> VowelInterval:
+    """A vowel of ``two_pitch_recording`` reaching ``by`` seconds past the recording's ``side``."""
+    if side == "end":
+        return VowelInterval(1.0, duration + by, "AA1", "phones")
+    return VowelInterval(-by, 0.5, "AA1", "phones")
+
+
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_vowel_within_boundary_slack_is_clipped_and_measured(side):
+    buf, _ = two_pitch_recording()
+    vowel = reaching_out(side, 0.5e-6, buf.duration)  # the slack is 1 us
+    (span,) = vowel_spans([vowel], buf.duration)
+    assert span == (max(vowel.start, 0.0), min(vowel.end, buf.duration))
+    agg = vowel_level_features(A_FEATURES, Analysis(buf, FORMANT_CEILING).reduce([span]))
+    assert agg.n_instances == 1 and agg.feature_counts["pitch_mean"] == 1
+    assert agg.means["pitch_mean"] == pytest.approx(150.0 if side == "start" else 160.0, abs=1.0)
+
+
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_vowel_beyond_boundary_slack_is_refused(side):
+    buf, _ = two_pitch_recording()
+    with pytest.raises(VowelOutOfBounds):
+        vowel_spans([reaching_out(side, 2e-6, buf.duration)], buf.duration)

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repspeech import __version__, dsp, phonation
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
+from repspeech.analysis import Analysis
 from repspeech.audio_io import AudioBuffer, write_wav
 from repspeech.pipeline import (
     A_FEATURES,
@@ -152,31 +154,80 @@ TRACKS = (
 )
 
 
-def count_calls(monkeypatch, names=TRACKS) -> dict[str, int]:
-    """Count calls of each named function through every repspeech module that binds it."""
-    counts = dict.fromkeys(names, 0)
+def log_calls(monkeypatch, names=TRACKS) -> list[tuple[str, tuple]]:
+    """Log each call, as ``(name, args)``, of each named function through every repspeech module that binds it."""
+    log = []
     modules = [m for n, m in list(sys.modules.items()) if n == "repspeech" or n.startswith("repspeech.")]
     for name in names:
         mod_name, fn_name = name.split(".")
         original = getattr(importlib.import_module(f"repspeech.{mod_name}"), fn_name)
 
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
+        def logged(*args, _name=name, _fn=original, **kwargs):
+            log.append((_name, args))
             return _fn(*args, **kwargs)
 
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return counts
+                    monkeypatch.setattr(module, attr, logged)
+    return log
 
 
 def test_each_track_computed_once(voice_recording, monkeypatch):
     wav, tg = voice_recording
-    counts = count_calls(monkeypatch)
+    log = log_calls(monkeypatch)
     s_rec, a_rec = extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
     assert not s_rec.errors and not a_rec.errors
-    assert counts == {**dict.fromkeys(TRACKS, 1), "phonation.pitch_track": 2}  # two pitch passes
+    assert Counter(name for name, _ in log) == {**dict.fromkeys(TRACKS, 1), "phonation.pitch_track": 2}  # two pitch passes
+
+
+# the reductions of Analysis.reduce, in the order it runs them
+REDUCTIONS = (
+    "articulation.spectral_moments",
+    "phonation.intensity_mean",
+    "phonation.pitch_stats",
+    "phonation.hnr_mean",
+    "phonation.spectral_slope",
+    "articulation.formant_means",
+    "phonation.cpp_mean",
+)
+
+
+def test_one_reduction_over_every_span_ends_on_cpp(voice_recording, monkeypatch):
+    wav, tg = voice_recording
+    span_lists = []
+    reduce = Analysis.reduce
+
+    def logged_reduce(self, spans):
+        span_lists.append(list(spans))
+        return reduce(self, spans)
+
+    monkeypatch.setattr(Analysis, "reduce", logged_reduce)
+    log = log_calls(monkeypatch, REDUCTIONS)
+    extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    assert span_lists == [[(0.0, 2.0), (0.2, 0.8), (1.2, 1.8)]]  # the whole recording, then the vowels
+    names = [name for name, _ in log]
+    assert Counter(names) == dict.fromkeys(REDUCTIONS, 3)
+    first_cpp = names.index("phonation.cpp_mean")
+    assert names[first_cpp:] == ["phonation.cpp_mean"] * 3  # CPP after every other reduction of every span
+
+
+def test_vowel_level_alone_reduces_only_the_vowels(voice_recording, monkeypatch):
+    wav, tg = voice_recording
+    _, a_of_both = extract_recording(ExtractionRequest(wav, tg, ("S", "a")))
+    log = log_calls(monkeypatch, ("articulation.spectral_moments",))
+    (a_rec,) = extract_recording(ExtractionRequest(wav, tg, ("a",)))
+    assert [args[0].duration for _, args in log] == pytest.approx([0.6, 0.6], abs=1e-3)  # never the 2 s recording
+    assert repr(a_rec) == repr(a_of_both)
+
+
+def test_vowel_level_without_a_textgrid_computes_no_cpp(voice_recording, monkeypatch):
+    wav, _ = voice_recording
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)  # a queued CPP task would be claimed by a helper
+    log = log_calls(monkeypatch, ("phonation.cpp_track",))
+    (a_rec,) = extract_recording(ExtractionRequest(wav, None, ("a",)))
+    assert set(a_rec.errors.values()) == {"AlignmentMissing"}
+    assert log == []
 
 
 def chunk_helpers_alive() -> bool:

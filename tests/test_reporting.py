@@ -1,5 +1,8 @@
 """Normative table aggregation and emission."""
 
+import csv
+import io
+import json
 import random
 
 import pytest
@@ -16,8 +19,6 @@ from repspeech.reporting import (
     Cell,
     quartiles,
     summarize_features,
-    table_from_csv,
-    table_from_json,
 )
 
 
@@ -110,14 +111,25 @@ def test_empty_records_raises():
         summarize_features([], "cohort")
 
 
-def test_csv_and_json_round_trip():
+def test_csv_and_json_carry_every_cell_exactly():
     table = summarize_features(records(7), "cohort")
-    back_csv = table_from_csv(emit_table(table, "csv"))
-    back_json = table_from_json(emit_table(table, "json"))
-    assert back_csv.cells == table.cells
-    assert back_json.cells == table.cells
-    assert back_csv.rows == table.rows
-    assert back_json.rows == table.rows
+    csv_rows = list(csv.DictReader(io.StringIO(emit_table(table, "csv"))))
+    from_csv = {
+        (r["feature"], r["level"], r["group"]): Cell(float(r["median"]), float(r["q1"]), float(r["q3"]), int(r["n"]))
+        for r in csv_rows
+    }
+    payload = json.loads(emit_table(table, "json"))
+    from_json = {
+        (row["feature"], row["level"], g): Cell(cell["median"], cell["q1"], cell["q3"], cell["n"])
+        for row in payload["rows"]
+        for g, cell in row["cells"].items()
+    }
+    assert len(table.cells) == 4
+    assert from_csv == table.cells  # float equality: every digit survives
+    assert from_json == table.cells
+    assert list(dict.fromkeys((r["feature"], r["level"]) for r in csv_rows)) == table.rows
+    assert [(row["feature"], row["level"]) for row in payload["rows"]] == table.rows
+    assert payload["group_sizes"] == table.group_sizes
 
 
 def test_none_and_empty_values_skipped():
