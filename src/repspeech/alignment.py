@@ -112,6 +112,13 @@ class _Cursor:
         except ValueError as exc:
             raise MalformedTextGrid(f"bad number for {key}: {raw!r}") from exc
 
+    def read_count(self, key: str) -> int:
+        """A count: a finite, non-negative whole number."""
+        value = self.read_number(key)
+        if not (math.isfinite(value) and value >= 0 and value.is_integer()):
+            raise MalformedTextGrid(f"bad count for {key}: {value!r}")
+        return int(value)
+
     def read_string(self, key: str) -> str:
         return _unquote(self.read_value(key))
 
@@ -163,7 +170,7 @@ def parse_textgrid(text: str) -> TierSet:
     if not exists.startswith("tiers?"):
         # short format puts a bare number where 'tiers? <exists>' belongs
         raise MalformedTextGrid("short-format TextGrid not supported; use the long text format")
-    size = int(cur.read_number("size"))
+    size = cur.read_count("size")
     cur.expect_header("item []")
     tiers = []
     for _ in range(size):
@@ -174,7 +181,7 @@ def parse_textgrid(text: str) -> TierSet:
         name = cur.read_string("name")
         t_xmin = cur.read_number("xmin")
         t_xmax = cur.read_number("xmax")
-        n_intervals = int(cur.read_number("intervals: size"))
+        n_intervals = cur.read_count("intervals: size")
         intervals = []
         for _ in range(n_intervals):
             cur.expect_header("intervals [")

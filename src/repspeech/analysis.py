@@ -11,7 +11,7 @@ every feature reduces the rows a track's ``over(t0, t1)`` selects.  The
 CPP track reads no other track: ``reduce`` queues it as one task on the
 recording's helper scope (``dsp.background``), a helper computes it while
 this thread runs every other reduction over every span, and ``cpp_mean``
-is the last reduction.  In a process without helpers it runs there.
+is the last reduction.  In a scope without helpers it runs there.
 """
 
 from __future__ import annotations

@@ -27,6 +27,9 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _PCM_FULL_SCALE = {8: 128.0, 16: 32768.0, 24: 8388608.0, 32: 2147483648.0}
 
 CANONICAL_RATE = 16000  # Hz, the sample rate of every buffer the features read
+# Hz, the sample rates ``read_wav`` decodes: resampling a rate far outside
+# them to CANONICAL_RATE would build a filter of gigabytes
+MIN_RATE, MAX_RATE = 1_000, 384_000
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,8 @@ def read_wav(path) -> AudioBuffer:
     _, channels, rate, _, block_align, bits = fmt
     if channels < 1 or rate < 1:
         raise MalformedRiff("fmt chunk declares zero channels or rate")
+    if not MIN_RATE <= rate <= MAX_RATE:
+        raise UnsupportedEncoding(f"sample rate {rate} Hz outside {MIN_RATE}-{MAX_RATE} Hz")
     if bits not in _PCM_FULL_SCALE:
         raise UnsupportedEncoding(f"{bits}-bit PCM not supported")
     frame_size = channels * (bits // 8)

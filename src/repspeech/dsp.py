@@ -21,24 +21,17 @@ it gives scipy's result bit for bit.
 
 ``chunk_map`` is the one frame loop.  It splits a track's frames into
 chunks whose widest per-row array fills ``CHUNK_BYTES`` and queues them
-on the helper scope of the calling thread (``helper_scope``): one helper
-thread per other usable core, which lives for one recording
-(``pipeline.extract_recording`` opens the scope) or, for a loop called
-outside one, for that call alone, so no helper outlives the call that
-started it.  The calling thread runs every chunk no helper has claimed
-yet, and while it waits on one a helper runs, it runs other queued
-chunks.  ``background`` queues a whole track on the same scope, so a
-helper computes it beside the calling thread; ``analysis`` queues CPP
-that way.  numpy's array operations, its pocketfft and BLAS release the
-GIL on these arrays, so the threads run in parallel.  The chunks do not
-depend on the number of threads and each is computed by one thread, so
-neither do the results, bit for bit.  A process started by
-``multiprocessing`` (an ``extract --threads N`` pool worker) starts no
-helpers and runs its chunks in a plain loop.  While a scope or a loop is
-open, numpy's OpenBLAS is held at one thread (``ONE_BLAS_THREAD``): the
-helpers or the pool already fill the cores, and each BLAS product then
-takes the same path, and gives the same bits, whatever
-``OPENBLAS_NUM_THREADS`` says.
+on the calling thread's helper scope (``helper_scope``).  Every frame
+loop runs in a scope, which has no helpers in a pool worker; elsewhere
+it has up to one helper thread per other usable core and lives for one
+recording (``pipeline.extract_recording`` opens it) or for one loop
+called outside one.  ``background`` queues a whole track on the same
+scope, as ``analysis`` queues CPP.  numpy releases the GIL on these
+arrays, so the threads run in parallel.  The chunks do not depend on the
+number of threads and each is computed by one thread, so neither do the
+results, bit for bit.  While a scope is open, numpy's OpenBLAS is held
+at one thread (``ONE_BLAS_THREAD``), so each BLAS product takes the same
+path, and gives the same bits, whatever ``OPENBLAS_NUM_THREADS`` says.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ import math
 import multiprocessing
 import os
 import threading
-from collections import deque
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -179,32 +171,19 @@ class _OneBlasThread:
 ONE_BLAS_THREAD = _OneBlasThread()
 
 
-# the states of a queued task; a thread claims a task by taking its token
-_QUEUED, _DONE, _DROPPED = range(3)
-
-
-class _Batch:
-    """The chunks of one ``chunk_map`` call; once one fails, no other starts."""
-
-    __slots__ = ("failed",)
-
-    def __init__(self) -> None:
-        self.failed = False
-
-
 class _Task:
-    """One queued call: a chunk of a frame loop (``batch`` set) or a whole track (``batch`` None).
+    """One queued call: a chunk of a frame loop, or a whole track (``failed`` None).
 
-    ``token`` holds one item until a thread claims the task by popping it,
-    which the GIL makes atomic: each task is claimed once, by one thread.
+    The chunks of one ``chunk_map`` call share ``failed``, a one-item list
+    set once one of them fails; no chunk of the call is claimed after that.
     """
 
-    __slots__ = ("call", "batch", "token", "state", "result", "error")
+    __slots__ = ("call", "failed", "done", "result", "error")
 
-    def __init__(self, call: Callable[[], object], batch: _Batch | None):
-        self.call, self.batch = call, batch
-        self.token = [None]
-        self.state = _QUEUED
+    def __init__(self, call: Callable[[], object], failed: list[bool] | None):
+        self.call: Callable[[], object] | None = call  # None once a thread has claimed it
+        self.failed = failed
+        self.done = False
         self.result: object = None
         self.error: BaseException | None = None
 
@@ -213,29 +192,25 @@ _local = threading.local()  # .scope: the helper scope this thread queues its ta
 
 
 class _HelperScope:
-    """Helper threads and the one queue of tasks they claim from, for the length of one block.
+    """Up to ``helpers`` helper threads and the one queue of tasks they claim from, for the length of one block.
 
     The thread that opens the scope and every helper queue their tasks on
     it.  A helper claims the oldest queued task, chunk or whole track.  A
     thread that waits on a task another thread runs claims queued chunks
-    meanwhile, never a whole track.  The helpers start when the first
-    tasks are queued, and each claims its first task before the queueing
-    call goes on, so every thread takes part however short the chunks.
-    Closing the scope drops every task no thread has claimed and joins
-    the helpers.  The queue changes only under the lock; claims and
-    results do not take it, and a finished task wakes the threads waiting
-    on the lock only when there are some.
+    meanwhile, never a whole track.  Each call that queues tasks starts a
+    helper per task while the scope has helpers left to start, and claims
+    the helper's first task before it returns, so every thread takes part
+    however short the chunks.  Closing the scope drops every task no
+    thread has claimed and joins the helpers.  Tasks are claimed, dropped
+    and finished under the one lock of ``_cond``, and a finished task
+    wakes the threads waiting on it.
     """
 
     def __init__(self, helpers: int):
-        self._cond = threading.Condition()  # its lock is reentrant: a drop may notify while it is held
-        self._queue: deque[_Task] = deque()
+        self._cond = threading.Condition()
+        self._queue: dict[_Task, bool] = {}  # the tasks no thread has claimed, oldest first, each to True
         self._open = True
-        self._waiting = 0  # threads waiting for a task to finish
-        events = [threading.Event() for _ in range(helpers)]
-        self._unstarted = [
-            (threading.Thread(target=self._serve, args=(e,), name=f"repspeech-chunk_{i}"), e) for i, e in enumerate(events)
-        ]
+        self._helpers = helpers  # helpers not started yet
         self._threads: list[threading.Thread] = []  # the helpers started, joined on exit
 
     def __enter__(self) -> "_HelperScope":
@@ -246,120 +221,116 @@ class _HelperScope:
         _local.scope = None
         with self._cond:
             self._open = False
-            for task in self._queue:
+            for task in list(self._queue):
                 self._claim(task)  # drops it: the scope is closed
-            self._queue.clear()
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()
 
     def _put(self, tasks: list[_Task]) -> None:
-        """Queue ``tasks``; the first call starts the helpers, and each claims a task before it returns.
-
-        Only the scope's owner can make the first call: no helper runs before it.
-        """
+        """Queue ``tasks``, and start a helper per task while helpers are left, each on a task claimed here."""
         with self._cond:
-            self._queue.extend(tasks)
+            self._queue.update(dict.fromkeys(tasks, True))
             self._cond.notify_all()
-            starting, self._unstarted = self._unstarted, []
-        for thread, started in starting:
-            thread.start()
-            self._threads.append(thread)
-            started.wait()
+            for _ in range(min(self._helpers, len(tasks)) if self._open else 0):
+                self._helpers -= 1
+                name = f"repspeech-chunk_{len(self._threads)}"
+                thread = threading.Thread(target=self._serve, args=([self._next(whole=True)],), name=name)
+                thread.start()
+                self._threads.append(thread)
 
-    def _serve(self, started: threading.Event) -> None:
+    def _serve(self, first: list[tuple[_Task, Callable[[], object]]]) -> None:
+        """A helper's loop: the task ``_put`` claimed for it, then the oldest queued task while the scope is open.
+
+        ``first`` holds the claimed task until it is popped here, as the
+        helper's Thread keeps its arguments as long as it runs.
+        """
         _local.scope = self
-        with self._cond:
-            task = self._next(whole=True)
-        started.set()
+        claimed = first.pop()
         while True:
-            if task is not None:
-                try:
-                    self._run(task)
-                except BaseException:  # kept in the task, for the thread that collects it
-                    pass
+            try:
+                self._run(*claimed)
+            except BaseException:  # kept in the task, for the thread that collects it
+                pass
             with self._cond:
-                while (task := self._next(whole=True)) is None:
+                while (claimed := self._next(whole=True)) is None:  # holds no finished task while it waits
                     if not self._open:
                         return
                     self._cond.wait()
 
-    def _claim(self, task: _Task) -> bool:
-        """Take ``task`` for this thread; False if another thread took it, or it is dropped here."""
-        try:
-            task.token.pop()
-        except IndexError:
-            return False
-        if self._open and (task.batch is None or not task.batch.failed):
-            return True
-        task.call = None
-        self._finish(task, _DROPPED)
-        return False
+    def _claim(self, task: _Task) -> Callable[[], object] | None:
+        """Take the call of ``task`` for this thread (lock held); None if it was taken, or is dropped here.
 
-    def _next(self, whole: bool) -> _Task | None:
-        """Claim the oldest queued chunk or, when ``whole``, the oldest queued task of either kind (lock held)."""
-        queue = self._queue
-        while queue and not queue[0].token:  # claimed where they stand
-            queue.popleft()
-        for task in queue:
-            if (whole or task.batch is not None) and self._claim(task):
-                return task
+        Every task is dropped once the scope has closed, and a queued chunk
+        once a chunk of its map has failed.  The first chunk of a map is
+        never queued: its caller runs it.
+        """
+        call, task.call = task.call, None
+        queued = self._queue.pop(task, False)
+        if call is None or self._open and not (queued and task.failed is not None and task.failed[0]):
+            return call
+        self._finish(task, None, RuntimeError("the task was dropped before it ran"))
         return None
 
-    def _finish(self, task: _Task, state: int) -> None:
-        task.state = state
-        if self._waiting:  # read after the store, as a waiter reads the state after counting itself
-            with self._cond:
-                self._cond.notify_all()
+    def _next(self, whole: bool) -> tuple[_Task, Callable[[], object]] | None:
+        """Claim the oldest queued chunk or, when ``whole``, the oldest queued task of either kind (lock held)."""
+        while True:
+            task = next((t for t in self._queue if whole or t.failed is not None), None)
+            if task is None:
+                return None
+            if (call := self._claim(task)) is not None:
+                return task, call
 
-    def _run(self, task: _Task) -> None:
-        """Run a task this thread claimed, keeping its result or error.
+    def _finish(self, task: _Task, result: object, error: BaseException | None) -> None:
+        """Keep the result or error of ``task`` and wake the waiting threads (lock held)."""
+        task.result, task.error, task.done = result, error, True
+        if error is not None and task.failed is not None:
+            task.failed[0] = True
+        self._cond.notify_all()
+
+    def _run(self, task: _Task, call: Callable[[], object]) -> None:
+        """Run the claimed ``call`` of ``task``, keeping its result or error.
 
         An interrupt, or another error that is no ``Exception``, is raised
         here too, so it stops this thread as well.
         """
         try:
-            task.result = task.call()
+            result, error = call(), None
         except BaseException as exc:
-            task.error = exc
-            if task.batch is not None:
-                task.batch.failed = True
-        task.call = None  # a whole track's call may hold what holds the task
-        self._finish(task, _DONE)
-        if task.error is not None and not isinstance(task.error, Exception):
-            raise task.error
+            result, error = None, exc
+        with self._cond:
+            self._finish(task, result, error)
+        if error is not None and not isinstance(error, Exception):
+            raise error
 
     def _wait(self, task: _Task) -> None:
-        """Return once ``task``, claimed, has finished, running queued chunks meanwhile."""
-        while task.state == _QUEUED:
+        """Return once ``task`` has finished, running queued chunks meanwhile."""
+        while True:
             with self._cond:
-                other = self._next(whole=False)
-                if other is None:
-                    self._waiting += 1
-                    try:
-                        if task.state == _QUEUED:
-                            self._cond.wait()
-                    finally:
-                        self._waiting -= 1
-            if other is not None:
-                self._run(other)
+                while not task.done and (claimed := self._next(whole=False)) is None:
+                    self._cond.wait()
+                if task.done:
+                    return
+            self._run(*claimed)
+
+    def _run_unclaimed(self, task: _Task) -> None:
+        """Run ``task`` here unless a thread has claimed it or it is dropped."""
+        with self._cond:
+            call = self._claim(task)
+        if call is not None:
+            self._run(task, call)
 
     def map(self, body: Callable[[slice], T], chunks: list[slice]) -> list[T]:
-        batch = _Batch()
-        tasks = [_Task(functools.partial(body, rows), batch) for rows in chunks]
-        first, rest = tasks[0], tasks[1:]
-        mine = self._claim(first)  # this thread's, claimed before a helper can start and take the rest
-        self._put(rest)
+        failed = [False]
+        tasks = [_Task(functools.partial(body, rows), failed) for rows in chunks]
+        self._put(tasks[1:])  # the first is this thread's
         try:
-            if mine:
-                self._run(first)
-            for task in rest:  # in order: run each chunk no other thread has claimed; after a failure, drop it
-                if self._claim(task):
-                    self._run(task)
+            for task in tasks:  # in order: run each chunk no other thread has claimed; after a failure, drop it
+                self._run_unclaimed(task)
             for task in tasks:
                 self._wait(task)
         except BaseException:
-            batch.failed = True  # no further chunk of this call starts
+            failed[0] = True  # no further chunk of this call starts
             raise
         return [self._result(task) for task in tasks]  # in order: the earliest error, as in a plain loop
 
@@ -369,8 +340,7 @@ class _HelperScope:
         return functools.partial(self._collect, task)
 
     def _collect(self, task: _Task):
-        if self._claim(task):  # no helper took it: run it here
-            self._run(task)
+        self._run_unclaimed(task)  # no helper took it: run it here
         self._wait(task)
         return self._result(task)
 
@@ -378,8 +348,6 @@ class _HelperScope:
     def _result(task: _Task):
         if task.error is not None:
             raise task.error
-        if task.state == _DROPPED:
-            raise RuntimeError("the helper scope closed before the task ran")
         return task.result
 
 
@@ -392,27 +360,21 @@ def _helpers_allowed() -> int:
 
 
 @contextlib.contextmanager
-def helper_scope() -> Iterator[None]:
-    """Run the block's frame loops and background tracks on one set of helper threads, started here.
+def helper_scope() -> Iterator[_HelperScope]:
+    """Run the block's frame loops and background tracks in one helper scope: this thread's, or one opened here.
 
-    Inside an open scope this is a no-op.  Otherwise it starts up to one
-    helper per other usable core (``_helpers_allowed``) and holds OpenBLAS
-    at one thread (``ONE_BLAS_THREAD``) until the block ends.  The helpers
-    end with the block: whether it returned or raised, every task no
-    thread has claimed is dropped and the helpers are joined before the
-    block's error goes on.  Without helpers, loops run plainly and a
-    background track runs when it is collected.
+    A scope opened here may start one helper per other usable core
+    (``_helpers_allowed``) and holds OpenBLAS at one thread
+    (``ONE_BLAS_THREAD``) until the block ends.  Its helpers end with the
+    block: whether it returned or raised, every task no thread has claimed
+    is dropped and the helpers are joined before the block's error goes on.
     """
-    if getattr(_local, "scope", None) is not None:
-        yield
+    scope = getattr(_local, "scope", None)
+    if scope is not None:
+        yield scope
         return
-    helpers = _helpers_allowed()
-    with ONE_BLAS_THREAD:
-        if helpers < 1:
-            yield
-            return
-        with _HelperScope(helpers):
-            yield
+    with ONE_BLAS_THREAD, _HelperScope(_helpers_allowed()) as scope:
+        yield scope
 
 
 def background(compute: Callable[[], T]) -> Callable[[], T]:
@@ -420,8 +382,8 @@ def background(compute: Callable[[], T]) -> Callable[[], T]:
 
     Collecting waits for the task: it runs here if no helper has claimed
     it, and while a helper runs it the caller runs queued chunks.  The
-    task's error is raised by the collecting call.  Outside a scope with
-    helpers, ``compute`` itself is returned, to run when collected.
+    task's error is raised by the collecting call.  Outside a scope,
+    ``compute`` itself is returned, to run when collected.
     """
     scope = getattr(_local, "scope", None)
     return compute if scope is None else scope.submit(compute)
@@ -432,31 +394,21 @@ def chunk_map(n: int, row_bytes: int, body: Callable[[slice], T]) -> list[T]:
 
     ``row_bytes`` is the widest per-row array ``body`` derives from a row, so
     memory stays bounded whatever the length, and ``body`` gathers its own
-    frames.  The chunks are queued on this thread's helper scope, or, when
-    none is open, on one opened for this call alone (up to one helper per
-    other usable core, and no more than the chunks need), whose helpers
-    are gone when the call returns.  The calling thread walks its chunks
-    in order and runs each one no helper has claimed yet, then collects
-    the results in chunk order, running other queued chunks while it
-    waits.  Chunks are the same whatever the number of threads and each
-    is computed by one thread, so the result does not depend on the core
-    count as long as each ``body`` writes only its own rows.  The error of
-    the earliest failing chunk is raised, as in a plain loop, and once a
-    chunk fails or the calling thread is interrupted, no further chunk of
-    the call starts.  OpenBLAS runs one thread throughout, helpers
-    included.
+    frames.  The chunks are queued on this thread's helper scope, or on one
+    opened for this call alone (``helper_scope``), which starts no more
+    helpers than there are chunks after the first.  The calling thread
+    runs the first chunk and walks the rest in order, running each one no
+    helper has claimed yet, then collects the results in chunk order,
+    running other queued chunks while it waits.  Chunks are the same
+    whatever the number of threads and each is computed by one thread, so
+    the result does not depend on the core count as long as each ``body``
+    writes only its own rows.  The error of the earliest failing chunk is
+    raised, as in a plain loop, and once a chunk fails or the calling
+    thread is interrupted, no further chunk of the call starts.
     """
     step = chunk_rows(row_bytes)
-    chunks = [slice(a, min(n, a + step)) for a in range(0, n, step)]
-    scope = getattr(_local, "scope", None)
-    if scope is not None and chunks:
-        return scope.map(body, chunks)
-    helpers = min(_helpers_allowed(), len(chunks) - 1)
-    with ONE_BLAS_THREAD:
-        if helpers < 1:
-            return [body(rows) for rows in chunks]
-        with _HelperScope(helpers) as scope:
-            return scope.map(body, chunks)
+    with helper_scope() as scope:
+        return scope.map(body, [slice(a, min(n, a + step)) for a in range(0, n, step)])
 
 
 def usable_cores() -> int:

@@ -17,7 +17,7 @@ class MalformedRiff(RepSpeechError):
 
 
 class UnsupportedEncoding(RepSpeechError):
-    """WAV codec is not integer PCM (float, compressed, odd bit depth)."""
+    """WAV codec is not integer PCM (float, compressed, odd bit depth), or its sample rate lies outside 1-384 kHz."""
 
 
 class TruncatedData(RepSpeechError):

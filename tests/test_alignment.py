@@ -107,6 +107,19 @@ def test_point_tier_rejected():
         parse_textgrid(grid)
 
 
+COUNT_LINES = {"size": "\nsize = 1\n", "intervals: size": "intervals: size = 2\n"}  # of MINIMAL_GRID
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "-1", "2.5"])
+@pytest.mark.parametrize("key", COUNT_LINES)
+def test_count_that_is_no_whole_number_is_refused(key, count):
+    line = COUNT_LINES[key]
+    grid = MINIMAL_GRID.replace(line, line[: line.index("= ") + 2] + count + "\n")
+    assert grid != MINIMAL_GRID
+    with pytest.raises(MalformedTextGrid, match=f"bad count for {key}"):
+        parse_textgrid(grid)
+
+
 def test_truncated_grid():
     with pytest.raises(MalformedTextGrid):
         parse_textgrid(MINIMAL_GRID[: len(MINIMAL_GRID) // 2])

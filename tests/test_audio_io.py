@@ -11,6 +11,7 @@ from helpers import make_wav_bytes
 
 from repspeech.audio_io import AudioBuffer, read_wav, resample, to_canonical, write_wav
 from repspeech.errors import MalformedRiff, TruncatedData, UnsupportedEncoding
+from repspeech.pipeline import LEVEL_FEATURES, ExtractionRequest, extract_recording
 from repspeech.synth import synth_pulse_train
 
 
@@ -59,6 +60,29 @@ def test_compressed_codec_rejected(tmp_path):
     path.write_bytes(make_wav_bytes([[0] * 8], 16000, format_code=85))
     with pytest.raises(UnsupportedEncoding):
         read_wav(path)
+
+
+# 200,000 samples at 1 Hz would ask to_canonical for ~24 GiB, and at 100,000,007 Hz for ~15 GiB
+@pytest.mark.parametrize("rate", [1, 999, 384_001, 100_000_007])
+def test_rate_outside_the_decoded_range_is_coded_on_every_feature(tmp_path, rate):
+    path = tmp_path / "r.wav"
+    path.write_bytes(make_wav_bytes([[0, 100, -100, 0] * 50_000], rate))
+    with pytest.raises(UnsupportedEncoding, match=f"sample rate {rate} Hz"):
+        read_wav(path)
+    s_rec, a_rec = extract_recording(ExtractionRequest(str(path), None, ("S", "a")))
+    for rec in (s_rec, a_rec):
+        assert rec.features == dict.fromkeys(LEVEL_FEATURES[rec.level])
+        assert rec.errors == dict.fromkeys(LEVEL_FEATURES[rec.level], "UnsupportedEncoding")
+
+
+@pytest.mark.parametrize("rate", [1_000, 8_000, 16_000, 44_100, 48_000, 384_000])
+def test_rates_in_the_decoded_range_decode(tmp_path, rate):
+    vals = [0, 1000, -1000, 32767] * (rate // 400)
+    path = tmp_path / "r.wav"
+    path.write_bytes(make_wav_bytes([vals], rate))
+    buf = read_wav(path)
+    assert (buf.sample_rate, buf.n_samples) == (rate, len(vals))
+    np.testing.assert_array_equal(buf.samples[0], np.array(vals) / 32768.0)
 
 
 def test_bad_magic(tmp_path):

@@ -162,6 +162,53 @@ def test_no_helper_outlives_chunk_map(monkeypatch):
     assert len(ran) == finished
 
 
+def test_a_bare_chunk_map_starts_no_more_helpers_than_it_queues(monkeypatch):
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 8)
+
+    def helpers_alive(rows):
+        return sum(t.name.startswith("repspeech-chunk") for t in threading.enumerate())
+
+    # the first chunk is the caller's, so one helper runs the other
+    assert dsp.chunk_map(2, dsp.CHUNK_BYTES + 1, helpers_alive) == [1, 1]
+    assert not chunk_helpers_alive()
+
+
+def test_a_chunk_failing_on_a_helper_stops_the_rest_of_its_map(monkeypatch):
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 4)
+    ran = []
+
+    def body(rows):
+        ran.append(rows.start)
+        if rows.start == 1:  # the chunk the first helper claims as it starts
+            raise ValueError(rows.start)
+        time.sleep(0.002)
+
+    with pytest.raises(ValueError, match="^1$"):
+        dsp.chunk_map(1000, dsp.CHUNK_BYTES + 1, body)
+    assert not chunk_helpers_alive()
+    assert len(ran) < 30
+
+
+def test_an_interrupt_in_the_first_chunk_stops_chunk_map(monkeypatch):
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 4)
+    ran = []
+
+    def body(rows):
+        if rows.start == 0:
+            raise KeyboardInterrupt
+        ran.append(rows.start)
+        time.sleep(0.002)
+
+    with pytest.raises(KeyboardInterrupt):
+        dsp.chunk_map(1000, dsp.CHUNK_BYTES + 1, body)
+    assert not chunk_helpers_alive()
+    # the three helpers each claimed a chunk before this thread ran its first; few more ran
+    assert 3 <= len(ran) < 30
+    finished = len(ran)
+    time.sleep(0.05)
+    assert len(ran) == finished
+
+
 OPENBLAS = dsp.openblas_threads()
 needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy bundles no OpenBLAS here")
 

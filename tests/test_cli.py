@@ -235,6 +235,22 @@ def test_unreadable_textgrid_gives_coded_a_row(recording, tmp_path, name, conten
     assert len(errors) == 10 and set(errors.values()) == {code}
 
 
+@pytest.mark.parametrize("count", ["inf", "nan", "-1", "2.5"])
+def test_textgrid_with_a_bad_count_gives_coded_a_row(recording, tmp_path, count):
+    _, wav, tg = recording
+    grids = tmp_path / "grids"
+    grids.mkdir()
+    text = Path(tg).read_text(encoding="utf-8")
+    assert "\nsize = 1 \n" in text
+    (grids / Path(tg).name).write_text(text.replace("\nsize = 1 \n", f"\nsize = {count} \n"), encoding="utf-8")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--level", "S,a", wav, "--textgrid-dir", str(grids), "-o", str(out)]) == 0
+    s_row, a_row = read_rows(out)
+    assert s_row["errors"] == ""
+    errors = json.loads(a_row["errors"])
+    assert len(errors) == 10 and set(errors.values()) == {"MalformedTextGrid"}
+
+
 @pytest.mark.parametrize("name, content, code", UNREADABLE_TEXTGRIDS)
 def test_vowels_unreadable_textgrid_exits_2(tmp_path, capsys, name, content, code):
     tg = tmp_path / name
