@@ -32,9 +32,9 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_
     """Burg-method formant analysis on the voiced frames of a recording: F1 and F2 in Hz, one row per frame.
 
     The signal is resampled to 2 x ceiling (Hz), pre-emphasized, and analyzed in
-    gaussian-windowed frames.  A mean reads the valid frames, those where at
-    least two in-band resonances survive, in ascending order; an invalid
-    frame's row is zeros.
+    gaussian-windowed frames.  A mean reads the kept frames, those with signal
+    where at least two in-band resonances survive, in ascending order; a row
+    not kept is zeros.
     """
     if not np.any(track.voiced):
         raise NoVoicedFrames("formant analysis needs voiced frames")
@@ -44,20 +44,21 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_
     centers, win_n = frame_centers(len(y), analysis_rate, 2.0 * FORMANT_WINDOW, FORMANT_STEP)
     window = gaussian_window(win_n)
     voiced = centers[track.voiced_at_many(centers / analysis_rate)]
+    lowest = np.zeros((len(voiced), 2))
+    live = np.zeros(len(voiced), dtype=bool)
 
-    def resonances(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    def resonances(rows: slice) -> None:
         frames = center_and_window(gather_frames(y, voiced[rows], win_n), window)
-        live = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
-        lowest = _lowest_resonances(lpc_burg(frames[live], 2 * N_FORMANTS), analysis_rate, ceiling)
-        return voiced[rows][live] / analysis_rate, lowest
+        alive = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
+        live[rows] = alive
+        lowest[rows][alive] = _lowest_resonances(lpc_burg(frames[alive], 2 * N_FORMANTS), analysis_rate, ceiling)
 
-    parts = chunk_map(len(voiced), 8 * win_n, resonances)
-    if not any(len(t) for t, _ in parts):
+    chunk_map(len(voiced), 8 * win_n, resonances)
+    if not np.any(live):
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
-    times, lowest = (np.concatenate(a) for a in zip(*parts))
-    valid = np.isfinite(lowest[:, 1])
-    lowest[~valid] = 0.0
-    return Track(times, lowest, valid)
+    kept = live & np.isfinite(lowest[:, 1])
+    lowest[~kept] = 0.0
+    return Track(voiced / analysis_rate, lowest, kept)
 
 
 def formant_means(formants: np.ndarray) -> tuple[float, float]:

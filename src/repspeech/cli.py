@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -50,8 +49,6 @@ from .protocol import (
 )
 from .reporting import emit_table, summarize_features
 from .synth import KINDS, SynthSpec, render_segment, synth_pattern
-
-CONFIG_ENV = "REPSPEECH_CONFIG"
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -135,7 +132,6 @@ def _emit_error(exc: Exception, as_json: bool) -> None:
 
 
 def _load_config(path: str | None) -> dict:
-    path = path or os.environ.get(CONFIG_ENV)
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:

@@ -424,8 +424,9 @@ def span(times: np.ndarray, t0: float, t1: float) -> slice:
 class Track(NamedTuple):
     """An analysis track: frame times in seconds (ascending), one row of ``values`` per frame.
 
-    ``kept`` marks the frames a mean reads, or is None when it reads every
-    frame.  Every feature is a reduction of ``over(t0, t1)``.
+    A track's rows are the frames it analysed; ``kept`` marks the ones a
+    mean reads, or is None when it reads every frame.  Every feature is a
+    reduction of ``over(t0, t1)``.
     """
 
     times: np.ndarray

@@ -330,13 +330,13 @@ _HNR_PERIODS_PER_WINDOW = 4.5  # gaussian window length in periods of the pitch 
 
 
 def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
-    """Harmonics-to-noise ratio in dB of the voiced pitch frames it can analyze.
+    """Harmonics-to-noise ratio in dB, one row per voiced pitch frame whose window and period fit.
 
     For each voiced frame the window-compensated autocorrelation is
     evaluated at fractional lags around the tracked pitch period (exact
     band-limited interpolation via the cosine transform of the power
     spectrum); with r the peak value, HNR = 10 log10(r / (1 - r)), capped
-    at 60 dB.
+    at 60 dB.  A mean reads the kept frames, those with signal; a row not kept is zero.
     """
     x = buf.signal
     rate = buf.sample_rate
@@ -372,13 +372,13 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
         & (periods + 2 < max_lag)
     )
     idx = np.flatnonzero(usable)
+    values = np.zeros(len(idx))
+    kept = np.zeros(len(idx), dtype=bool)
 
-    def harmonicity(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    def harmonicity(rows: slice) -> None:
         sel = idx[rows]
         frames = center_and_window(gather_frames(x, centers[sel], win_n), window)
-        live = np.any(frames, axis=1)
-        if not np.any(live):
-            return np.zeros(0), np.zeros(0)
+        live = np.flatnonzero(np.any(frames, axis=1))
         sel = sel[live]
         frames = frames[live]
         power = power_spectra(frames, nfft) * fold
@@ -392,13 +392,12 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
         r[:, good] = (rx[:, good] / rx0[good]) / (rw[:, good] / rw0)
         _delta, val = parabolic_refine(r.T, np.argmax(r, axis=0), 1.0)
         val = np.clip(val[good], 1e-6, 1.0 - 1e-6)
-        return track.times[sel][good], 10.0 * np.log10(val / (1.0 - val))
+        measured = rows.start + live[good]
+        values[measured] = 10.0 * np.log10(val / (1.0 - val))
+        kept[measured] = True
 
-    parts = chunk_map(len(idx), spectrum_bytes(nfft), harmonicity)
-    if not parts:
-        return Track(np.zeros(0), np.zeros(0), None)
-    times, values = zip(*parts)
-    return Track(np.concatenate(times), np.concatenate(values), None)
+    chunk_map(len(idx), spectrum_bytes(nfft), harmonicity)
+    return Track(track.times[idx], values, kept)
 
 
 def hnr_mean(values: np.ndarray) -> float:

@@ -128,8 +128,7 @@ class ManifestExpectation:
 
     @property
     def expected_count(self) -> int:
-        per_session = len(self.devices) * (len(self.tasks) if self.tasks else 1)
-        return len(self.sessions) * per_session
+        return len(self.expected_ids())
 
     def expected_ids(self) -> set[RecordingId]:
         out = set()
@@ -370,7 +369,7 @@ def validate_questionnaire(resp: dict) -> Report:
         if not _parse_clock(resp.get(key, "")):
             report.add("BadTime", f"{key} must be a parseable HH:MM clock time", key)
     sleep = resp.get("sleep_hours")
-    if not isinstance(sleep, (int, float)) or not (0 <= float(sleep) <= 24):
+    if isinstance(sleep, bool) or not isinstance(sleep, (int, float)) or not 0 <= sleep <= 24:
         report.add("BadSleepHours", "sleep_hours must be a number between 0 and 24")
     if resp.get("voice_use") not in VOICE_USE_LEVELS:
         report.add("BadVoiceUse", f"voice_use must be one of {VOICE_USE_LEVELS}")
@@ -379,7 +378,7 @@ def validate_questionnaire(resp: dict) -> Report:
     if resp.get("last_food") not in FOOD_RECENCY:
         report.add("BadFoodRecency", "last_food is not one of the listed recency options")
     mood = resp.get("mood_picture")
-    if not isinstance(mood, int) or not (1 <= mood <= 9):
+    if isinstance(mood, bool) or not isinstance(mood, int) or not 1 <= mood <= 9:
         report.add("BadMoodPicture", "mood_picture must be an integer 1..9")
     label = resp.get("mood_label")
     if label is not None and label not in MOOD_LABELS:
@@ -523,13 +522,24 @@ def checklist_template() -> dict:
     }
 
 
+def _flag_status(report: Report, status: object, where: str) -> bool:
+    """Add the finding a status other than addressed or not-applicable earns; whether it added one."""
+    if status not in ASPECT_STATUSES:
+        report.add("BadStatus", f"{where} status {status!r} not in {ASPECT_STATUSES}", where)
+    elif status == "missing":
+        report.add("DeclaredMissing", f"{where} is declared missing", where)
+    else:
+        return False
+    return True
+
+
 def lint_study_design(config: dict) -> Report:
     """Evaluate a study config against the design checklist.
 
     Every registry aspect must be present with a declared status; an aspect
     marked not-applicable needs a reason, and each aspect's core
-    considerations must be individually covered.  Unknown keys produce
-    warnings rather than errors.
+    considerations must be individually covered, each with a status checked
+    as an aspect's is.  Unknown keys produce warnings rather than errors.
     """
     report = Report("checklist")
     config = _object(config, "a study config")
@@ -543,11 +553,7 @@ def lint_study_design(config: dict) -> Report:
                 continue
             entry = _object(entry, f"aspect {where}")
             status = entry.get("status")
-            if status not in ASPECT_STATUSES:
-                report.add("BadStatus", f"{where} status {status!r} not in {ASPECT_STATUSES}", where)
-                continue
-            if status == "missing":
-                report.add("DeclaredMissing", f"{where} is declared missing", where)
+            if _flag_status(report, status, where):
                 continue
             if status == "not-applicable":
                 if not entry.get("reason"):
@@ -555,12 +561,11 @@ def lint_study_design(config: dict) -> Report:
                 continue
             covered = _object(entry.get("considerations", {}), f"{where} considerations")
             for consideration in considerations:
+                at = f"{where}/{consideration}"
                 if consideration not in covered:
-                    report.add(
-                        "Missing",
-                        f"consideration {where}/{consideration} is absent",
-                        f"{where}/{consideration}",
-                    )
+                    report.add("Missing", f"consideration {at} is absent", at)
+                else:
+                    _flag_status(report, covered[consideration], at)
             for extra in set(covered) - set(considerations):
                 report.add(
                     "UnknownAspect",

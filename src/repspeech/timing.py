@@ -66,9 +66,11 @@ class TimingFeatures:
 NO_CONTOUR = Track(np.zeros(0), np.zeros(0), None)
 
 
-def _sounding_mask(track: Track, silence_threshold_db: float) -> np.ndarray:
-    peak = float(np.max(track.values))
-    return track.values >= peak + silence_threshold_db
+def _sounding(buf: AudioBuffer, contour: Track, params: PipelineParams) -> np.ndarray:
+    """The frames of ``contour`` at most the threshold below the loudest one; none when the signal is all zeros."""
+    if len(contour.values) == 0 or not np.any(buf.signal):
+        return np.zeros(len(contour.values), dtype=bool)
+    return contour.values >= float(np.max(contour.values)) + params.silence_threshold_db
 
 
 def detect_speech_regions(buf: AudioBuffer, contour: Track, params: PipelineParams) -> list[Segment]:
@@ -79,40 +81,23 @@ def detect_speech_regions(buf: AudioBuffer, contour: Track, params: PipelinePara
     input yields an empty list.  ``contour`` is the intensity track of
     ``buf``.
     """
-    if len(contour.values) == 0 or not np.any(buf.signal):
-        return []
-    mask = _sounding_mask(contour, params.silence_threshold_db)
+    mask = _sounding(buf, contour, params)
     if not np.any(mask):
         return []
     starts, stops = runs(mask)
-    sounding = mask[starts]
     # frame i covers [t_i - hop/2, t_i + hop/2], clipped to the recording
-    half = 0.5 * HOP
-
-    def run_bounds(i0: int, i1: int) -> tuple[float, float]:
-        start = max(0.0, contour.times[i0] - half)
-        end = min(buf.duration, contour.times[i1 - 1] + half)
-        return start, end
-
-    sounding_spans = [run_bounds(i0, i1) for i0, i1 in zip(starts[sounding], stops[sounding])]
-    internal = ~sounding[1:-1]  # a silent run at either end is no pause
-    silent_spans = [run_bounds(i0, i1) for i0, i1 in zip(starts[1:-1][internal], stops[1:-1][internal])]
-
+    begin = np.maximum(0.0, contour.times[starts] - 0.5 * HOP)
+    end = np.minimum(buf.duration, contour.times[stops - 1] + 0.5 * HOP)
+    sounding = np.flatnonzero(mask[starts])
     segments: list[Segment] = []
-    cur_start, cur_end = sounding_spans[0]
-    pauses = []
-    for gap, nxt in zip(silent_spans, sounding_spans[1:]):
-        gap_len = gap[1] - gap[0]
-        if gap_len >= params.min_pause:
-            segments.append(Segment("speech", cur_start, gap[0]))
-            pauses.append(Segment("pause", gap[0], gap[1]))
-            cur_start, cur_end = nxt
-        else:
-            cur_end = nxt[1]
-    segments.append(Segment("speech", cur_start, cur_end))
-
-    merged = sorted(segments + pauses, key=lambda s: s.start)
-    return merged
+    start = begin[sounding[0]]
+    # runs alternate: the silent runs between the first and last sounding ones
+    for i in range(sounding[0] + 1, sounding[-1], 2):
+        if end[i] - begin[i] >= params.min_pause:
+            segments += [Segment("speech", start, begin[i]), Segment("pause", begin[i], end[i])]
+            start = begin[i + 1]
+    segments.append(Segment("speech", start, end[sounding[-1]]))
+    return segments
 
 
 def count_syllable_nuclei(
@@ -127,15 +112,13 @@ def count_syllable_nuclei(
     the pitch track's span is read at its first or last frame, and without
     a track no peak counts.  ``contour`` is the intensity track of ``buf``.
     """
-    if not np.any(buf.signal) or len(contour.values) == 0:
+    sounding = _sounding(buf, contour, params)
+    if not np.any(sounding):
         return 0
     level = contour.values
-    peak_db = float(np.max(level))
-    threshold = peak_db + params.silence_threshold_db
     # pad with a deep floor so plateaus touching the signal edges still count
-    padded = np.concatenate([[-1e30], level, [-1e30]])
-    candidates = local_maxima(padded)
-    candidates = candidates[padded[candidates] >= threshold] - 1
+    candidates = local_maxima(np.concatenate([[-1e30], level, [-1e30]])) - 1
+    candidates = candidates[sounding[candidates]]
 
     # merge candidates that lack a valley of min_dip between them; the
     # prominence shortcut breaks on exactly equal-height maxima, which

@@ -1,4 +1,4 @@
-"""Chunked frame loops: tracks depend on neither the chunk budget nor the core count, and memory stays flat."""
+"""Chunked frame loops: a row per analysed frame, results independent of chunk budget and core count, flat memory."""
 
 import sys
 import threading
@@ -14,7 +14,9 @@ from repspeech.articulation import formant_track
 from repspeech.audio_io import AudioBuffer, write_wav
 from repspeech.cli import main
 from repspeech.pipeline import ExtractionRequest, extract_recording
-from repspeech.phonation import cpp_track, hnr_track, intensity_track, pitch_track_two_pass, voiced_frame_spectra
+from repspeech.phonation import (
+    PitchTrack, cpp_track, hnr_track, intensity_track, pitch_track_two_pass, voiced_frame_spectra
+)
 from repspeech.synth import SynthSpec, synth_pattern
 
 RATE = 16000
@@ -57,6 +59,22 @@ def mixed_pattern() -> AudioBuffer:
         ],
         RATE,
     ).buffer
+
+
+def test_silent_voiced_frames_keep_their_rows():
+    voice = SynthSpec("formant_voice", 0.5, f0=150.0, formants=VOWEL)
+    buf = synth_pattern([voice, SynthSpec("silence", 0.5), voice], RATE).buffer
+    times = np.arange(0.0, buf.duration, 0.01)
+    pitch = PitchTrack(times, np.full(len(times), 150.0), 75.0, 600.0)  # voiced over the digital silence too
+    for track in (hnr_track(buf, pitch), formant_track(buf, pitch)):
+        assert len(track.times) == len(track.values) == len(track.kept)
+        np.testing.assert_allclose(np.diff(track.times), 0.01)  # no frame left out, silent or not
+        silent = (track.times > 0.6) & (track.times < 0.9)
+        assert np.any(silent) and not np.any(track.kept[silent])
+        assert not np.any(track.values[silent])
+        assert np.all(track.kept[track.times < 0.4])
+        np.testing.assert_array_equal(track.over(0.0, buf.duration), track.values[track.kept])
+        assert len(track.over(0.6, 0.9)) == 0
 
 
 def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):

@@ -119,6 +119,14 @@ def test_unknown_device_warning():
     assert any(f.code == "UnknownDevice" for f in report.findings)
 
 
+def test_duplicated_device_counts_once():
+    expectation = ManifestExpectation((("P01", "D1", "S1"),), ("webcam", "webcam"))
+    assert expectation.expected_count == len(expectation.expected_ids()) == 1
+    report = validate_manifest([RecordingId("P01", "webcam", "D1", "S1")], expectation)
+    assert report.ok
+    assert report.summary == {"manifest_count": 1, "expected_count": 1, "distinct_count": 1}
+
+
 # -- schedules ---------------------------------------------------------------------
 
 
@@ -246,6 +254,19 @@ def test_bad_voice_use_and_time():
     assert {"BadVoiceUse", "BadTime"} <= codes
 
 
+@pytest.mark.parametrize("key, code", [("sleep_hours", "BadSleepHours"), ("mood_picture", "BadMoodPicture")])
+def test_bool_is_not_a_number(key, code):
+    resp = complete_response()
+    resp[key] = True  # JSON true, which Python counts as the int 1
+    assert [f.code for f in validate_questionnaire(resp).findings] == [code]
+
+
+def test_sleep_hours_past_any_float_is_a_finding():
+    resp = complete_response()
+    resp["sleep_hours"] = 10**400  # a JSON integer no float holds
+    assert [f.code for f in validate_questionnaire(resp).findings] == ["BadSleepHours"]
+
+
 # -- quality-control log ---------------------------------------------------------------
 
 
@@ -304,3 +325,13 @@ def test_not_applicable_needs_reason():
     assert any(f.code == "NotApplicableWithoutReason" for f in report.findings)
     config["data_collection"]["clinical_assessments"]["reason"] = "healthy cohort pilot"
     assert lint_study_design(config).ok
+
+
+@pytest.mark.parametrize("status, code", [("missing", "DeclaredMissing"), ("banana", "BadStatus")])
+def test_consideration_status_is_checked(status, code):
+    config = checklist_template()
+    config["data_processing"]["feature_extraction"]["considerations"]["outlier criteria"] = status
+    report = lint_study_design(config)
+    assert [(f.code, f.context) for f in report.findings] == [
+        (code, "data_processing/feature_extraction/outlier criteria")
+    ]

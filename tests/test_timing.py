@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repspeech.audio_io import AudioBuffer, read_wav, to_canonical, write_wav
+from repspeech.dsp import Track, frame_centers, runs
 from repspeech.errors import ZeroDuration, ZeroPhonationTime
-from repspeech.phonation import HOP, PitchTrack, intensity_track, pitch_track_two_pass
+from repspeech.phonation import FRAME_LEN, HOP, PitchTrack, intensity_track, pitch_track_two_pass
 from repspeech.pipeline import PipelineParams
 from repspeech.synth import SynthSpec, synth_pattern, synth_pulse_train, synth_silence
 from repspeech.timing import (
     NO_CONTOUR,
+    Segment,
     count_syllable_nuclei,
     detect_speech_regions,
     timing_features,
@@ -252,6 +254,69 @@ def test_counts_survive_the_wav_round_trip_and_gain(tmp_path_factory, case):
     assert counts[0] == pauses
     assert pause_and_nucleus_counts(to_canonical(read_wav(path))) == counts
     assert pause_and_nucleus_counts(AudioBuffer(buf.signal * gain, buf.sample_rate)) == counts
+
+
+def merged_speech_regions(buf, contour, params):
+    """The detector as it was before it walked the contour's runs: two span lists, merged and sorted."""
+    if len(contour.values) == 0 or not np.any(buf.signal):
+        return []
+    peak = float(np.max(contour.values))
+    mask = contour.values >= peak + params.silence_threshold_db
+    if not np.any(mask):
+        return []
+    starts, stops = runs(mask)
+    sounding = mask[starts]
+    half = 0.5 * HOP
+
+    def run_bounds(i0, i1):
+        start = max(0.0, contour.times[i0] - half)
+        end = min(buf.duration, contour.times[i1 - 1] + half)
+        return start, end
+
+    sounding_spans = [run_bounds(i0, i1) for i0, i1 in zip(starts[sounding], stops[sounding])]
+    internal = ~sounding[1:-1]
+    silent_spans = [run_bounds(i0, i1) for i0, i1 in zip(starts[1:-1][internal], stops[1:-1][internal])]
+
+    segments = []
+    cur_start, cur_end = sounding_spans[0]
+    pauses = []
+    for gap, nxt in zip(silent_spans, sounding_spans[1:]):
+        gap_len = gap[1] - gap[0]
+        if gap_len >= params.min_pause:
+            segments.append(Segment("speech", cur_start, gap[0]))
+            pauses.append(Segment("pause", gap[0], gap[1]))
+            cur_start, cur_end = nxt
+        else:
+            cur_end = nxt[1]
+    segments.append(Segment("speech", cur_start, cur_end))
+    return sorted(segments + pauses, key=lambda s: s.start)
+
+
+@st.composite
+def contours(draw):
+    """A signal, silent or not, a random contour on its 10 ms frame grid, and a minimum pause.
+
+    The pause is often exactly as long as some run of frames, so a gap can sit on it.
+    """
+    n = draw(st.integers(640, 640 + 160 * 80))
+    centers, _ = frame_centers(n, RATE, FRAME_LEN, HOP)
+    times = centers / RATE
+    level = st.one_of(st.integers(-90, 0).map(float), st.floats(-90.0, 0.0))
+    values = np.array(draw(st.lists(level, min_size=len(times), max_size=len(times))))
+    signal = np.full(n, draw(st.sampled_from([0.0, 0.1])))
+    i = draw(st.integers(0, len(times) - 1))
+    j = draw(st.integers(i, min(i + 10, len(times) - 1)))
+    run_length = (times[j] + 0.5 * HOP) - (times[i] - 0.5 * HOP)
+    min_pause = draw(st.one_of(st.floats(0.0, 0.4), st.just(run_length)))
+    return AudioBuffer(signal, RATE), Track(times, values, None), min_pause
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(contours(), st.floats(-60.0, 5.0))
+def test_run_walk_matches_the_merged_span_lists(case, threshold):
+    buf, contour, min_pause = case
+    params = PipelineParams(silence_threshold_db=threshold, min_pause=min_pause)
+    assert repr(detect_speech_regions(buf, contour, params)) == repr(merged_speech_regions(buf, contour, params))
 
 
 def test_empty_buffer():
