@@ -3,9 +3,11 @@
 Only the long text format with interval tiers is accepted, which is what
 alignment tools emit by default; short, binary, and point-tier variants
 are rejected.  Labels are preserved verbatim, including embedded spaces
-and doubled-quote escapes.  Nothing here reads an analysis track: the
-pipeline reduces the ``vowel_spans``, and ``vowel_level_features``
-averages their rows.
+and doubled-quote escapes.  ``find_target_vowels`` returns the phone
+tier's own ``Interval`` objects.  Nothing here reads an analysis track or
+builds a record: the pipeline reduces the ``vowel_spans``,
+``vowel_level_features`` averages their rows, and the pipeline builds
+every record, level S then level a, at one site.
 """
 
 from __future__ import annotations
@@ -56,18 +58,6 @@ class TierSet:
             if t.name == name:
                 return t
         return None
-
-
-@dataclass(frozen=True)
-class VowelInterval:
-    start: float
-    end: float
-    label: str
-    source_tier: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +255,22 @@ def find_target_vowels(
     target_labels: frozenset[str] | set[str],
     min_duration: float,
     tier_name: str,
-) -> list[VowelInterval]:
+) -> list[Interval]:
     """Select the intervals of tier ``tier_name`` whose label is a target and which last long enough.
 
-    Intervals come back in time order; the duration filter keeps anything
-    at least ``min_duration`` long (a hair of float slack is allowed).  The
-    ``DEFAULT_*`` constants above are the selection that both ``repspeech
-    vowels`` and ``repspeech extract --level a`` make unless told otherwise.
+    The tier's own intervals come back, in time order; the duration filter
+    keeps anything at least ``min_duration`` long (a hair of float slack is
+    allowed).  The ``DEFAULT_*`` constants above are the selection that both
+    ``repspeech vowels`` and ``repspeech extract --level a`` make unless
+    told otherwise.
     """
     tier = grid.tier(tier_name)
     if tier is None:
         raise MissingPhoneTier(f"no tier named {tier_name!r}")
-    hits = []
-    for iv in tier.intervals:
-        if iv.label in target_labels and (iv.xmax - iv.xmin) >= min_duration - 1e-12:
-            hits.append(VowelInterval(iv.xmin, iv.xmax, iv.label, tier.name))
-    return hits
+    return [iv for iv in tier.intervals if iv.label in target_labels and iv.xmax - iv.xmin >= min_duration - 1e-12]
 
 
-def vowel_spans(vowels: list[VowelInterval], duration: float) -> list[tuple[float, float]]:
+def vowel_spans(vowels: list[Interval], duration: float) -> list[tuple[float, float]]:
     """The ``(start, end)`` of each vowel, clipped to a ``duration``-second recording, in instance order.
 
     Raises NoTargetVowels on an empty list, and VowelOutOfBounds for a
@@ -293,11 +280,11 @@ def vowel_spans(vowels: list[VowelInterval], duration: float) -> list[tuple[floa
     if not vowels:
         raise NoTargetVowels("no vowel instances to analyze")
     for v in vowels:
-        if v.start < -_BOUNDARY_SLACK or v.end > duration + _BOUNDARY_SLACK:
+        if v.xmin < -_BOUNDARY_SLACK or v.xmax > duration + _BOUNDARY_SLACK:
             raise VowelOutOfBounds(
-                f"vowel [{v.start:.3f}, {v.end:.3f}] outside the {duration:.3f} s recording"
+                f"vowel [{v.xmin:.3f}, {v.xmax:.3f}] outside the {duration:.3f} s recording"
             )
-    return [(max(v.start, 0.0), min(v.end, duration)) for v in vowels]
+    return [(max(v.xmin, 0.0), min(v.xmax, duration)) for v in vowels]
 
 
 # ---------------------------------------------------------------------------

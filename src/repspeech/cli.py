@@ -39,13 +39,12 @@ from .protocol import (
     DEFAULT_DEVICES,
     DEFAULT_TASKS,
     ManifestExpectation,
-    SessionSchedule,
     checklist_template,
     lint_study_design,
     validate_manifest,
     validate_qc_log,
     validate_questionnaire,
-    validate_schedule,
+    validate_schedules,
 )
 from .reporting import emit_table, summarize_features
 from .synth import KINDS, SynthSpec, render_segment, synth_pattern
@@ -240,7 +239,7 @@ def _cmd_vowels(args) -> int:
     grid = read_textgrid(args.textgrid)
     vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
     for v in vowels:
-        print(f"{v.start:.3f}\t{v.end:.3f}\t{v.label}")
+        print(f"{v.xmin:.3f}\t{v.xmax:.3f}\t{v.label}")
     print(f"{len(vowels)} instances", file=sys.stderr)
     return EXIT_OK
 
@@ -272,16 +271,7 @@ def _cmd_validate(args) -> int:
         tasks = tuple(args.tasks.split(",")) if args.tasks else DEFAULT_TASKS
         report = validate_manifest(data, expectation, devices, tasks)
     elif args.what == "schedule":
-        schedules = data if isinstance(data, list) else [data]
-        if not schedules:
-            raise RepSpeechError("a schedule list holds no schedule")
-        report = None
-        for entry in schedules:
-            one = validate_schedule(SessionSchedule.from_dict(entry))
-            if report is None:
-                report = one
-            else:
-                report.findings.extend(one.findings)
+        report = validate_schedules(data)
     elif args.what == "questionnaire":
         report = validate_questionnaire(data)
     elif args.what == "qclog":

@@ -289,13 +289,17 @@ def pitch_stats(voiced: np.ndarray) -> tuple[float, float]:
 # intensity
 
 
+INTENSITY_RANGE_DB = 30.0  # dB below the loudest frame that a mean still reads
+
+
 def intensity_track(buf: AudioBuffer) -> Track:
     """Hann-weighted mean-square level per frame of the shared grid, in dB against the 2e-5 reference.
 
-    A mean reads the frames that carry speech: those at most 30 dB below the
-    loudest frame of the whole track, so a mean shifts by exactly an applied
-    gain and ignores lead-in silence.  When every frame sits at the
-    mean-square floor (no signal energy), it reads none.
+    A mean reads the frames that carry speech: those at most
+    ``INTENSITY_RANGE_DB`` below the loudest frame of the whole track, so a
+    mean shifts by exactly an applied gain and ignores lead-in silence.
+    When every frame sits at the mean-square floor (no signal energy), it
+    reads none.
     """
     x = buf.signal
     centers, win_n = frame_centers(len(x), buf.sample_rate, FRAME_LEN, HOP)
@@ -309,7 +313,7 @@ def intensity_track(buf: AudioBuffer) -> Track:
 
     chunk_map(len(centers), 8 * win_n, levels)
     peak = float(np.max(level))  # the grid holds at least one frame
-    return Track(centers / buf.sample_rate, level, (level >= peak - 30.0) & (peak > _FLOOR_DB))
+    return Track(centers / buf.sample_rate, level, (level >= peak - INTENSITY_RANGE_DB) & (peak > _FLOOR_DB))
 
 
 def intensity_mean(levels: np.ndarray) -> float:
@@ -326,7 +330,7 @@ def intensity_mean(levels: np.ndarray) -> float:
 # harmonics-to-noise ratio
 
 
-_HNR_PERIODS_PER_WINDOW = 4.5  # gaussian window length in periods of the pitch floor
+HNR_PERIODS_PER_WINDOW = 4.5  # gaussian window length in periods of the pitch floor
 
 
 def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
@@ -341,7 +345,7 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
     x = buf.signal
     rate = buf.sample_rate
     floor = track.floor
-    win_n = int(round(2.0 * _HNR_PERIODS_PER_WINDOW / floor * rate))
+    win_n = int(round(2.0 * HNR_PERIODS_PER_WINDOW / floor * rate))
     window = gaussian_window(win_n)
     half = win_n // 2
     max_lag = min(win_n - 2, int(math.ceil(rate / floor)) + 4)

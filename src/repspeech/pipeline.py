@@ -115,7 +115,7 @@ def _provenance(params: PipelineParams, analysis: Analysis | None) -> dict:
 
 
 def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
-    """Extract one FeatureRecord per requested level for a recording.
+    """Extract one FeatureRecord per requested level for a recording, in level order: S, then a.
 
     Level S covers the whole canonical recording; level a aggregates over
     the aligned open-vowel instances of the TextGrid, and without one its
@@ -123,6 +123,7 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
     ``Analysis.reduce`` call over one span list, so each track is computed
     once.  A recording that cannot be read or decoded gives
     one record per level whose every feature carries the read error.
+    Every record, measured or not, is built at the one site at the end.
     """
     levels = tuple(req.levels)
     for level in levels:
@@ -131,40 +132,49 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
 
     with dsp.helper_scope():  # one set of helper threads for the recording, gone when it returns
         params = req.params
-        name = Path(req.audio_path).stem
         try:
             buf = to_canonical(read_wav(req.audio_path))
         except RepSpeechError as exc:  # every feature of every level carries the read error
-            code = error_code(exc)
-            return [
-                FeatureRecord(name, level, dict.fromkeys(LEVEL_FEATURES[level]),
-                              dict.fromkeys(LEVEL_FEATURES[level], code), None, _provenance(params, None))
-                for level in levels
-            ]
-        analysis = Analysis(buf, params.formant_ceiling)
+            analysis = None
+            measured = {level: _absent(level, error_code(exc)) for level in levels}
+        else:
+            analysis = Analysis(buf, params.formant_ceiling)
+            measured = {}  # level -> (features, errors, n_vowel_instances)
+            # one span list, reduced at once: the whole recording first, so its
+            # spectral moments run before any track but CPP exists, then the vowels
+            spans = [(0.0, buf.duration)] if "S" in levels else []
+            n_whole = len(spans)
+            if "a" in levels:
+                try:
+                    if not req.textgrid_path:
+                        raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
+                    grid = read_textgrid(req.textgrid_path)
+                    vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
+                    spans += vowel_spans(vowels, buf.duration)
+                except RepSpeechError as exc:  # no alignment or no usable vowel: every level-a feature is absent
+                    measured["a"] = _absent("a", error_code(exc))
+            rows = analysis.reduce(spans)
+            if "S" in levels:
+                features, errors = dict.fromkeys(S_FEATURES), {}
+                features["duration"] = buf.duration
+                fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params))
+                features.update(rows[0][0])
+                errors.update(rows[0][1])
+                measured["S"] = (features, errors, None)
+            if "a" in levels and "a" not in measured:
+                agg = vowel_level_features(A_FEATURES, rows[n_whole:])
+                measured["a"] = (agg.means, agg.errors, agg.n_instances)
+        name = Path(req.audio_path).stem
+        return [
+            FeatureRecord(name, level, *measured[level], _provenance(params, analysis))
+            for level in LEVEL_FEATURES
+            if level in measured
+        ]
 
-        # one span list, reduced at once: the whole recording first, so its
-        # spectral moments run before any track but CPP exists, then the vowels
-        spans = [(0.0, buf.duration)] if "S" in levels else []
-        n_whole = len(spans)
-        vowel_error = None
-        if "a" in levels:
-            try:
-                if not req.textgrid_path:
-                    raise AlignmentMissing("vowel-level extraction requires a TextGrid path")
-                grid = read_textgrid(req.textgrid_path)
-                vowels = find_target_vowels(grid, params.vowel_labels, params.min_vowel_duration, params.phone_tier)
-                spans += vowel_spans(vowels, buf.duration)
-            except RepSpeechError as exc:  # no alignment or no usable vowel: every level-a feature is absent
-                vowel_error = error_code(exc)
-        rows = analysis.reduce(spans)
 
-        records = []
-        if "S" in levels:
-            records.append(_suprasegmental_record(name, analysis, params, rows[0]))
-        if "a" in levels:
-            records.append(_vowel_level_record(name, analysis, params, rows[n_whole:], vowel_error))
-        return records
+def _absent(level: str, code: str) -> tuple[dict, dict, None]:
+    """Every feature of ``level`` absent with ``code``."""
+    return dict.fromkeys(LEVEL_FEATURES[level]), dict.fromkeys(LEVEL_FEATURES[level], code), None
 
 
 def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, float]:
@@ -180,34 +190,11 @@ def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, fl
     return tf.speaking_rate, tf.articulation_rate, tf.pause_rate
 
 
-def _suprasegmental_record(name: str, analysis: Analysis, params: PipelineParams, row) -> FeatureRecord:
-    """Level S: the whole recording's row of the span reduction, with the rates."""
-    features: dict[str, float | None] = dict.fromkeys(S_FEATURES)
-    features["duration"] = analysis.buf.duration
-    errors: dict[str, str] = {}
-    fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params))
-    span_values, span_errors = row
-    features.update(span_values)
-    errors.update(span_errors)
-    return FeatureRecord(name, "S", features, errors, None, _provenance(params, analysis))
-
-
-def _vowel_level_record(name: str, analysis: Analysis, params: PipelineParams, rows, error: str | None) -> FeatureRecord:
-    """Level a: the mean of the vowel rows, or every feature absent with ``error``."""
-    if error is None:
-        agg = vowel_level_features(A_FEATURES, rows)
-        features, errors, n_instances = agg.means, agg.errors, agg.n_instances
-    else:
-        features, errors, n_instances = dict.fromkeys(A_FEATURES), dict.fromkeys(A_FEATURES, error), None
-    return FeatureRecord(name, "a", features, errors, n_instances, _provenance(params, analysis))
-
-
 def record_to_row(rec: FeatureRecord) -> dict:
     """Flatten a record into a CSV-ready row with feature names as columns."""
     row: dict[str, object] = {"recording": rec.recording, "level": rec.level}
-    keys = LEVEL_FEATURES[rec.level]
     for k in S_FEATURES:
-        row[k] = rec.features.get(k) if k in keys else None
+        row[k] = rec.features.get(k)
     row["n_vowel_instances"] = rec.n_vowel_instances
     row["errors"] = json.dumps(rec.errors, sort_keys=True) if rec.errors else ""
     return row

@@ -217,13 +217,6 @@ class SessionSchedule:
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise RepSpeechError(f"schedule is malformed: {type(exc).__name__}: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "arm": self.arm,
-            "participant": self.participant,
-            "session_starts": [s.isoformat() for s in self.session_starts],
-        }
-
 
 def _check_one_day(report: Report, day_label: str, starts: list[datetime]) -> None:
     if len(starts) != 3:
@@ -303,6 +296,30 @@ def validate_schedule(schedule: SessionSchedule) -> Report:
     else:
         report.add("UnknownArm", f"arm {schedule.arm!r} is neither 'Day' nor 'Week'")
     report.summary = {"n_sessions": len(starts), "arm": schedule.arm}
+    return report
+
+
+def validate_schedules(data: dict | list) -> Report:
+    """Validate one schedule's JSON object, or a JSON list of them, in one report.
+
+    An object gives ``validate_schedule``'s report.  In a list's report each
+    finding's context starts with its entry's participant, or
+    ``schedule[i]`` when the entry names none (``P02``, ``P02/Day1/S1``),
+    and the summary counts the schedules and their sessions.
+    """
+    if not isinstance(data, list):
+        return validate_schedule(SessionSchedule.from_dict(data))
+    if not data:
+        raise RepSpeechError("a schedule list holds no schedule")
+    report = Report("schedule")
+    n_sessions = 0
+    for i, entry in enumerate(data):
+        schedule = SessionSchedule.from_dict(entry)
+        who = schedule.participant or f"schedule[{i}]"
+        for f in validate_schedule(schedule).findings:
+            report.add(f.code, f.message, f"{who}/{f.context}" if f.context else who)
+        n_sessions += len(schedule.session_starts)
+    report.summary = {"n_schedules": len(data), "n_sessions": n_sessions}
     return report
 
 

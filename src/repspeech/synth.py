@@ -91,14 +91,7 @@ def synth_pulse_train(
     f0: float, duration: float, rate: int = DEFAULT_RATE, amplitude: float = DEFAULT_AMPLITUDE
 ) -> AudioBuffer:
     """Band-limited pulse train with pulse peaks at integer multiples of 1/f0."""
-    if f0 < 1.0 or f0 >= rate / 4.0:
-        raise BadF0(f"f0 {f0} outside [1, rate/4)")
-    n = int(round(duration * rate))
-    x = _pulse_train_raw(f0, n, rate)
-    peak = np.max(np.abs(x)) if n else 1.0
-    if peak > 0:
-        x = x * (amplitude / peak)
-    return AudioBuffer(x, rate)
+    return synth_formant_voice(f0, (), duration, rate, amplitude)
 
 
 def synth_tone(freq: float, duration: float, rate: int = DEFAULT_RATE, amplitude: float = DEFAULT_AMPLITUDE) -> AudioBuffer:

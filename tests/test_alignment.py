@@ -12,7 +12,6 @@ from repspeech.alignment import (
     Interval,
     Tier,
     TierSet,
-    VowelInterval,
     find_target_vowels,
     parse_textgrid,
     serialize_textgrid,
@@ -176,7 +175,15 @@ def test_selection_filters():
         ]
     )
     hits = find_target_vowels(grid, DEFAULT_VOWEL_LABELS, DEFAULT_MIN_VOWEL_DURATION, DEFAULT_PHONE_TIER)
-    assert [(v.label, round(v.duration, 3)) for v in hits] == [("AA1", 0.08), ("AA", 0.05)]
+    assert [(v.label, round(v.xmax - v.xmin, 3)) for v in hits] == [("AA1", 0.08), ("AA", 0.05)]
+
+
+def test_selection_returns_the_tiers_own_intervals():
+    grid = grid_with([Interval(0.0, 0.1, "sil"), Interval(0.1, 0.3, "AA1"), Interval(0.3, 0.5, "AA2")])
+    (tier,) = grid.tiers
+    hits = find_target_vowels(grid, DEFAULT_VOWEL_LABELS, DEFAULT_MIN_VOWEL_DURATION, DEFAULT_PHONE_TIER)
+    assert len(hits) == 2
+    assert hits[0] is tier.intervals[1] and hits[1] is tier.intervals[2]
 
 
 def test_missing_phone_tier():
@@ -202,9 +209,9 @@ def test_selection_monotone(phones, min_dur):
         start += dur
     grid = grid_with(intervals)
     tier = DEFAULT_PHONE_TIER
-    base = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur, tier)}
-    wider_labels = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1", "AE"}, min_dur, tier)}
-    lower_min = {(v.start, v.end) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur / 2, tier)}
+    base = {(v.xmin, v.xmax) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur, tier)}
+    wider_labels = {(v.xmin, v.xmax) for v in find_target_vowels(grid, {"AA", "AA1", "AE"}, min_dur, tier)}
+    lower_min = {(v.xmin, v.xmax) for v in find_target_vowels(grid, {"AA", "AA1"}, min_dur / 2, tier)}
     assert base <= wider_labels
     assert base <= lower_min
 
@@ -221,8 +228,8 @@ def two_pitch_recording():
         ]
     )
     vowels = [
-        VowelInterval(0.05, 0.55, "AA1", "phones"),
-        VowelInterval(0.95, 1.45, "AA1", "phones"),
+        Interval(0.05, 0.55, "AA1"),
+        Interval(0.95, 1.45, "AA1"),
     ]
     return pat.buffer, vowels
 
@@ -254,16 +261,16 @@ def test_empty_vowel_list():
 
 def test_vowel_past_audio_end():
     buf, _ = two_pitch_recording()
-    bad = [VowelInterval(1.0, buf.duration + 0.05, "AA1", "phones")]
+    bad = [Interval(1.0, buf.duration + 0.05, "AA1")]
     with pytest.raises(VowelOutOfBounds):
         vowel_spans(bad, buf.duration)
 
 
-def reaching_out(side: str, by: float, duration: float) -> VowelInterval:
+def reaching_out(side: str, by: float, duration: float) -> Interval:
     """A vowel of ``two_pitch_recording`` reaching ``by`` seconds past the recording's ``side``."""
     if side == "end":
-        return VowelInterval(1.0, duration + by, "AA1", "phones")
-    return VowelInterval(-by, 0.5, "AA1", "phones")
+        return Interval(1.0, duration + by, "AA1")
+    return Interval(-by, 0.5, "AA1")
 
 
 @pytest.mark.parametrize("side", ["start", "end"])
@@ -271,7 +278,7 @@ def test_vowel_within_boundary_slack_is_clipped_and_measured(side):
     buf, _ = two_pitch_recording()
     vowel = reaching_out(side, 0.5e-6, buf.duration)  # the slack is 1 us
     (span,) = vowel_spans([vowel], buf.duration)
-    assert span == (max(vowel.start, 0.0), min(vowel.end, buf.duration))
+    assert span == (max(vowel.xmin, 0.0), min(vowel.xmax, buf.duration))
     agg = vowel_level_features(A_FEATURES, Analysis(buf, FORMANT_CEILING).reduce([span]))
     assert agg.n_instances == 1 and agg.feature_counts["pitch_mean"] == 1
     assert agg.means["pitch_mean"] == pytest.approx(150.0 if side == "start" else 160.0, abs=1.0)

@@ -131,6 +131,21 @@ def test_validate_schedule_exit_codes(tmp_path):
     assert main(["validate", "schedule", str(b)]) == 1
 
 
+def test_validate_schedule_list_names_each_finding_and_counts_schedules(tmp_path, capsys):
+    mon_wed_fri = ["2023-06-19T10:00:00", "2023-06-21T10:00:00", "2023-06-23T10:00:00"]
+    mon_tue_fri = [mon_wed_fri[0], "2023-06-20T10:40:00", mon_wed_fri[2]]
+    path = tmp_path / "schedules.json"
+    path.write_text(json.dumps([
+        {"arm": "Week", "participant": "P01", "session_starts": mon_wed_fri},
+        {"arm": "Week", "participant": "P02", "session_starts": mon_tue_fri},
+    ]))
+    assert main(["validate", "schedule", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    findings = [(f["code"], f["context"]) for f in report["findings"]]
+    assert findings == [("WrongWeekday", "P02"), ("WeekTimeSpread", "P02")]
+    assert report["summary"] == {"n_schedules": 2, "n_sessions": 6}
+
+
 def test_validate_checklist_template_round_trip(tmp_path, capsys):
     assert main(["validate", "checklist", "-", "--template"]) == 0
     template = capsys.readouterr().out

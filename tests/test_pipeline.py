@@ -98,6 +98,17 @@ def test_unreadable_wav_gives_one_coded_record_per_level(tmp_path):
     assert "pitch_adapted" not in s_rec.provenance and "version" in s_rec.provenance
 
 
+@pytest.mark.parametrize(("levels", "expected"), [(("a", "S"), ["S", "a"]), (("S", "S"), ["S"])])
+def test_unreadable_wav_records_come_in_level_order_once_each(tmp_path, levels, expected):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")  # no fmt chunk
+    records = extract_recording(ExtractionRequest(str(bad), None, levels))
+    assert [rec.level for rec in records] == expected
+    for rec in records:
+        assert set(rec.errors.values()) == {"MalformedRiff"} and rec.errors.keys() == rec.features.keys()
+    assert len({id(rec.provenance) for rec in records}) == len(records)
+
+
 def test_deterministic_records(voice_recording):
     wav, tg = voice_recording
     req = ExtractionRequest(wav, tg, ("S", "a"))

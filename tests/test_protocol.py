@@ -19,6 +19,7 @@ from repspeech.protocol import (
     validate_qc_log,
     validate_questionnaire,
     validate_schedule,
+    validate_schedules,
 )
 
 # -- filenames -------------------------------------------------------------------
@@ -205,6 +206,26 @@ def test_schedule_order_insensitive():
     sched = day_schedule()
     shuffled = SessionSchedule("Day", tuple(reversed(sched.session_starts)))
     assert validate_schedule(sched).to_dict() == validate_schedule(shuffled).to_dict()
+
+
+def test_schedule_list_findings_name_their_entry():
+    mon_wed_fri = ["2023-06-19T10:00:00", "2023-06-21T10:00:00", "2023-06-23T10:00:00"]
+    mon_tue_fri = [mon_wed_fri[0], "2023-06-20T10:40:00", mon_wed_fri[2]]
+    entries = [
+        {"arm": "Week", "participant": "P01", "session_starts": mon_wed_fri},
+        {"arm": "Week", "participant": "P02", "session_starts": mon_tue_fri},
+        {"arm": "Day", "session_starts": ["2023-06-14T07:30:00", "2023-06-14T14:05:00", "2023-06-14T18:04:00"]},
+    ]
+    report = validate_schedules(entries)
+    assert [(f.code, f.context) for f in report.findings] == [
+        ("WrongWeekday", "P02"),
+        ("WeekTimeSpread", "P02"),
+        ("OutsideWindow", "schedule[2]/Day1/S1"),
+    ]
+    assert report.summary == {"n_schedules": 3, "n_sessions": 9}
+    # one object gives the single schedule's report, unchanged
+    alone = validate_schedule(SessionSchedule.from_dict(entries[1]))
+    assert validate_schedules(entries[1]).to_dict() == alone.to_dict()
 
 
 # -- questionnaire ------------------------------------------------------------------

@@ -50,3 +50,34 @@ def test_readme_settings_table_matches_the_constants():
     for module, name, value in rows:
         actual = getattr(importlib.import_module(f"repspeech.{module}"), name)
         assert actual == ast.literal_eval(value.strip()), f"{module}.{name}"
+
+
+# module constants that set no output, with the reason
+NOT_IN_TABLE = {
+    "dsp.CHUNK_BYTES": "sizes the chunks of a frame loop; no output depends on it",
+}
+
+
+def numeric_constants(module: str) -> list[str]:
+    """The public UPPER_CASE number or tuple constants assigned at the top of ``repspeech.<module>``."""
+    mod = importlib.import_module(f"repspeech.{module}")
+    names = []
+    for node in ast.parse(Path(mod.__file__).read_text(encoding="utf-8")).body:
+        for target in node.targets if isinstance(node, ast.Assign) else []:
+            names += [t.id for t in getattr(target, "elts", [target]) if isinstance(t, ast.Name)]  # A, B = 1, 2
+    return [
+        f"{module}.{name}"
+        for name in names
+        if re.fullmatch(r"[A-Z][A-Z0-9_]*", name)
+        and isinstance(getattr(mod, name), (int, float, tuple))
+        and not isinstance(getattr(mod, name), bool)
+    ]
+
+
+def test_readme_settings_table_lists_every_constant():
+    rows = re.findall(r"^\| `(\w+)\.([A-Z_0-9]+)` \|", README.read_text(encoding="utf-8"), re.M)
+    listed = {f"{module}.{name}" for module, name in rows}
+    found = [c for m in ("phonation", "articulation", "audio_io", "dsp") for c in numeric_constants(m)]
+    assert "phonation.DB_REF_PRESSURE" in found and "audio_io.MAX_RATE" in found
+    missing = [c for c in found if c not in listed and c not in NOT_IN_TABLE]
+    assert not missing, missing
