@@ -11,9 +11,9 @@ scipy's imports in the process.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -220,8 +220,8 @@ def resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     """Polyphase windowed-sinc resampling with cutoff at the lower Nyquist (``dsp.resample_poly``)."""
     if rate_in == rate_out:
         return np.asarray(x, dtype=np.float64)
-    frac = Fraction(rate_out, rate_in)
-    up, down = frac.numerator, frac.denominator
+    common = math.gcd(rate_out, rate_in)
+    up, down = rate_out // common, rate_in // common
     if len(x) == 0:
         return np.zeros(0)
     return resample_poly(np.asarray(x, dtype=np.float64), up, down)

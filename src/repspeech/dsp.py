@@ -698,31 +698,23 @@ def moving_average(x: np.ndarray, size: int) -> np.ndarray:
     scipy's ``uniform_filter1d(x, size, axis=1, mode="nearest")``: the
     first window is summed from 0.0 one sample at a time, each next sum is
     the last plus (entering sample - leaving sample), and each sum is
-    divided by ``size``.  The running sums are a cumsum, which numpy runs
-    one row at a time, each add waiting on the one before, with the GIL
-    held.  So rows go in pairs, as the real and imaginary lanes of one
-    complex row: a complex add is one float64 add per lane, and a pair
-    costs about what one row would.
+    divided by ``size``.  The sums run down the columns of x's transpose,
+    so each step is one add across every row.
     """
     rows, n = x.shape
     left = size // 2
-    pairs = -(-rows // 2)
-    ext = np.empty((pairs, n + size - 1, 2))  # row 2p in lane 0 of pair p, row 2p + 1 in lane 1
-    ext[:, left : left + n, 0] = x[0::2]
-    ext[: rows // 2, left : left + n, 1] = x[1::2]
-    ext[rows // 2 :, left : left + n, 1] = 0.0  # the lane of no row, when rows is odd
-    ext[:, :left] = ext[:, left : left + 1]
-    ext[:, left + n :] = ext[:, left + n - 1 : left + n]
-    sums = np.empty((pairs, n, 2))
-    sums[:, 0] = 0.0
+    ext = np.empty((n + size - 1, rows))
+    ext[left : left + n] = x.T
+    ext[:left] = ext[left]
+    ext[left + n :] = ext[left + n - 1]
+    sums = np.empty((n, rows))
+    sums[0] = 0.0
     for j in range(size):
-        sums[:, 0] += ext[:, j]
-    np.subtract(ext[:, size:], ext[:, : n - 1], out=sums[:, 1:])
-    lanes = sums.view(np.complex128)[..., 0]
-    np.cumsum(lanes, axis=1, out=lanes)
+        sums[0] += ext[j]
+    np.subtract(ext[size:], ext[: n - 1], out=sums[1:])
+    np.cumsum(sums, axis=0, out=sums)
     out = np.empty((rows, n))
-    np.divide(sums[:, :, 0], size, out=out[0::2])
-    np.divide(sums[: rows // 2, :, 1], size, out=out[1::2])
+    np.divide(sums.T, size, out=out)
     return out
 
 

@@ -251,6 +251,7 @@ def validate_schedule(schedule: SessionSchedule) -> Report:
     """
     report = Report("schedule")
     starts = sorted(schedule.session_starts)
+    report.summary = {"n_sessions": len(starts), "arm": schedule.arm}
     if not starts:
         report.add("SessionCount", "schedule has no sessions")
         return report
@@ -295,7 +296,6 @@ def validate_schedule(schedule: SessionSchedule) -> Report:
             report.add("WeekSpan", "sessions do not fall within a single week")
     else:
         report.add("UnknownArm", f"arm {schedule.arm!r} is neither 'Day' nor 'Week'")
-    report.summary = {"n_sessions": len(starts), "arm": schedule.arm}
     return report
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .dsp import chunk_map
 from .errors import BadF0, BadResonator, RepSpeechError, SilentSignal
 from .timing import finite_at_least
 
@@ -84,7 +85,14 @@ def _harmonic_count(f0: float, rate: int) -> int:
 def _pulse_train_raw(f0: float, n: int, rate: int) -> np.ndarray:
     t = np.arange(n) / rate
     k = np.arange(1, _harmonic_count(f0, rate) + 1)
-    return np.cos(2.0 * np.pi * f0 * np.outer(t, k)).sum(axis=1)
+    x = np.empty(n)
+
+    def harmonics(rows: slice) -> None:  # a block of samples at a time, so memory stays flat with duration
+        phase = 2.0 * np.pi * f0 * np.outer(t[rows], k)
+        x[rows] = np.cos(phase, out=phase).sum(axis=1)
+
+    chunk_map(n, 8 * len(k), harmonics)
+    return x
 
 
 def synth_pulse_train(

@@ -146,6 +146,15 @@ def test_validate_schedule_list_names_each_finding_and_counts_schedules(tmp_path
     assert report["summary"] == {"n_schedules": 2, "n_sessions": 6}
 
 
+def test_validate_schedule_without_sessions_reports_its_summary(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"arm": "Day", "session_starts": []}))
+    assert main(["validate", "schedule", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [f["code"] for f in report["findings"]] == ["SessionCount"]
+    assert report["summary"] == {"n_sessions": 0, "arm": "Day"}
+
+
 def test_validate_checklist_template_round_trip(tmp_path, capsys):
     assert main(["validate", "checklist", "-", "--template"]) == 0
     template = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Batched numerical kernels: framing, spans, spectra, autocorrelation, Burg, cepstra, peaks, lines."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -453,10 +454,13 @@ def test_cepstrum_is_scipys_type_one_dct_bit_for_bit(fft_size):
 @pytest.mark.parametrize("size", range(1, 12))
 def test_moving_average_is_scipys_uniform_filter_bit_for_bit(size):
     rng = np.random.default_rng(size)
-    for n in (1, 2, 3, 5, 8, 13, 1025):
-        x = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8, 8, (6, 1))
-        x[5] = -0.0  # a sum from 0.0 is +0.0, not -0.0
-        assert_same_bits(moving_average(x, size), uniform_filter1d(x, size, axis=1, mode="nearest"))
+    for rows, n in itertools.product((1, 2, 5, 6, 127), (1, 2, 3, 5, 8, 13, 1025)):  # a CPP chunk has 127 rows
+        x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
+        if rows > 1:
+            x[-1] = -0.0  # a sum from 0.0 is +0.0, not -0.0
+        got = moving_average(x, size)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, uniform_filter1d(x, size, axis=1, mode="nearest"))
 
 
 # the (up, down) of every resampling extraction does: 8-96 kHz input to the

@@ -208,6 +208,12 @@ def test_schedule_order_insensitive():
     assert validate_schedule(sched).to_dict() == validate_schedule(shuffled).to_dict()
 
 
+def test_an_empty_schedule_is_summarized_like_any_other():
+    report = validate_schedule(SessionSchedule("Week", ())).to_dict()
+    assert [f["code"] for f in report["findings"]] == ["SessionCount"]
+    assert report["summary"] == {"n_sessions": 0, "arm": "Week"}
+
+
 def test_schedule_list_findings_name_their_entry():
     mon_wed_fri = ["2023-06-19T10:00:00", "2023-06-21T10:00:00", "2023-06-23T10:00:00"]
     mon_tue_fri = [mon_wed_fri[0], "2023-06-20T10:40:00", mon_wed_fri[2]]

@@ -1,9 +1,16 @@
 """Test-signal generators and their ground-truth guarantees."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+import repspeech
+from repspeech.dsp import chunk_rows
 from repspeech.errors import BadF0, BadResonator, RepSpeechError, SilentSignal
 from repspeech.synth import (
     SynthSpec,
@@ -46,6 +53,36 @@ def test_pulse_band_limited():
     freqs = np.fft.rfftfreq(buf.n_samples, 1 / RATE)
     near_nyquist = spec[freqs > RATE / 2 - 200]
     assert np.max(near_nyquist) < 1e-6 * np.max(spec)
+
+
+@pytest.mark.parametrize("rate, duration", [(16000, 0.75), (44100, 0.1), (48000, 0.1)])
+def test_pulse_train_is_the_whole_harmonic_sum_bit_for_bit(rate, duration):
+    f0, n = 100.0, int(round(duration * rate))
+    k = np.arange(1, 1000)
+    k = k[k * f0 < 0.5 * rate]  # every harmonic below Nyquist
+    assert n > 2 * chunk_rows(8 * len(k))  # summed over several row blocks
+    raw = np.cos(2.0 * np.pi * f0 * np.outer(np.arange(n) / rate, k)).sum(axis=1)
+    expected = raw * (0.3 / np.max(np.abs(raw)))
+    assert synth_pulse_train(f0, duration, rate=rate).signal.tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_long_pulse_train_stays_small_in_memory():
+    # the whole 160,000 x 79 harmonic table of 10 s at 100 Hz raises VmHWM by ~195 MB
+    script = (
+        "from repspeech.synth import synth_pulse_train\n"
+        "def hwm_mb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM')) / 1024\n"
+        "before = hwm_mb()\n"
+        "synth_pulse_train(100.0, 10.0)\n"
+        "print(hwm_mb() - before)\n"
+    )
+    src = str(Path(repspeech.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 40.0
 
 
 def test_bad_f0():
