@@ -222,8 +222,6 @@ def resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
     common = math.gcd(rate_out, rate_in)
     up, down = rate_out // common, rate_in // common
-    if len(x) == 0:
-        return np.zeros(0)
     return resample_poly(np.asarray(x, dtype=np.float64), up, down)
 
 

@@ -523,45 +523,44 @@ def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     With h the filter, output o is the sum of ``x[s] * h[half + o * down -
     s * up]`` over the samples s the filter reaches, oldest first, added one
     tap at a time to +0.0 as scipy's ``upfirdn`` adds them.  Outputs come in
-    cycles of ``up``, each with the same taps at offsets ``down`` samples
-    apart, so the taps and sample offsets of one chunk of cycles serve every
-    chunk: per tap, a chunk takes one gather, one multiply and one add.
+    cycles, each with the same taps at offsets a fixed number of samples
+    apart, so the sample indices and taps of one chunk of cycles serve every
+    chunk: a chunk takes one gather, one multiply and one sum over taps.
     Samples past either end of x and taps past either end of h count as
     zeros, which leave every sum as it is (x must be finite).
     """
     h = _resample_taps(up, down)
     half = (len(h) - 1) // 2
     n_out = -(-len(x) * up // down)
-    n_cycles = -(-n_out // up)
-    # the samples in reach of each phase r of cycle 0, oldest to newest, padded in front to one count
-    reach = half + np.arange(up) * down
+    # A cycle is two periods of the phases: 2 * up outputs, 2 * down samples on
+    # from the last cycle's.  numpy sums an axis-0 reduction row by row, tap by
+    # tap, only when it writes two or more outputs; one output it sums
+    # pairwise.  Two periods keep even a one-cycle chunk at two outputs or more.
+    width, stride = 2 * up, 2 * down
+    n_cycles = -(-n_out // width)
+    # the samples in reach of each output of cycle 0, oldest to newest, padded in front to one count
+    reach = half + np.arange(width) * down
     newest = reach // up
     taps = int(np.max(newest + (2 * half - reach) // up)) + 1
-    offsets = newest[None, :] - (taps - 1) + np.arange(taps)[:, None]  # (taps, up)
-    tap = reach[None, :] - offsets * up  # the tap of h each of those samples meets
+    offsets = newest - (taps - 1) + np.arange(taps)[:, None]  # (taps, width)
+    tap = reach - offsets * up  # the tap of h each of those samples meets
     coefs = np.where(tap < len(h), h[np.minimum(tap, len(h) - 1)], 0.0)
 
-    per_cycle = 16 * taps * up  # the offsets and coefficients a chunk holds per cycle
-    cycles = min(chunk_rows(per_cycle), n_cycles)
-    lo = int(offsets.min())
-    # cycle p of a chunk reads the samples of cycle 0 p * down further on; from the chunk's first sample in reach
-    rel = (offsets[:, None, :] + down * np.arange(cycles)[None, :, None] - lo).reshape(taps, cycles * up)
-    coefs = np.tile(coefs, cycles)
-    front = max(0, -lo)
-    back = max(0, (n_cycles - 1) * down + int(offsets.max()) + 1 - len(x))
+    front = taps - 1 - int(newest[0])  # zeros before x, so cycle 0's oldest sample is padded[0]
+    back = max(0, (n_cycles - 1) * stride + int(newest[-1]) + 1 - len(x))
     padded = np.concatenate([np.zeros(front), x, np.zeros(back)])
-    out = np.empty(n_cycles * up)
+    per_cycle = 24 * taps * width  # the indices, coefficients and terms a chunk holds per cycle
+    cycles = min(chunk_rows(per_cycle), n_cycles)
+    # cycle p of a chunk reads the samples of cycle 0 p * stride further on
+    index = (offsets[:, None, :] + front + stride * np.arange(cycles)[:, None]).reshape(taps, cycles * width)
+    coefs = np.tile(coefs, cycles)
+    out = np.empty(n_cycles * width)
 
     def filtered(rows: slice) -> None:
-        n = (rows.stop - rows.start) * up
-        acc = out[rows.start * up : rows.stop * up]
-        acc[:] = 0.0
-        seg = padded[rows.start * down + lo + front :]
-        term = np.empty(n)
-        for j in range(taps):
-            np.take(seg, rel[j, :n], out=term, mode="clip")  # in range by construction; "raise" would buffer out
-            term *= coefs[j, :n]
-            acc += term
+        n = (rows.stop - rows.start) * width
+        terms = np.take(padded[rows.start * stride :], index[:, :n])
+        terms *= coefs[:, :n]
+        np.add.reduce(terms, axis=0, out=out[rows.start * width : rows.stop * width], initial=0.0)
 
     chunk_map(n_cycles, per_cycle, filtered)
     return out[:n_out]

@@ -104,7 +104,7 @@ def _provenance(params: PipelineParams, analysis: Analysis | None) -> dict:
     """
     settings = {**asdict(params), "vowel_labels": sorted(params.vowel_labels)}
     snap = {"version": __version__, "settings": settings}
-    if analysis is None:  # the recording could not be read
+    if analysis is None:  # the recording could not be read, or no span was measured
         return snap
     try:
         pitch = analysis.pitch()
@@ -138,7 +138,6 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
             analysis = None
             measured = {level: _absent(level, error_code(exc)) for level in levels}
         else:
-            analysis = Analysis(buf, params.formant_ceiling)
             measured = {}  # level -> (features, errors, n_vowel_instances)
             # one span list, reduced at once: the whole recording first, so its
             # spectral moments run before any track but CPP exists, then the vowels
@@ -153,7 +152,8 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
                     spans += vowel_spans(vowels, buf.duration)
                 except RepSpeechError as exc:  # no alignment or no usable vowel: every level-a feature is absent
                     measured["a"] = _absent("a", error_code(exc))
-            rows = analysis.reduce(spans)
+            analysis = Analysis(buf, params.formant_ceiling) if spans else None  # no span, no track to compute
+            rows = analysis.reduce(spans) if analysis else []
             if "S" in levels:
                 features, errors = dict.fromkeys(S_FEATURES), {}
                 features["duration"] = buf.duration

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import chunk_map
+from .dsp import chunk_rows
 from .errors import BadF0, BadResonator, RepSpeechError, SilentSignal
 from .timing import finite_at_least
 
@@ -86,12 +86,11 @@ def _pulse_train_raw(f0: float, n: int, rate: int) -> np.ndarray:
     t = np.arange(n) / rate
     k = np.arange(1, _harmonic_count(f0, rate) + 1)
     x = np.empty(n)
-
-    def harmonics(rows: slice) -> None:  # a block of samples at a time, so memory stays flat with duration
-        phase = 2.0 * np.pi * f0 * np.outer(t[rows], k)
-        x[rows] = np.cos(phase, out=phase).sum(axis=1)
-
-    chunk_map(n, 8 * len(k), harmonics)
+    step = chunk_rows(8 * len(k))
+    # a block of samples at a time, so memory stays flat with duration; in a plain loop, so no helper thread starts
+    for a in range(0, n, step):
+        phase = 2.0 * np.pi * f0 * np.outer(t[a : a + step], k)
+        x[a : a + step] = np.cos(phase, out=phase).sum(axis=1)
     return x
 
 

@@ -85,9 +85,10 @@ def detect_speech_regions(buf: AudioBuffer, contour: Track, params: PipelinePara
     if not np.any(mask):
         return []
     starts, stops = runs(mask)
-    # frame i covers [t_i - hop/2, t_i + hop/2], clipped to the recording
-    begin = np.maximum(0.0, contour.times[starts] - 0.5 * HOP)
-    end = np.minimum(buf.duration, contour.times[stops - 1] + 0.5 * HOP)
+    # frame i covers [t_i - hop/2, t_i + hop/2]: on the 40 ms / 10 ms grid the
+    # first begins 15 ms into the recording and the last ends 15 ms or more before its end
+    begin = contour.times[starts] - 0.5 * HOP
+    end = contour.times[stops - 1] + 0.5 * HOP
     sounding = np.flatnonzero(mask[starts])
     segments: list[Segment] = []
     start = begin[sounding[0]]

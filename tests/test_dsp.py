@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.signal
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from repspeech.dsp import (
     normalized_autocorrelation,
     parabolic_refine,
     power_spectra,
+    resample_poly,
     runs,
     signal_power_spectrum,
     sinc_refine,
@@ -483,6 +485,19 @@ def test_resample_taps_are_scipys_kaiser_firwin_bit_for_bit():
         assert_same_bits(_bessel_i0(beta), scipy.special.i0(beta))
         expected = firwin(numtaps, 1.0 / max(up, down), window=("kaiser", RESAMPLE_KAISER_BETA)) * up
         assert_same_bits(_resample_taps(up, down), expected)
+
+
+@pytest.mark.parametrize("chunk_bytes", [CHUNK_BYTES, 1])
+def test_resample_is_scipys_resample_poly_bit_for_bit_at_every_extraction_ratio(chunk_bytes, monkeypatch):
+    # up to 2 * down samples fill one cycle of 2 * up outputs, the only chunk; at 1 byte every chunk is one cycle
+    monkeypatch.setattr("repspeech.dsp.CHUNK_BYTES", chunk_bytes)
+    for ratio in RESAMPLE_RATIOS:
+        up, down = ratio.numerator, ratio.denominator
+        rng = np.random.default_rng(up * 1000 + down)
+        for n in (1, 2, 5, down + 1, 2 * down, 7 * down + 1):
+            for x in (rng.uniform(-1.0, 1.0, n), -np.zeros(n)):  # a sum from +0.0 is +0.0
+                expected = scipy.signal.resample_poly(x, up, down, window=("kaiser", RESAMPLE_KAISER_BETA))
+                assert_same_bits(resample_poly(x, up, down), expected)
 
 
 def test_bessel_i0_is_scipys_on_its_whole_range():

@@ -235,10 +235,11 @@ def test_vowel_level_alone_reduces_only_the_vowels(voice_recording, monkeypatch)
 def test_vowel_level_without_a_textgrid_computes_no_cpp(voice_recording, monkeypatch):
     wav, _ = voice_recording
     monkeypatch.setattr(dsp, "usable_cores", lambda: 3)  # a queued CPP task would be claimed by a helper
-    log = log_calls(monkeypatch, ("phonation.cpp_track",))
+    log = log_calls(monkeypatch, ("phonation.cpp_track", "phonation.pitch_track"))
     (a_rec,) = extract_recording(ExtractionRequest(wav, None, ("a",)))
     assert set(a_rec.errors.values()) == {"AlignmentMissing"}
-    assert log == []
+    assert log == []  # no span to measure: no track, not even pitch for the provenance
+    assert "pitch_adapted" not in a_rec.provenance
 
 
 def chunk_helpers_alive() -> bool:

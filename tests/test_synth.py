@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 from scipy.signal import find_peaks
 
 import repspeech
+from repspeech import dsp
 from repspeech.dsp import chunk_rows
 from repspeech.errors import BadF0, BadResonator, RepSpeechError, SilentSignal
 from repspeech.synth import (
     SynthSpec,
+    _harmonic_count,
     add_noise,
     render_segment,
     synth_formant_voice,
@@ -64,6 +67,21 @@ def test_pulse_train_is_the_whole_harmonic_sum_bit_for_bit(rate, duration):
     raw = np.cos(2.0 * np.pi * f0 * np.outer(np.arange(n) / rate, k)).sum(axis=1)
     expected = raw * (0.3 / np.max(np.abs(raw)))
     assert synth_pulse_train(f0, duration, rate=rate).signal.tobytes() == expected.tobytes()
+
+
+def test_rendering_a_pulse_train_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(dsp, "usable_cores", lambda: 3)  # a helper scope here could start two helpers
+    started, start = [], threading.Thread.start
+
+    def logged_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", logged_start)
+    f0, duration = 100.0, 0.75
+    assert duration * RATE > 2 * chunk_rows(8 * _harmonic_count(f0, RATE))  # several row blocks
+    synth_pulse_train(f0, duration, rate=RATE)
+    assert started == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
