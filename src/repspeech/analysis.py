@@ -16,6 +16,7 @@ is the last reduction.  In a scope without helpers it runs there.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable
 
 # tracks are computed through their module attributes, so a wrapper
@@ -71,10 +72,11 @@ class Analysis:
             try:
                 self._tracks[key] = compute()
             except RepSpeechError as exc:
-                self._tracks[key] = exc
+                # kept without a traceback, whose frames hold self; each read raises a fresh copy
+                self._tracks[key] = exc.with_traceback(None)
         track = self._tracks[key]
         if isinstance(track, RepSpeechError):
-            raise track
+            raise copy.copy(track)
         return track
 
     def pitch(self) -> PitchTrack:

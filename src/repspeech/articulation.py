@@ -49,14 +49,14 @@ def formant_track(buf: AudioBuffer, track: PitchTrack, ceiling: float = FORMANT_
 
     def resonances(rows: slice) -> None:
         frames = center_and_window(gather_frames(y, voiced[rows], win_n), window)
-        alive = np.any(frames, axis=1)  # an all-zero frame has no resonances to find
-        live[rows] = alive
-        lowest[rows][alive] = _lowest_resonances(lpc_burg(frames[alive], 2 * N_FORMANTS), analysis_rate, ceiling)
+        live[rows] = np.any(frames, axis=1)
+        # an all-zero frame predicts [1, 0, ...]: no resonance, so not kept
+        lowest[rows] = _lowest_resonances(lpc_burg(frames, 2 * N_FORMANTS), analysis_rate, ceiling)
 
     chunk_map(len(voiced), 8 * win_n, resonances)
     if not np.any(live):
         raise NoVoicedFrames("no voiced frames coincide with formant frames")
-    kept = live & np.isfinite(lowest[:, 1])
+    kept = np.isfinite(lowest[:, 1])
     lowest[~kept] = 0.0
     return Track(voiced / analysis_rate, lowest, kept)
 

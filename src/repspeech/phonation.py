@@ -15,7 +15,8 @@ over chunks of frames whose widest per-row array fills ``dsp.CHUNK_BYTES``,
 so a track's working memory stays a few tens of MB whatever the
 recording's length, and the chunks run on every usable core, on the
 helper threads of the recording's ``dsp.helper_scope``, with results that
-do not depend on the core count.
+do not depend on the core count.  A chunk computes every row it is given,
+silent or not, by one path; ``kept`` marks the rows a mean reads.
 Only the pitch path (``_best_path``) stays a sequential loop over its
 chunks, because each frame's score depends on the one before.  CPP reads
 no other track, so ``analysis`` queues the whole of ``cpp_track`` on a
@@ -186,8 +187,6 @@ def _chunk_candidates(
     seg = r[:, lag_min : lag_max + 1]
     mask = (seg[:, 1:-1] > seg[:, :-2]) & (seg[:, 1:-1] > seg[:, 2:]) & (seg[:, 1:-1] > 0)
     rows, cols = np.nonzero(mask)
-    if len(rows) == 0:
-        return
     ks = cols + lag_min + 1
     raw_vals = r[rows, ks]
 
@@ -205,14 +204,12 @@ def _chunk_candidates(
 
     # band-limited interpolation for the plausible winners, a parabola for the rest
     fine = rank < 5
-    if np.any(fine):
-        lags[fine], vals[fine] = sinc_refine(r, rows[fine], ks[fine])
+    lags[fine], vals[fine] = sinc_refine(r, rows[fine], ks[fine])
     coarse = ~fine
-    if np.any(coarse):
-        c_rows, c_ks = rows[coarse], ks[coarse]
-        neighbours = r[c_rows[:, None], c_ks[:, None] + np.arange(-1, 2)[None, :]]
-        delta, vals[coarse] = parabolic_refine(neighbours, np.ones_like(c_ks), 0.5)
-        lags[coarse] = c_ks + delta
+    c_rows, c_ks = rows[coarse], ks[coarse]
+    neighbours = r[c_rows[:, None], c_ks[:, None] + np.arange(-1, 2)[None, :]]
+    delta, vals[coarse] = parabolic_refine(neighbours, np.ones_like(c_ks), 0.5)
+    lags[coarse] = c_ks + delta
 
     lag_s = np.clip(lags / rate, 1.0 / ceiling, 1.0 / floor)
     vals = np.minimum(vals, 1.0)
@@ -382,23 +379,19 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
     def harmonicity(rows: slice) -> None:
         sel = idx[rows]
         frames = center_and_window(gather_frames(x, centers[sel], win_n), window)
-        live = np.flatnonzero(np.any(frames, axis=1))
-        sel = sel[live]
-        frames = frames[live]
         power = power_spectra(frames, nfft) * fold
         ang = 2.0 * np.pi * np.outer(periods[sel], k) / nfft
         ca, sa = np.cos(ang), np.sin(ang)
         rx = cos_d @ (power * ca).T - sin_d @ (power * sa).T  # (41, m)
         rx0 = power.sum(axis=1)
         rw = cos_d @ (wpower * ca).T - sin_d @ (wpower * sa).T
-        good = rx0 > 0
+        good = rx0 > 0  # a frame without energy has none at lag 0
         r = np.zeros_like(rx)
         r[:, good] = (rx[:, good] / rx0[good]) / (rw[:, good] / rw0)
         _delta, val = parabolic_refine(r.T, np.argmax(r, axis=0), 1.0)
-        val = np.clip(val[good], 1e-6, 1.0 - 1e-6)
-        measured = rows.start + live[good]
-        values[measured] = 10.0 * np.log10(val / (1.0 - val))
-        kept[measured] = True
+        val = np.clip(val, 1e-6, 1.0 - 1e-6)
+        values[rows] = np.where(good, 10.0 * np.log10(val / (1.0 - val)), 0.0)
+        kept[rows] = good
 
     chunk_map(len(idx), spectrum_bytes(nfft), harmonicity)
     return Track(track.times[idx], values, kept)
@@ -551,29 +544,17 @@ def cpp_track(buf: AudioBuffer) -> Track:
         frames = gather_frames(emphasized, centers[padded], win_n)
         frames *= w
         live = np.any(frames, axis=1)
-        if live.all():  # nearly every chunk: no row to leave out
-            pc = log_db_cepstrogram(frames, nfft)
-        else:
-            pc = np.zeros((len(padded), nfft // 2 + 1))
-            if np.any(live):
-                pc[live] = log_db_cepstrogram(frames[live], nfft)
+        pc = log_db_cepstrogram(frames, nfft)
+        # a frame without energy has no cepstrum: its zero row adds nothing to its neighbours' smoothing
+        pc[~live] = 0.0
         np.square(pc, out=pc)
         smoothed = pc[0:m] + pc[1 : 1 + m]
         for j in range(2, t_size):
             smoothed += pc[j : j + m]
         smoothed /= t_size
         del pc
-        block = moving_average(smoothed, q_size)
+        level = moving_average(smoothed, q_size)
         del smoothed
-
-        use = (frame_peaks(x, centers[rows], win_n) >= silence) & live[before : before + m]
-        included[a:b] = use
-        if use.all():
-            level, out = block, slice(a, b)
-        elif np.any(use):
-            level, out = block[use], np.flatnonzero(use) + a
-        else:
-            return
         floors = np.maximum(level.max(axis=1, keepdims=True), 1e-30) * 1e-12
         np.maximum(level, floors, out=level)
         np.log10(level, out=level)
@@ -585,7 +566,9 @@ def cpp_track(buf: AudioBuffer) -> Track:
         q_star = (mi + delta) / rate
 
         slope, intercept = trend_lines(level[:, k_trend:], x_trend)
-        values[out] = peak_val - (intercept + slope * q_star)
+        use = (frame_peaks(x, centers[rows], win_n) >= silence) & live[before : before + m]
+        included[a:b] = use
+        values[a:b] = np.where(use, peak_val - (intercept + slope * q_star), 0.0)
 
     chunk_map(n_frames, spectrum_bytes(nfft), prominences)
     return Track(centers / rate, values, included)

@@ -75,6 +75,12 @@ def test_silent_voiced_frames_keep_their_rows():
         assert np.all(track.kept[track.times < 0.4])
         np.testing.assert_array_equal(track.over(0.0, buf.duration), track.values[track.kept])
         assert len(track.over(0.6, 0.9)) == 0
+    cpp = cpp_track(buf)  # every 2 ms frame, voiced or not
+    np.testing.assert_allclose(np.diff(cpp.times), 0.002)
+    silent = (cpp.times > 0.6) & (cpp.times < 0.9)
+    assert np.any(silent) and not np.any(cpp.kept[silent])
+    assert not np.any(cpp.values[silent])
+    assert np.all(cpp.kept[(cpp.times < 0.4) | (cpp.times > 1.1)])
 
 
 def test_tracks_do_not_depend_on_the_chunk_budget(monkeypatch):

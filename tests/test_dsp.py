@@ -521,6 +521,8 @@ def test_parabolic_refine_exact_on_parabolas_and_inert_elsewhere():
     assert list(value[1:]) == [y[1, 0], 1.0]
     far, _ = parabolic_refine(y[:1], np.array([3]), 0.5)  # vertex 1.3 samples away
     assert far[0] == 0.5
+    for out in parabolic_refine(y, np.zeros(0, dtype=np.int64), 0.5):  # no peak: empty floats
+        assert out.dtype == np.float64 and out.shape == (0,)
 
 
 def test_robust_line_exact_and_outlier_resistant():
@@ -555,6 +557,9 @@ def test_sinc_peak_recovers_fractional_maximum():
     loc, val = sinc_refine(y, np.array([0, 1]), np.array([100, 9]))
     np.testing.assert_allclose(loc, [100.37, 9.37], atol=0.01)
     np.testing.assert_allclose(val, 1.0, atol=1e-4)
+    no_peak = np.zeros(0, dtype=np.int64)
+    for out in sinc_refine(y, no_peak, no_peak):  # no peak: empty floats
+        assert out.dtype == np.float64 and out.shape == (0,)
 
 
 def test_gaussian_window_edges_near_zero():

@@ -1,11 +1,13 @@
 """End-to-end per-recording extraction."""
 
 import dataclasses
+import gc
 import importlib
 import json
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repspeech import __version__, dsp, phonation
+from repspeech import __version__, dsp, phonation, pipeline
 from repspeech.alignment import Interval, Tier, TierSet, serialize_textgrid
 from repspeech.analysis import Analysis
 from repspeech.audio_io import AudioBuffer, write_wav
@@ -139,20 +141,45 @@ def test_pulse_train_formants_carry_error_code(tmp_path):
     assert rec.errors == {"f1_mean": "NoMeasurableInstances", "f2_mean": "NoMeasurableInstances"}
 
 
-def test_failed_track_marks_only_its_features_at_both_levels(tmp_path):
-    # white noise: no pitch, so only the features that need voicing go unmeasured
+def noise_recording(tmp_path) -> ExtractionRequest:
+    """One second of white noise with two aligned vowels: no pitch, so every track that reads it fails."""
     rng = np.random.default_rng(0)
     wav = tmp_path / "noise.wav"
     write_wav(AudioBuffer(np.clip(0.2 * rng.standard_normal(16000), -1.0, 1.0), 16000), wav)
     grid = TierSet(0.0, 1.0, (Tier("phones", 0.0, 1.0, (Interval(0.1, 0.5, "AA1"), Interval(0.6, 0.9, "AA1"))),))
     tg = tmp_path / "noise.TextGrid"
     tg.write_text(serialize_textgrid(grid), encoding="utf-8")
-    s_rec, a_rec = extract_recording(ExtractionRequest(str(wav), str(tg), ("S", "a")))
+    return ExtractionRequest(str(wav), str(tg), ("S", "a"))
+
+
+def test_failed_track_marks_only_its_features_at_both_levels(tmp_path):
+    # white noise: no pitch, so only the features that need voicing go unmeasured
+    s_rec, a_rec = extract_recording(noise_recording(tmp_path))
     needs_voicing = {"pitch_mean", "pitch_sd", "hnr_mean", "spectral_slope", "f1_mean", "f2_mean"}
     assert a_rec.errors == dict.fromkeys(needs_voicing, "NoVoicedFrames")
     assert {k: v for k, v in s_rec.errors.items() if k in A_FEATURES} == a_rec.errors
     assert all(a_rec.features[k] is not None for k in set(A_FEATURES) - needs_voicing)
     assert a_rec.n_vowel_instances == 2
+
+
+def test_a_failed_track_leaves_no_cycle_through_its_analysis(tmp_path, monkeypatch):
+    # a stored error's traceback would hold the frames that raised it, and they the Analysis
+    made = []
+
+    class Watched(Analysis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(pipeline, "Analysis", Watched)
+    gc.disable()  # only reference counting frees it
+    try:
+        records = extract_recording(noise_recording(tmp_path))
+        assert records[1].errors["pitch_mean"] == "NoVoicedFrames"
+        del records
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
 
 
 TRACKS = (
