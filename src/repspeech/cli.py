@@ -196,11 +196,15 @@ def _cmd_extract(args) -> int:
     if args.textgrid_dir and not Path(args.textgrid_dir).is_dir():
         raise RepSpeechError(f"--textgrid-dir {args.textgrid_dir} is not a directory")
     params = _pipeline_params(args)
-    requests = []
+    requests, stems = [], {}
     for path in sorted(args.inputs):
+        stem = Path(path).stem  # names the input's records and its TextGrid in --textgrid-dir
+        if stem in stems:
+            raise RepSpeechError(f"inputs {stems[stem]} and {path} share the stem {stem!r}, which names their records")
+        stems[stem] = path
         textgrid = args.textgrid
         if args.textgrid_dir:
-            candidate = Path(args.textgrid_dir) / (Path(path).stem + ".TextGrid")
+            candidate = Path(args.textgrid_dir) / (stem + ".TextGrid")
             textgrid = str(candidate) if candidate.exists() else None
         requests.append(ExtractionRequest(path, textgrid, levels, params))
     workers = min(args.threads, len(requests))  # a fork pool starts all its workers at the first submit

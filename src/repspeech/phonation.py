@@ -3,10 +3,13 @@
 Pitch uses the classic short-term autocorrelation method: per frame, the
 window-compensated normalized autocorrelation yields several period
 candidates plus an unvoiced candidate, and a dynamic-programming path
-through the candidates minimizes octave jumps and voicing flips.  The
-public entry point runs it twice, adapting the search range to the
-speaker's quartiles, which avoids the false high readings that a fixed
-wide ceiling produces.
+through the candidates minimizes octave jumps and voicing flips.  A frame
+keeps at most ``PITCH_CANDIDATES - 1`` voiced candidates, its strongest
+positive autocorrelation maxima, strongest first with ties in lag order;
+the five strongest get band-limited (sinc) refinement, the rest a
+parabola.  The public entry point runs it twice, adapting the search range
+to the speaker's quartiles, which avoids the false high readings that a
+fixed wide ceiling produces.
 
 Framing, span selection, windows, spectra, autocorrelation, cepstra,
 moving averages, frame peaks, peak refinement and trend lines are the
@@ -154,67 +157,44 @@ def pitch_track(buf: AudioBuffer, floor: float, ceiling: float) -> PitchTrack:
     n_frames = len(centers)
     freqs_mat = np.zeros((n_frames, PITCH_CANDIDATES))
     strengths_mat = np.full((n_frames, PITCH_CANDIDATES), -np.inf)
+    vt, st = PITCH_VOICING_THRESHOLD, PITCH_SILENCE_THRESHOLD
 
     def candidates(rows: slice) -> None:
+        """Column 0 of a frame is its unvoiced candidate, the next its voiced ones, strongest first."""
         frames = center_and_window(gather_frames(x, centers[rows], win_n), window)
         r, dead = normalized_autocorrelation(frames, nfft, rw)
-        _chunk_candidates(
-            r, dead, frame_peaks(x, centers[rows], win_n), global_peak, rate, floor, ceiling, lag_min, lag_max,
-            freqs_mat[rows], strengths_mat[rows],
-        )
+        rel = np.where(dead, 0.0, frame_peaks(x, centers[rows], win_n) / max(global_peak, 1e-30))
+        freqs, strengths = freqs_mat[rows], strengths_mat[rows]
+        strengths[:, 0] = vt + np.maximum(0.0, 2.0 - rel / (st / (1.0 + vt)))
+
+        # the positive local maxima of each row, the strongest few kept, ties in lag order
+        seg = r[:, lag_min : lag_max + 1]
+        inner = seg[:, 1:-1]
+        peak = (inner > seg[:, :-2]) & (inner > seg[:, 2:]) & (inner > 0)
+        order = np.argsort(np.where(peak, -inner, np.inf), axis=1, kind="stable")[:, : PITCH_CANDIDATES - 1]
+        at, rank = np.nonzero(np.take_along_axis(peak, order, axis=1))  # by row, then strongest first
+        ks = order[at, rank] + lag_min + 1
+
+        # band-limited interpolation for the plausible winners, a parabola for the rest
+        lags = ks.astype(np.float64)
+        vals = np.empty(len(ks))
+        fine = rank < 5
+        lags[fine], vals[fine] = sinc_refine(r, at[fine], ks[fine])
+        coarse = ~fine
+        c_at, c_ks = at[coarse], ks[coarse]
+        neighbours = r[c_at[:, None], c_ks[:, None] + np.arange(-1, 2)[None, :]]
+        delta, vals[coarse] = parabolic_refine(neighbours, np.ones_like(c_ks), 0.5)
+        lags[coarse] = c_ks + delta
+
+        lag_s = np.clip(lags / rate, 1.0 / ceiling, 1.0 / floor)
+        freqs[at, rank + 1] = 1.0 / lag_s
+        strengths[at, rank + 1] = np.minimum(vals, 1.0) - PITCH_OCTAVE_COST * np.log2(floor * lag_s)
 
     chunk_map(n_frames, spectrum_bytes(nfft), candidates)
 
     path = _best_path(freqs_mat, strengths_mat)
     f0 = freqs_mat[np.arange(n_frames), path]
     return PitchTrack(centers / rate, f0, floor, ceiling)
-
-
-def _chunk_candidates(
-    r, dead, local_peaks, global_peak, rate, floor, ceiling, lag_min, lag_max, freqs_out, strengths_out
-):
-    """Fill per-frame candidate frequencies/strengths for one frame chunk.
-
-    Column 0 is the unvoiced candidate; voiced candidates are local maxima
-    of the compensated autocorrelation, the strongest few refined by
-    band-limited interpolation and the rest by a parabola.
-    """
-    vt, st = PITCH_VOICING_THRESHOLD, PITCH_SILENCE_THRESHOLD
-    rel = np.where(dead | (global_peak <= 0), 0.0, local_peaks / max(global_peak, 1e-30))
-    freqs_out[:, 0] = 0.0
-    strengths_out[:, 0] = vt + np.maximum(0.0, 2.0 - rel / (st / (1.0 + vt)))
-
-    seg = r[:, lag_min : lag_max + 1]
-    mask = (seg[:, 1:-1] > seg[:, :-2]) & (seg[:, 1:-1] > seg[:, 2:]) & (seg[:, 1:-1] > 0)
-    rows, cols = np.nonzero(mask)
-    ks = cols + lag_min + 1
-    raw_vals = r[rows, ks]
-
-    # rank candidates within each row by raw peak value
-    order = np.lexsort((-raw_vals, rows))
-    rows = rows[order]
-    ks = ks[order]
-    _uniq, starts, counts = np.unique(rows, return_index=True, return_counts=True)
-    rank = np.arange(len(rows)) - np.repeat(starts, counts)
-    keep = rank < PITCH_CANDIDATES - 1
-    rows, ks, rank = rows[keep], ks[keep], rank[keep]
-
-    lags = ks.astype(np.float64)
-    vals = np.empty(len(ks))
-
-    # band-limited interpolation for the plausible winners, a parabola for the rest
-    fine = rank < 5
-    lags[fine], vals[fine] = sinc_refine(r, rows[fine], ks[fine])
-    coarse = ~fine
-    c_rows, c_ks = rows[coarse], ks[coarse]
-    neighbours = r[c_rows[:, None], c_ks[:, None] + np.arange(-1, 2)[None, :]]
-    delta, vals[coarse] = parabolic_refine(neighbours, np.ones_like(c_ks), 0.5)
-    lags[coarse] = c_ks + delta
-
-    lag_s = np.clip(lags / rate, 1.0 / ceiling, 1.0 / floor)
-    vals = np.minimum(vals, 1.0)
-    freqs_out[rows, rank + 1] = 1.0 / lag_s
-    strengths_out[rows, rank + 1] = vals - PITCH_OCTAVE_COST * np.log2(floor * lag_s)
 
 
 def _best_path(freqs: np.ndarray, strengths: np.ndarray) -> np.ndarray:

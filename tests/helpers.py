@@ -5,8 +5,16 @@ import struct
 import numpy as np
 
 
-def make_wav_bytes(samples_by_channel, rate, bits=16, format_code=1):
-    """Independent byte-level WAV encoder used as the test-side oracle."""
+# the 14 bytes after the subformat code in a WAVE_FORMAT_EXTENSIBLE fmt chunk's GUID
+_KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def make_wav_bytes(samples_by_channel, rate, bits=16, format_code=1, subformat=None):
+    """Independent byte-level WAV encoder used as the test-side oracle.
+
+    A ``subformat`` writes the 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk
+    whose GUID carries that format code, in place of ``format_code``.
+    """
     channels = len(samples_by_channel)
     n = len(samples_by_channel[0])
     frame_size = channels * bits // 8
@@ -22,10 +30,13 @@ def make_wav_bytes(samples_by_channel, rate, bits=16, format_code=1):
                 body += int(v & 0xFFFFFF).to_bytes(3, "little")
             elif bits == 32:
                 body += struct.pack("<i", v)
-    header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, format_code, channels, rate, rate * frame_size, frame_size, bits
-    )
+    fmt = struct.pack("<HIIHH", channels, rate, rate * frame_size, frame_size, bits)
+    if subformat is None:
+        fmt = struct.pack("<H", format_code) + fmt
+    else:  # cbSize 22: valid bits, no channel mask, the subformat GUID
+        fmt = struct.pack("<H", 0xFFFE) + fmt + struct.pack("<HHIH", 22, bits, 0, subformat) + _KSDATAFORMAT_TAIL
+    header = b"RIFF" + struct.pack("<I", 20 + len(fmt) + len(body)) + b"WAVE"
+    header += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     header += b"data" + struct.pack("<I", len(body))
     return bytes(header + body)
 

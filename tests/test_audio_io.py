@@ -53,6 +53,10 @@ def test_float_wav_rejected(tmp_path):
     path.write_bytes(make_wav_bytes([[0] * 8], 16000, format_code=3))
     with pytest.raises(UnsupportedEncoding):
         read_wav(path)
+    # the same float format, as the subformat of an extensible fmt chunk
+    path.write_bytes(make_wav_bytes([[0] * 8], 16000, bits=32, subformat=3))
+    with pytest.raises(UnsupportedEncoding, match="extensible subformat 3 is not integer PCM"):
+        read_wav(path)
 
 
 def test_compressed_codec_rejected(tmp_path):
@@ -110,6 +114,23 @@ def test_8_and_24_bit_decode(tmp_path):
     p24.write_bytes(make_wav_bytes([[0, 1 << 22, (1 << 24) - (1 << 22)]], 8000, bits=24))
     buf = read_wav(p24)
     np.testing.assert_allclose(buf.samples[0], [0.0, 0.5, -0.5])
+
+    p32 = tmp_path / "b32.wav"
+    p32.write_bytes(make_wav_bytes([[-(2**31), 0, 2**31 - 1]], 8000, bits=32))
+    buf = read_wav(p32)
+    assert buf.source_bit_depth == 32
+    np.testing.assert_array_equal(buf.samples[0], [-1.0, 0.0, (2**31 - 1) / 2**31])
+
+
+def test_extensible_pcm_decodes_like_plain_pcm(tmp_path):
+    samples = [[0, 1 << 22, (1 << 24) - (1 << 22)], [(1 << 24) - 1, 1, 1 << 21]]
+    plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+    plain.write_bytes(make_wav_bytes(samples, 8000, bits=24))
+    extensible.write_bytes(make_wav_bytes(samples, 8000, bits=24, subformat=1))
+    buf = read_wav(extensible)
+    assert (buf.sample_rate, buf.source_bit_depth, buf.samples.shape) == (8000, 24, (2, 3))
+    np.testing.assert_array_equal(buf.samples, read_wav(plain).samples)
+    np.testing.assert_allclose(buf.samples[1], [-(2**-23), 2**-23, 0.25])
 
 
 def test_round_trip_within_one_lsb(tmp_path):

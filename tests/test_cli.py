@@ -21,7 +21,7 @@ from repspeech.audio_io import AudioBuffer, read_wav, write_wav
 from repspeech.cli import _build_parser, _pipeline_params, main
 from repspeech.errors import BadSetting
 from repspeech.pipeline import PipelineParams, _provenance
-from repspeech.synth import synth_formant_voice
+from repspeech.synth import SynthSpec, synth_formant_voice, synth_pattern
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -193,6 +193,31 @@ def test_synth_writes_wav_and_sidecar(tmp_path):
     assert truth["f0"] == 200
     buf = read_wav(out)
     assert buf.duration == pytest.approx(1.0)
+
+
+def test_synth_pattern_writes_the_pattern_and_its_boundaries(tmp_path):
+    segments = [
+        {"kind": "silence", "duration": 0.3},
+        {"kind": "formant_voice", "duration": 0.5, "f0": 140, "formants": [[700, 80], [1200, 90]]},
+        {"kind": "silence", "duration": 0.2},
+    ]
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps(segments))
+    out = tmp_path / "gaps.wav"
+    assert main(["synth", "--pattern", str(pattern), "-o", str(out)]) == 0
+    specs = [
+        SynthSpec("silence", 0.3),
+        SynthSpec("formant_voice", 0.5, 140, ((700, 80), (1200, 90))),
+        SynthSpec("silence", 0.2),
+    ]
+    expected = tmp_path / "expected.wav"
+    write_wav(synth_pattern(specs).buffer, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    truth = json.loads(out.with_suffix(".json").read_text())
+    assert (truth["sample_rate"], truth["duration"]) == (16000, 1.0)
+    # each boundary is a whole sample: 4800, 12800 and 16000 of 16 kHz
+    bounds = [(e["kind"], e["start"], e["end"], e["f0"]) for e in truth["events"]]
+    assert bounds == [("silence", 0.0, 0.3, None), ("formant_voice", 0.3, 0.8, 140), ("silence", 0.8, 1.0, None)]
 
 
 def test_canonicalize(tmp_path):
@@ -415,6 +440,23 @@ def test_extract_missing_textgrid_dir_exits_2_before_any_work(recording, tmp_pat
     out = tmp_path / "never.csv"
     assert main(["extract", "--level", "S,a", wav, "--textgrid-dir", str(missing), "-o", str(out)]) == 2
     assert error_line(capsys) == f"error: RepSpeechError: --textgrid-dir {missing} is not a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("same_path", [False, True])
+def test_extract_inputs_sharing_a_stem_exit_2_before_any_work(tmp_path, capsys, monkeypatch, same_path):
+    # a record is named by its input's stem, so two such inputs would give rows no one can tell apart
+    first, second = tmp_path / "a" / "rec.wav", tmp_path / "b" / "rec.wav"
+    for path, f0 in ((first, 120), (second, 210)):
+        path.parent.mkdir()
+        write_wav(synth_formant_voice(f0, ((700, 80), (1200, 90)), 0.5), path)
+    if same_path:
+        second = first
+    monkeypatch.setattr("repspeech.cli.extract_recording", no_extraction)
+    out = tmp_path / "never.csv"
+    assert main(["extract", str(second), str(first), "-o", str(out)]) == 2
+    expected = f"error: RepSpeechError: inputs {first} and {second} share the stem 'rec', which names their records\n"
+    assert error_line(capsys) == expected
     assert not out.exists()
 
 

@@ -137,7 +137,7 @@ def test_best_path_equals_per_frame_recursion():
     freqs = rng.uniform(75.0, 600.0, (n, n_cand))
     strengths = rng.uniform(0.0, 1.0, (n, n_cand))
     freqs[:, 0] = 0.0  # the unvoiced candidate
-    # frames with fewer voiced candidates leave empty slots, as _chunk_candidates does
+    # frames with fewer voiced candidates leave empty slots, as pitch_track's chunks do
     n_voiced = rng.integers(0, n_cand, n)
     empty = np.arange(n_cand)[None, :] > n_voiced[:, None]
     freqs[empty] = 0.0

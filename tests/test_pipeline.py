@@ -273,6 +273,29 @@ def chunk_helpers_alive() -> bool:
     return any(t.name.startswith("repspeech-chunk") for t in threading.enumerate())
 
 
+# samples of a 150 Hz sine at 16 kHz; the error code of its rates, of intensity and of spectral gravity (None: measured)
+@pytest.mark.parametrize(
+    "n, rates, contour, gravity",
+    [
+        (0, "ZeroDuration", "SignalTooShort", "SilentSignal"),
+        (1, "ZeroPhonationTime", "SignalTooShort", "SilentSignal"),
+        (320, "ZeroPhonationTime", "SignalTooShort", None),
+        (640, None, None, None),  # exactly one 40 ms intensity frame
+    ],
+)
+def test_recordings_up_to_one_frame_long_give_codes(tmp_path, n, rates, contour, gravity):
+    wav = tmp_path / "short.wav"
+    write_wav(AudioBuffer(0.5 * np.sin(2 * np.pi * 150 * np.arange(n) / 16000), 16000), wav)
+    (rec,) = extract_recording(ExtractionRequest(str(wav)))
+    assert [rec.errors.get(name) for name in pipeline.RATE_FEATURES] == [rates] * 3
+    assert rec.errors.get("intensity_mean") == contour
+    assert rec.errors.get("spectral_gravity") == gravity
+    assert rec.errors["pitch_mean"] == "SignalTooShort"  # the exploratory pitch window is 120 ms long
+    assert (rec.features["speaking_rate"] == 0.0) == (rates is None)
+    assert (rec.features["intensity_mean"] is None) == (contour is not None)
+    assert (rec.features["spectral_gravity"] is None) == (gravity is not None)
+
+
 @pytest.fixture(scope="module")
 def short_voice(tmp_path_factory):
     """0.1 s of voice: pitch raises SignalTooShort, CPP is measured."""

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -83,12 +84,12 @@ FAULT_RUN = """
             os.remove(path)
         return reports
 
-    wav = sys.argv[1]
+    wav, twin, out_dir = sys.argv[1:4]
     with ProcessPoolExecutor(1) as pool:
         pool.submit(probe.faults_of_first, ExtractionRequest(wav)).result(timeout=120)
     plain = worker_reports()
     cli._extract_one = probe.faults_of_first
-    assert cli.main(["extract", "--threads", "2", wav, wav, "-o", os.path.join(sys.argv[2], "rows.csv")]) == 0
+    assert cli.main(["extract", "--threads", "2", wav, twin, "-o", os.path.join(out_dir, "rows.csv")]) == 0
     print(json.dumps({"plain": plain, "extract": worker_reports(), "start": multiprocessing.get_start_method()}))
 """
 
@@ -99,12 +100,14 @@ FAULT_RUN = """
 def test_pool_worker_starts_with_a_trained_allocator_and_one_thread(tmp_path, monkeypatch):
     wav = tmp_path / "voice.wav"
     write_wav(synth_formant_voice(120, ((700, 80), (1200, 90), (2600, 120)), 6.0), wav)
+    twin = tmp_path / "twin.wav"  # a second input, so extract starts two workers; one stem names one input
+    shutil.copyfile(wav, twin)
     (tmp_path / "probe.py").write_text(textwrap.dedent(FAULT_PROBE))
     faults = tmp_path / "faults"
     faults.mkdir()
     monkeypatch.setenv("FAULT_DIR", str(faults))
     script = textwrap.dedent(FAULT_RUN)
-    reports = json.loads(fresh_python(["-c", script, str(wav), str(tmp_path)], path=(str(tmp_path),)))
+    reports = json.loads(fresh_python(["-c", script, str(wav), str(twin), str(tmp_path)], path=(str(tmp_path),)))
     ((plain, _),) = reports["plain"]
     assert reports["extract"] and all(faults <= plain / 3 for faults, _ in reports["extract"]), reports
     if reports["start"] == "fork":  # a worker that imports numpy afresh starts OpenBLAS's threads with it
