@@ -110,8 +110,7 @@ def spectral_moments(segment: AudioBuffer) -> SpectralMoments:
     x = segment.signal
     if len(x) == 0 or not np.any(x):
         raise SilentSignal("cannot take moments of a silent segment")
-    x = x - x.mean()
-    x *= np.hanning(len(x))  # in place, so the transform runs with one signal-length array alive
+    x = center_and_window(x[None, :].copy(), np.hanning(len(x)))[0]
     power = signal_power_spectrum(x)
     total = float(np.sum(power))
     if total <= 0.0:

@@ -630,10 +630,14 @@ def signal_power_spectrum(x: np.ndarray) -> np.ndarray:
     return power.reshape(-1)[: n // 2 + 1]
 
 
+def _autocorrelations(frames: np.ndarray, nfft: int, n_lags: int) -> np.ndarray:
+    """Each row's autocorrelation at lags 0 to ``n_lags - 1``: the inverse rfft of its power spectrum."""
+    return np.fft.irfft(power_spectra(frames, nfft), nfft, axis=1)[:, :n_lags]
+
+
 def window_autocorr(window: np.ndarray, nfft: int, max_lag: int) -> np.ndarray:
     """The window's own autocorrelation up to ``max_lag``, normalized to 1 at lag 0."""
-    spec = np.fft.rfft(window, nfft)
-    rw = np.fft.irfft(np.abs(spec) ** 2, nfft)[: max_lag + 1]
+    rw = _autocorrelations(window[None, :], nfft, max_lag + 1)[0]
     return rw / rw[0]
 
 
@@ -647,18 +651,11 @@ def normalized_autocorrelation(frames: np.ndarray, nfft: int, rw: np.ndarray) ->
     Returns (autocorrelations, dead): a dead row has no energy, and its
     autocorrelation is zero.
     """
-    ac = np.fft.irfft(power_spectra(frames, nfft), nfft, axis=1)[:, : len(rw)]
+    ac = _autocorrelations(frames, nfft, len(rw))
     r0 = ac[:, 0].copy()
     dead = r0 <= 0
     r0[dead] = 1.0
     return np.clip(ac / r0[:, None] / rw[None, :], -1.0, 1.0), dead
-
-
-# rows of even extensions ``log_db_cepstrogram`` transforms at once.  16
-# rows of a 2048-point extension and its spectrum take 0.5 MiB, so each
-# chunk thread's transforms stay in its core's L2; with two chunk threads,
-# 16 rows ran faster than 32 and than a whole 127-row chunk.
-_CEPSTRUM_ROWS = 16
 
 
 def log_db_cepstrogram(frames: np.ndarray, fft_size: int) -> np.ndarray:
@@ -669,25 +666,15 @@ def log_db_cepstrogram(frames: np.ndarray, fft_size: int) -> np.ndarray:
     real part of the rfft of the half's even extension.  That is how
     pocketfft, which numpy and scipy.fft share, computes a DCT-I, so the
     cepstra are ``scipy.fft.dct(level_db, type=1) / fft_size`` bit for bit.
-    The extensions are made and transformed ``_CEPSTRUM_ROWS`` rows at a
-    time, so they and their spectra stay in a core's cache.
     """
     power = power_spectra(frames, fft_size)
-    half = fft_size // 2 + 1
     floors = power.max(axis=1, keepdims=True) * 1e-12
     floors = np.maximum(floors, np.finfo(float).tiny)
     level_db = np.maximum(power, floors, out=power)
     np.log10(level_db, out=level_db)
     level_db *= 10.0
-    cepstra = np.empty_like(level_db)
-    even = np.empty((min(len(level_db), _CEPSTRUM_ROWS), fft_size))
-    for a in range(0, len(level_db), _CEPSTRUM_ROWS):
-        rows = level_db[a : a + _CEPSTRUM_ROWS]
-        ext = even[: len(rows)]
-        ext[:, :half] = rows
-        ext[:, half:] = rows[:, -2:0:-1]
-        np.divide(np.fft.rfft(ext, axis=1).real, fft_size, out=cepstra[a : a + _CEPSTRUM_ROWS])
-    return cepstra
+    even = np.concatenate([level_db, level_db[:, -2:0:-1]], axis=1)
+    return np.fft.rfft(even, axis=1).real / fft_size
 
 
 def moving_average(x: np.ndarray, size: int) -> np.ndarray:

@@ -331,7 +331,7 @@ def hnr_track(buf: AudioBuffer, track: PitchTrack) -> Track:
 
     fold = np.full(n_bins, 2.0)
     fold[[0, -1]] = 1.0  # DC and Nyquist bins (nfft is even) appear once
-    wpower = np.abs(np.fft.rfft(window, nfft)) ** 2 * fold
+    wpower = power_spectra(window[None, :], nfft)[0] * fold
     rw0 = float(wpower.sum())
 
     deltas = np.linspace(-2.0, 2.0, 41)

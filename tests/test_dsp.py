@@ -346,6 +346,15 @@ def test_matches_brute_force_autocorrelation():
     np.testing.assert_allclose(r[0], expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("n, nfft", [(641, 2048), (1500, 2048), (2057, 4096)])
+def test_window_autocorrelation_is_the_frame_kernels_for_one_row(n, nfft):
+    max_lag = min(n - 2, nfft - n - 1)
+    for window in (gaussian_window(n), np.hanning(n)):
+        r, dead = normalized_autocorrelation(window[None, :], nfft, np.ones(max_lag + 1))
+        assert not dead[0]
+        assert_same_bits(window_autocorr(window, nfft, max_lag), r[0])
+
+
 # -- Burg linear prediction --------------------------------------------------------
 
 
@@ -444,13 +453,15 @@ def test_cepstrum_matches_inverse_fft():
 def test_cepstrum_is_scipys_type_one_dct_bit_for_bit(fft_size):
     n = 3 * fft_size // 8
     rng = np.random.default_rng(fft_size)
-    noise = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-6, 0, (40, 1))
+    noise = rng.standard_normal((123, n)) * 10.0 ** rng.uniform(-6, 0, (123, 1))
     pulses = synth_pulse_train(200.0, 0.2, rate=RATE).signal[: 3 * n].reshape(3, n)
-    frames = np.vstack([noise, pulses, np.zeros((1, n))]) * np.hanning(n)
-    power = power_spectra(frames, fft_size)
-    floors = np.maximum(power.max(axis=1, keepdims=True) * 1e-12, np.finfo(float).tiny)
-    level_db = 10.0 * np.log10(np.maximum(power, floors))
-    assert_same_bits(log_db_cepstrogram(frames, fft_size), scipy.fft.dct(level_db, type=1, axis=1) / fft_size)
+    stack = np.vstack([noise, pulses, np.zeros((1, n))]) * np.hanning(n)
+    for rows in (1, 16, 17, 44, 127):  # a CPP chunk has 127 rows: 118 frames and their 9 halo frames
+        frames = stack[-rows:]
+        power = power_spectra(frames, fft_size)
+        floors = np.maximum(power.max(axis=1, keepdims=True) * 1e-12, np.finfo(float).tiny)
+        level_db = 10.0 * np.log10(np.maximum(power, floors))
+        assert_same_bits(log_db_cepstrogram(frames, fft_size), scipy.fft.dct(level_db, type=1, axis=1) / fft_size)
 
 
 @pytest.mark.parametrize("size", range(1, 12))
