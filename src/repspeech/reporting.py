@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptyGroup
+from .errors import EmptyGroup, RepSpeechError
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,26 @@ def summarize_features(records: Iterable[Mapping], group_key: str) -> NormativeT
 
     Each record is a mapping with a ``level`` entry, the grouping column,
     and any subset of the feature identifiers.  Missing or non-numeric
-    feature values are skipped.  Groups come out sorted so the result only
-    depends on the multiset of records.
+    feature values are skipped.  A group's size counts its recordings, and
+    a record without a ``recording`` entry counts as one; two records of
+    one recording at one level raise ``RepSpeechError``.  Groups come out
+    sorted so the result only depends on the multiset of records.
     """
     buckets: dict[tuple[str, str, str], list[float]] = {}
     group_records: dict[str, set] = {}
+    seen: set[tuple[str, str]] = set()
     count = 0
     for rec in records:
         count += 1
         group = str(rec.get(group_key, ""))
         level = str(rec.get("level", "S"))
-        # group size counts distinct recordings, falling back to record count
-        group_records.setdefault(group, set()).add(str(rec.get("recording", count)))
+        recording = rec.get("recording")
+        if recording is not None:
+            recording = str(recording)
+            if (recording, level) in seen:
+                raise RepSpeechError(f"recording {recording!r} has more than one row at level {level}")
+            seen.add((recording, level))
+        group_records.setdefault(group, set()).add(count if recording is None else recording)
         for feature in FEATURE_ORDER:
             value = rec.get(feature)
             if value is None or value == "":

@@ -86,9 +86,10 @@ def detect_speech_regions(buf: AudioBuffer, contour: Track, params: PipelinePara
         return []
     starts, stops = runs(mask)
     # frame i covers [t_i - hop/2, t_i + hop/2]: on the 40 ms / 10 ms grid the
-    # first begins 15 ms into the recording and the last ends 15 ms or more before its end
-    begin = contour.times[starts] - 0.5 * HOP
-    end = contour.times[stops - 1] + 0.5 * HOP
+    # first begins 15 ms into the recording and the last ends 15 ms or more before its end;
+    # the bounds are Python floats, as ``Segment`` says, and so are the rates summed from them
+    begin = (contour.times[starts] - 0.5 * HOP).tolist()
+    end = (contour.times[stops - 1] + 0.5 * HOP).tolist()
     sounding = np.flatnonzero(mask[starts])
     segments: list[Segment] = []
     start = begin[sounding[0]]

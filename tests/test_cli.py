@@ -120,6 +120,15 @@ def test_summarize_missing_group_column(tmp_path, capsys):
     assert main(["summarize", str(path), "--group", "cohort"]) == 2
 
 
+def test_summarize_rows_that_repeat_a_recording_exit_2(tmp_path, capsys):
+    # two extract outputs of one recording, concatenated: one recording's size, two recordings' values
+    path = tmp_path / "f.csv"
+    path.write_text("recording,level,speaking_rate\nrec,S,3.5\nrec,a,3.6\nrec,S,3.7\n")
+    assert main(["summarize", str(path), "--group", "level"]) == 2
+    err = capsys.readouterr().err
+    assert "'rec'" in err and "level S" in err
+
+
 def test_validate_schedule_exit_codes(tmp_path):
     good = {"arm": "Day", "session_starts": ["2023-06-14T09:12:00", "2023-06-14T14:05:00", "2023-06-14T18:04:00"]}
     bad = {"arm": "Day", "session_starts": ["2023-06-14T09:00:00", "2023-06-14T14:00:00", "2023-06-14T17:00:00"]}

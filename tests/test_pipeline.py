@@ -9,6 +9,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,18 @@ def test_recordings_up_to_one_frame_long_give_codes(tmp_path, n, rates, contour,
     assert (rec.features["speaking_rate"] == 0.0) == (rates is None)
     assert (rec.features["intensity_mean"] is None) == (contour is not None)
     assert (rec.features["spectral_gravity"] is None) == (gravity is not None)
+
+
+def test_every_feature_value_is_a_python_float(tmp_path, monkeypatch):
+    sine = tmp_path / "sine.wav"
+    write_wav(AudioBuffer(0.5 * np.sin(2 * np.pi * 150 * np.arange(640) / 16000), 16000), sine)
+    requests = [ExtractionRequest(str(sine))]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workload = importlib.import_module("corpus").build("read_sa", 0, tmp_path / "read_sa", "smoke")
+    requests += [ExtractionRequest(r.wav, r.textgrid, workload.levels) for r in workload.recordings]
+    records = [rec for request in requests for rec in extract_recording(request)]
+    assert [rec.level for rec in records] == ["S", "S", "a"]
+    assert {type(v) for rec in records for v in rec.features.values() if v is not None} == {float}
 
 
 @pytest.fixture(scope="module")

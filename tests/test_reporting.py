@@ -9,7 +9,7 @@ import pytest
 
 from helpers import sort_based_quartiles
 
-from repspeech.errors import EmptyGroup
+from repspeech.errors import EmptyGroup, RepSpeechError
 from repspeech.pipeline import LEVEL_FEATURES, S_FEATURES
 from repspeech.reporting import (
     FEATURE_FORMATS,
@@ -104,6 +104,20 @@ def test_empty_table_header_only():
     table = summarize_features([{"recording": "r", "level": "S", "cohort": "A"}], "cohort")
     text = emit_table(table, "markdown")
     assert text.count("\n") == 2  # header + separator only
+
+
+def test_group_sizes_count_recordings_and_rows_without_one():
+    rows = [{"recording": "r", "level": lv, "cohort": "X", "pitch_mean": 150.0} for lv in ("S", "a")]
+    assert summarize_features(rows, "cohort").group_sizes == {"X": 1}
+    anonymous = [{"level": "S", "cohort": "X", "pitch_mean": 150.0}] * 3
+    assert summarize_features(anonymous, "cohort").group_sizes == {"X": 3}
+
+
+@pytest.mark.parametrize("cohorts", [("X", "X"), ("X", "Y")])
+def test_two_rows_of_one_recording_and_level_raise(cohorts):
+    rows = [{"recording": "r", "level": "a", "cohort": c, "pitch_mean": 150.0} for c in cohorts]
+    with pytest.raises(RepSpeechError, match="'r'.*level a"):
+        summarize_features(rows, "cohort")
 
 
 def test_empty_records_raises():
