@@ -7,39 +7,75 @@ error, so every feature that needs it reports the same error code.  Both
 extraction levels are rows of one ``reduce`` call over one span list:
 [0, duration] for the whole recording, then the vowel spans, whose rows
 the vowel level averages.  This is the only module that computes tracks;
-every feature reduces the rows a track's ``over(t0, t1)`` selects.  The
-CPP track reads no other track: ``reduce`` queues it as one task on the
-recording's helper scope (``dsp.background``), a helper computes it while
-this thread runs every other reduction over every span, and ``cpp_mean``
-is the last reduction.  In a scope without helpers it runs there.
+every feature reduces the rows a track's ``over(t0, t1)`` selects, and
+``FEATURES`` declares every feature once, which each other feature list
+derives from.  The CPP track reads no other track: ``reduce`` queues it as
+one task on the recording's helper scope (``dsp.background``), a helper
+computes it while this thread runs every other reduction over every span,
+and ``cpp_mean`` is the last reduction.  In a scope without helpers it
+runs there.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
-# tracks are computed through their module attributes, so a wrapper
-# installed on a module (a tracer, a test's call counter) sees every call
+# tracks and reductions are reached through their module attributes when called, so a
+# wrapper installed on a module (a tracer, a test's call counter) sees every call
 from . import articulation, dsp, phonation
 from .audio_io import AudioBuffer
 from .dsp import Track
 from .errors import RepSpeechError, error_code
 from .phonation import PitchTrack
 
-# the features that reduce over a span, in record order
-A_FEATURES = (
-    "intensity_mean",
-    "pitch_mean",
-    "pitch_sd",
-    "hnr_mean",
-    "spectral_slope",
-    "cpp_mean",
-    "f1_mean",
-    "f2_mean",
-    "spectral_gravity",
-    "spectral_deviation",
+
+@dataclass(frozen=True)
+class Feature:
+    """One feature of a record; a span feature names the reduction in ``REDUCTIONS`` that yields it."""
+
+    name: str  # the record key and CSV column
+    label: str  # the summary table's row label, before the unit
+    unit: str
+    decimals: int  # the summary table shows the value / 10**power with this many decimals
+    levels: tuple[str, ...]
+    reduction: str | None = None
+    power: int = 0
+
+
+# the values of a span (t0, t1), in the order reduce runs them over every span: the moments first, so over a
+# whole recording their large spectrum lands on a heap no track holds yet, and CPP last, so a helper computes
+# its track meanwhile; each yields one value per feature that names it, in table order
+REDUCTIONS = {
+    "moments": lambda a, t0, t1: articulation.spectral_moments(a.buf.slice(t0, t1)),
+    "intensity": lambda a, t0, t1: [phonation.intensity_mean(a.intensity().over(t0, t1))],
+    "pitch": lambda a, t0, t1: phonation.pitch_stats(a.pitch().over(t0, t1)),
+    "hnr": lambda a, t0, t1: [phonation.hnr_mean(a.hnr().over(t0, t1))],
+    "slope": lambda a, t0, t1: [phonation.spectral_slope(a.spectra().over(t0, t1), a.buf.sample_rate)],
+    "formants": lambda a, t0, t1: articulation.formant_means(a.formants().over(t0, t1)),
+    "cpp": lambda a, t0, t1: [phonation.cpp_mean(a.cpp().over(t0, t1))],
+}
+# every feature of a record, in record order
+FEATURES = (
+    Feature("duration", "Duration", "s", 0, ("S",)),
+    Feature("speaking_rate", "Speaking rate", "syllables/s", 2, ("S",)),
+    Feature("articulation_rate", "Articulation rate", "syllables/s", 2, ("S",)),
+    Feature("pause_rate", "Pause rate", "1/s", 3, ("S",)),
+    Feature("intensity_mean", "Intensity (mean)", "dB", 1, ("S", "a"), "intensity"),
+    Feature("pitch_mean", "Pitch (mean)", "Hz", 0, ("S", "a"), "pitch"),
+    Feature("pitch_sd", "Pitch (std deviation)", "semitones", 2, ("S", "a"), "pitch"),
+    Feature("hnr_mean", "Harmonics-to-noise ratio (mean)", "dB", 2, ("S", "a"), "hnr"),
+    Feature("spectral_slope", "Spectral slope (mean)", "dB/octave", 1, ("S", "a"), "slope"),
+    Feature("cpp_mean", "Cepstral peak prominence (mean)", "dB", 2, ("S", "a"), "cpp"),
+    Feature("f1_mean", "First formant (mean)", "Hz", 0, ("S", "a"), "formants"),
+    Feature("f2_mean", "Second formant (mean)", "Hz", 2, ("S", "a"), "formants", power=3),
+    Feature("spectral_gravity", "Spectral gravity (mean)", "Hz", 0, ("S", "a"), "moments"),
+    Feature("spectral_deviation", "Spectral deviation (mean)", "Hz", 0, ("S", "a"), "moments"),
 )
+LEVEL_FEATURES = {level: tuple(f.name for f in FEATURES if level in f.levels) for level in ("S", "a")}
+# the features that reduce over a span, in record order
+A_FEATURES = tuple(f.name for f in FEATURES if f.reduction)
 
 
 def fill(
@@ -106,33 +142,17 @@ class Analysis:
         ``values`` maps every A_FEATURES name to its value, and ``errors``
         gives the code of each one left unmeasured.  Each value reduces the rows of a shared track that ``over(t0, t1)``
         selects; spectral moments are taken on the span's own samples.
-        Each reduction runs over every span before the next.  A non-empty
-        list queues the CPP track, which no other track reads, on the open
-        helper scope (``dsp.background``), so a helper computes it while
-        this thread runs the rest, and ``cpp_mean`` is reduced last.  The
-        moments run first: over a whole recording their spectrum is a large
-        transient of an extraction, and before any other track is computed
-        it lands on an empty heap.
+        Each of ``REDUCTIONS`` runs over every span before the next, in its
+        order.  A non-empty list queues the CPP track, which no other track
+        reads, on the open helper scope (``dsp.background``), so a helper
+        computes it while this thread runs the rest.
         """
         if spans and "cpp" not in self._tracks:
             self._cpp = dsp.background(self._cpp)
         rows = [(dict.fromkeys(A_FEATURES), {}) for _ in spans]
-
-        rate = self.buf.sample_rate
-        reductions = (
-            (
-                ("spectral_gravity", "spectral_deviation"),
-                lambda t0, t1: articulation.spectral_moments(self.buf.slice(t0, t1)),
-            ),
-            (("intensity_mean",), lambda t0, t1: [phonation.intensity_mean(self.intensity().over(t0, t1))]),
-            (("pitch_mean", "pitch_sd"), lambda t0, t1: phonation.pitch_stats(self.pitch().over(t0, t1))),
-            (("hnr_mean",), lambda t0, t1: [phonation.hnr_mean(self.hnr().over(t0, t1))]),
-            (("spectral_slope",), lambda t0, t1: [phonation.spectral_slope(self.spectra().over(t0, t1), rate)]),
-            (("f1_mean", "f2_mean"), lambda t0, t1: articulation.formant_means(self.formants().over(t0, t1))),
-            (("cpp_mean",), lambda t0, t1: [phonation.cpp_mean(self.cpp().over(t0, t1))]),
-        )
-        for keys, reduction in reductions:
+        for name, reduction in REDUCTIONS.items():
+            keys = tuple(f.name for f in FEATURES if f.reduction == name)
             for (t0, t1), (features, errors) in zip(spans, rows):
-                fill(features, errors, keys, lambda: reduction(t0, t1))
+                fill(features, errors, keys, lambda: reduction(self, t0, t1))
         # each row's errors in record order
         return [(features, {k: errors[k] for k in A_FEATURES if k in errors}) for features, errors in rows]

@@ -28,15 +28,16 @@ from .alignment import (
     vowel_level_features,
     vowel_spans,
 )
-from .analysis import A_FEATURES, Analysis, fill
+from .analysis import A_FEATURES, FEATURES, LEVEL_FEATURES, Analysis, fill
 from .articulation import FORMANT_CEILING, FORMANT_MARGIN
 from .audio_io import CANONICAL_RATE, read_wav, to_canonical
 from .errors import AlignmentMissing, BadSetting, RepSpeechError, SignalTooShort, error_code
 from .timing import NO_CONTOUR, finite_at_least, timing_features
 
-RATE_FEATURES = ("speaking_rate", "articulation_rate", "pause_rate")
-S_FEATURES = ("duration", *RATE_FEATURES, *A_FEATURES)
-LEVEL_FEATURES = {"S": S_FEATURES, "a": A_FEATURES}
+S_FEATURES = LEVEL_FEATURES["S"]
+# level S's own features, which reduce no span: the table lists the duration, then the rates of timing_features
+_OWN = tuple(f.name for f in FEATURES if f.reduction is None)
+DURATION, RATE_FEATURES = _OWN[0], _OWN[1:]
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def extract_recording(req: ExtractionRequest) -> list[FeatureRecord]:
             rows = analysis.reduce(spans) if analysis else []
             if "S" in levels:
                 features, errors = dict.fromkeys(S_FEATURES), {}
-                features["duration"] = buf.duration
+                features[DURATION] = buf.duration
                 fill(features, errors, RATE_FEATURES, lambda: _rates(analysis, params))
                 features.update(rows[0][0])
                 errors.update(rows[0][1])
@@ -177,7 +178,7 @@ def _absent(level: str, code: str) -> tuple[dict, dict, None]:
     return dict.fromkeys(LEVEL_FEATURES[level]), dict.fromkeys(LEVEL_FEATURES[level], code), None
 
 
-def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, float]:
+def _rates(analysis: Analysis, params: PipelineParams) -> list[float]:
     try:
         pitch = analysis.pitch()
     except RepSpeechError:
@@ -187,7 +188,7 @@ def _rates(analysis: Analysis, params: PipelineParams) -> tuple[float, float, fl
     except SignalTooShort:
         contour = NO_CONTOUR
     tf = timing_features(analysis.buf, contour, pitch, params)
-    return tf.speaking_rate, tf.articulation_rate, tf.pause_rate
+    return [getattr(tf, name) for name in RATE_FEATURES]
 
 
 def record_to_row(rec: FeatureRecord) -> dict:

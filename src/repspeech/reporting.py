@@ -16,35 +16,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .analysis import FEATURES, LEVEL_FEATURES
 from .errors import EmptyGroup, RepSpeechError
 
 
-@dataclass(frozen=True)
-class FeatureFormat:
-    display: str
-    decimals: int
-    scale: float = 1.0  # value is divided by this for display
-
-
-# Display order and formatting for the exemplar feature set.
-FEATURE_FORMATS: dict[str, FeatureFormat] = {
-    "duration": FeatureFormat("Duration, s", 0),
-    "speaking_rate": FeatureFormat("Speaking rate, syllables/s", 2),
-    "articulation_rate": FeatureFormat("Articulation rate, syllables/s", 2),
-    "pause_rate": FeatureFormat("Pause rate, 1/s", 3),
-    "intensity_mean": FeatureFormat("Intensity (mean), dB", 1),
-    "pitch_mean": FeatureFormat("Pitch (mean), Hz", 0),
-    "pitch_sd": FeatureFormat("Pitch (std deviation), semitones", 2),
-    "hnr_mean": FeatureFormat("Harmonics-to-noise ratio (mean), dB", 2),
-    "spectral_slope": FeatureFormat("Spectral slope (mean), dB/octave", 1),
-    "cpp_mean": FeatureFormat("Cepstral peak prominence (mean), dB", 2),
-    "f1_mean": FeatureFormat("First formant (mean), Hz", 0),
-    "f2_mean": FeatureFormat("Second formant (mean), Hz x10^3", 2, scale=1000.0),
-    "spectral_gravity": FeatureFormat("Spectral gravity (mean), Hz", 0),
-    "spectral_deviation": FeatureFormat("Spectral deviation (mean), Hz", 0),
-}
+# a summary table's rows: each feature, in record order, at each level
+FEATURE_FORMATS = {f.name: f for f in FEATURES}
 FEATURE_ORDER = tuple(FEATURE_FORMATS)
-LEVEL_ORDER = ("S", "a")
+LEVEL_ORDER = tuple(LEVEL_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -75,11 +54,12 @@ def quartiles(values: Iterable[float]) -> tuple[float, float, float]:
 def summarize_features(records: Iterable[Mapping], group_key: str) -> NormativeTable:
     """Build a normative table from feature rows.
 
-    Each record is a mapping with a ``level`` entry, the grouping column,
-    and any subset of the feature identifiers.  Missing or non-numeric
-    feature values are skipped.  A group's size counts its recordings, and
-    a record without a ``recording`` entry counts as one; two records of
-    one recording at one level raise ``RepSpeechError``.  Groups come out
+    Each record is a mapping with a ``level`` entry (``S`` when absent),
+    the grouping column, and any subset of the feature identifiers.
+    Missing or non-numeric feature values are skipped.  A group's size
+    counts its recordings, and a record without a ``recording`` entry
+    counts as one; a level ``FEATURES`` does not name, or two records of
+    one recording at one level, raise ``RepSpeechError``.  Groups come out
     sorted so the result only depends on the multiset of records.
     """
     buckets: dict[tuple[str, str, str], list[float]] = {}
@@ -91,6 +71,9 @@ def summarize_features(records: Iterable[Mapping], group_key: str) -> NormativeT
         group = str(rec.get(group_key, ""))
         level = str(rec.get("level", "S"))
         recording = rec.get("recording")
+        if level not in LEVEL_ORDER:
+            known = ", ".join(LEVEL_ORDER)
+            raise RepSpeechError(f"recording {recording!r} has a row at unknown level {level!r}; levels are {known}")
         if recording is not None:
             recording = str(recording)
             if (recording, level) in seen:
@@ -112,12 +95,7 @@ def summarize_features(records: Iterable[Mapping], group_key: str) -> NormativeT
         raise EmptyGroup("no records to summarize")
     groups = sorted(group_records)
     present = {(f, lv) for (f, lv, _g) in buckets}
-    rows = [
-        (f, lv)
-        for f in FEATURE_ORDER
-        for lv in LEVEL_ORDER
-        if (f, lv) in present
-    ]
+    rows = [(f, lv) for f in FEATURE_ORDER for lv in LEVEL_ORDER if (f, lv) in present]
     table = NormativeTable(groups=groups, rows=rows)
     table.group_sizes = {g: len(group_records[g]) for g in groups}
     for (feature, level, group), values in buckets.items():
@@ -127,9 +105,9 @@ def summarize_features(records: Iterable[Mapping], group_key: str) -> NormativeT
 
 
 def format_cell(feature: str, cell: Cell) -> str:
-    fmt = FEATURE_FORMATS.get(feature, FeatureFormat(feature, 2))
+    fmt = FEATURE_FORMATS[feature]
     def one(v: float) -> str:
-        return f"{v / fmt.scale:.{fmt.decimals}f}"
+        return f"{v / 10**fmt.power:.{fmt.decimals}f}"
     return f"{one(cell.median)} ({one(cell.q1)}, {one(cell.q3)})"
 
 
@@ -139,8 +117,8 @@ def _emit_markdown(table: NormativeTable) -> str:
     ]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for feature, level in table.rows:
-        fmt = FEATURE_FORMATS.get(feature, FeatureFormat(feature, 2))
-        row = [fmt.display, level]
+        fmt = FEATURE_FORMATS[feature]
+        row = [f"{fmt.label}, {fmt.unit}" + (f" x10^{fmt.power}" if fmt.power else ""), level]
         for g in table.groups:
             cell = table.cells.get((feature, level, g))
             row.append(format_cell(feature, cell) if cell else "")

@@ -129,6 +129,53 @@ def test_summarize_rows_that_repeat_a_recording_exit_2(tmp_path, capsys):
     assert "'rec'" in err and "level S" in err
 
 
+def test_summarize_a_row_at_an_unknown_level_exits_2(tmp_path, capsys):
+    # a hand-edited level: its row's values would reach no output
+    path = tmp_path / "f.csv"
+    path.write_text("recording,level,cohort,speaking_rate\nr1,S,X,3.5\nr2,s,X,3.6\nr3,A,X,3.7\n")
+    assert main(["summarize", str(path), "--group", "cohort"]) == 2
+    err = capsys.readouterr().err
+    assert "'r2'" in err and "level 's'" in err
+
+
+# the published surface, written out: extract's CSV columns, and each summary row's label, unit and decimals
+EXTRACT_CSV_HEADER = (
+    "recording,level,duration,speaking_rate,articulation_rate,pause_rate,intensity_mean,pitch_mean,pitch_sd,"
+    "hnr_mean,spectral_slope,cpp_mean,f1_mean,f2_mean,spectral_gravity,spectral_deviation,n_vowel_instances,errors"
+)
+SUMMARY_CELLS_OF_1234_56789 = (
+    ("Duration, s", "1235"),
+    ("Speaking rate, syllables/s", "1234.57"),
+    ("Articulation rate, syllables/s", "1234.57"),
+    ("Pause rate, 1/s", "1234.568"),
+    ("Intensity (mean), dB", "1234.6"),
+    ("Pitch (mean), Hz", "1235"),
+    ("Pitch (std deviation), semitones", "1234.57"),
+    ("Harmonics-to-noise ratio (mean), dB", "1234.57"),
+    ("Spectral slope (mean), dB/octave", "1234.6"),
+    ("Cepstral peak prominence (mean), dB", "1234.57"),
+    ("First formant (mean), Hz", "1235"),
+    ("Second formant (mean), Hz x10^3", "1.23"),
+    ("Spectral gravity (mean), Hz", "1235"),
+    ("Spectral deviation (mean), Hz", "1235"),
+)
+
+
+def test_extract_columns_and_summary_rows_as_published(recording, tmp_path, capsys):
+    _, wav, tg = recording
+    out = tmp_path / "rows.csv"
+    assert main(["extract", "--level", "S,a", wav, "--textgrid", tg, "-o", str(out)]) == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0]
+    assert header == EXTRACT_CSV_HEADER
+    features = header.split(",")[2:-2]
+    pinned = tmp_path / "pinned.csv"
+    pinned.write_text(f"recording,level,{','.join(features)}\nr,S,{','.join(['1234.56789'] * len(features))}\n")
+    capsys.readouterr()
+    assert main(["summarize", str(pinned), "--group", "level"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [f"| {label} | S | {v} ({v}, {v}) |" for label, v in SUMMARY_CELLS_OF_1234_56789]
+
+
 def test_validate_schedule_exit_codes(tmp_path):
     good = {"arm": "Day", "session_starts": ["2023-06-14T09:12:00", "2023-06-14T14:05:00", "2023-06-14T18:04:00"]}
     bad = {"arm": "Day", "session_starts": ["2023-06-14T09:00:00", "2023-06-14T14:00:00", "2023-06-14T17:00:00"]}

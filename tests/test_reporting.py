@@ -4,16 +4,16 @@ import csv
 import io
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from helpers import sort_based_quartiles
 
+from repspeech.analysis import FEATURES
 from repspeech.errors import EmptyGroup, RepSpeechError
-from repspeech.pipeline import LEVEL_FEATURES, S_FEATURES
 from repspeech.reporting import (
-    FEATURE_FORMATS,
-    LEVEL_ORDER,
     emit_table,
     format_cell,
     Cell,
@@ -21,10 +21,13 @@ from repspeech.reporting import (
     summarize_features,
 )
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-def test_table_rows_follow_the_record_features():
-    assert tuple(FEATURE_FORMATS) == S_FEATURES
-    assert LEVEL_ORDER == tuple(LEVEL_FEATURES)
+
+def test_readme_features_table_matches_the_feature_table():
+    section = README.read_text(encoding="utf-8").split("\n## Features\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+    assert rows == [(f.name, f.unit, ", ".join(f.levels)) for f in FEATURES]
 
 
 def test_odd_count_quartiles():
@@ -154,3 +157,18 @@ def test_none_and_empty_values_skipped():
     table = summarize_features(rows, "cohort")
     assert table.cells[("pitch_mean", "S", "X")].n == 1
     assert table.cells[("hnr_mean", "S", "X")].n == 1
+
+
+def test_a_row_at_an_unknown_level_raises():
+    # at a level the feature table does not name, a row's values would reach no output
+    rows = [{"recording": f"r{lv}", "level": lv, "cohort": "X", "pitch_mean": 150.0} for lv in ("S", "s", "A")]
+    with pytest.raises(RepSpeechError, match="'rs'.*level 's'"):
+        summarize_features(rows, "cohort")
+
+
+def test_a_row_without_a_level_is_at_s_and_a_level_a_row_keeps_every_column():
+    rows = [
+        {"recording": "r", "cohort": "X", "pitch_mean": 150.0},
+        {"recording": "r", "level": "a", "cohort": "X", "speaking_rate": 3.5},
+    ]
+    assert summarize_features(rows, "cohort").rows == [("speaking_rate", "a"), ("pitch_mean", "S")]
